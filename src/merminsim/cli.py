@@ -39,6 +39,7 @@ from .model import (
     N_CELLS,
 )
 from .montecarlo import (
+    MAX_TRIALS,
     EstimatedCaseStats,
     SimulationPlan,
     TallyCounts,
@@ -333,10 +334,15 @@ def _manifest(args, doc: dict, n: int, seed: int, streams: int, outputs: dict) -
 
 
 def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
-    n = args.n if args.n is not None else _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), "n_trials")
+    if args.n is not None:
+        n, n_name = args.n, "--n"
+    else:
+        n, n_name = _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), "n_trials"), "n_trials"
     seed = args.seed if args.seed is not None else _as_int(doc.get("seed", DEFAULT_SEED), "seed")
-    if n < 0:
-        raise ConfigurationError(f"n_trials must be >= 0, got {n}")
+    if not 0 <= n < MAX_TRIALS:
+        raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {n}")
+    if args.streams < 1:
+        raise ConfigurationError(f"--streams must be >= 1, got {args.streams}")
     return n, seed
 
 
@@ -401,6 +407,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     config, doc = load_config(args.config)
     n, seed = _resolve_run_params(args, doc)
+    if not args.threshold > 0:
+        raise ConfigurationError(f"--threshold must be positive, got {args.threshold}")
 
     exact = conditional_stats(enumerate_joint(config))
     tally = run_trials(SimulationPlan(config, n_trials=n, seed=seed, n_streams=args.streams))

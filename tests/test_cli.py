@@ -315,3 +315,28 @@ class TestScan:
         main(["scan", "--config", str(cfg), "--parameter", "p_both", "--grid", "0", "--out-dir", str(out)])
         header = (out / "scan.csv").read_text().splitlines()[0]
         assert header == "p,eta_a,eta_b,eta_u,p_same_case_a,p_same_case_b,mean_coincidence_rate"
+
+
+class TestRunFlagErrors:
+    # (command, extra argv, environment, text the diagnostic must name)
+    CASES = [
+        ("simulate", ["--streams", "0"], {}, "--streams"),
+        ("simulate", ["--n", str(1 << 60)], {}, "--n"),
+        ("verify", ["--threshold", "0"], {}, "--threshold"),
+        ("simulate", [], {"MERMIN_SIM_THREADS": "abc"}, "MERMIN_SIM_THREADS"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, extra, env, named", CASES, ids=[case[-1] for case in CASES]
+    )
+    def test_exits_2_naming_the_flag(
+        self, tmp_path, capsys, monkeypatch, command, extra, env, named
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        cfg = write_config(tmp_path, n_trials=1000)
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *extra]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()

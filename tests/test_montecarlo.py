@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
     ExperimentConfig,
@@ -80,6 +81,17 @@ class TestRunTrials:
         monkeypatch.setenv("MERMIN_SIM_THREADS", "1")
         capped = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
         assert base == capped
+
+    @pytest.mark.parametrize("streams", [2, 3, 8])
+    def test_threads_sharing_chunks_count_every_trial_once(self, streams, monkeypatch):
+        base = run_trials(plan_for("table1_uniform", 30_500, seed=17, p_a=Fraction(1, 5)))
+        # Small chunks and no thread cap, so each worker takes many chunks.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setenv("MERMIN_SIM_THREADS", "8")
+        split = run_trials(
+            plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
+        )
+        assert base == split
 
     def test_conservation_and_failure_cells(self):
         tally = run_trials(
