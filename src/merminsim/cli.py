@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Iterator, Sequence, TextIO, Union
 
 from . import __version__
 from .exact import (
@@ -32,9 +34,11 @@ from .model import (
     DetectorModel,
     ExperimentConfig,
     SourceDistribution,
+    as_fraction,
     builtin_distribution,
     cell_at,
     encode_cell,
+    parse_rational,
     switch_digit,
     N_CELLS,
 )
@@ -91,10 +95,18 @@ def _as_int(value: Any, name: str) -> int:
     raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
 
 
+def _require_str(value: Any, name: str) -> None:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name}: expected a string, got {value!r}")
+
+
 def _build_source(spec: Any) -> SourceDistribution:
     if not isinstance(spec, dict):
         raise ConfigurationError("source: expected an object")
     if "builtin" in spec:
+        _require_str(spec["builtin"], "source.builtin")
+        if spec.get("state") is not None:
+            _require_str(spec["state"], "source.state")
         return builtin_distribution(spec["builtin"], spec.get("state"))
     if "entries" in spec:
         entries = spec["entries"]
@@ -106,7 +118,12 @@ def _build_source(spec: Any) -> SourceDistribution:
                 raise ConfigurationError(
                     f"source.entries[{i}]: expected an object with state and weight"
                 )
-            built.append((entry["state"], entry["weight"]))
+            _require_str(entry["state"], f"source.entries[{i}].state")
+            try:
+                weight = as_fraction(entry["weight"])
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"source.entries[{i}].weight: {exc}") from None
+            built.append((entry["state"], weight))
         return SourceDistribution.from_entries(built)
     raise ConfigurationError("source: needs either a builtin name or an entries list")
 
@@ -122,6 +139,28 @@ def _build_detector(spec: Any, name: str) -> DetectorModel:
         raise ConfigurationError(f"{name}.failure_probability: {exc}") from None
 
 
+class _DecimalLiteral(str):
+    """A JSON decimal literal, kept as text until its field is known."""
+
+
+def _exact_decimals(obj: Any, where: str) -> Any:
+    """The document with each decimal literal parsed to an exact Fraction;
+    a literal that cannot be parsed is reported by its field path."""
+    if isinstance(obj, _DecimalLiteral):
+        try:
+            return parse_rational(obj)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+    if isinstance(obj, dict):
+        return {
+            key: _exact_decimals(value, f"{where}.{key}" if where else key)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, list):
+        return [_exact_decimals(value, f"{where}[{i}]") for i, value in enumerate(obj)]
+    return obj
+
+
 def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
     """Parse and validate a JSON experiment description.
 
@@ -129,11 +168,16 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
     "num/den" strings. Returns the config and the raw document, which
     carries optional seed / n_trials defaults and feeds the run manifest.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # ValueError covers bad UTF-8 or JSON and integers past the digit limit;
+    # RecursionError, here and in the walk, covers arrays nested too deep.
     try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_DecimalLiteral)
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        doc = _exact_decimals(doc, "")
+    except (ConfigurationError, RecursionError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     if "source" not in doc:
@@ -212,14 +256,28 @@ def _estimated_stats_json(stats: EstimatedCaseStats) -> dict:
     return out
 
 
+@contextmanager
+def _atomic_write(path: Path) -> Iterator[TextIO]:
+    """Open a temp file beside path; it replaces path only once written in
+    full, so a failed write leaves no partial report and keeps the old one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -525,14 +583,14 @@ def cmd_verify(args) -> int:
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     try:
-        values = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"grid: cannot parse {text!r}") from None
+        values = tuple(parse_rational(part) for part in text.split(",") if part.strip())
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--grid: {exc}") from None
     if not values:
-        raise ConfigurationError("grid: no values given")
+        raise ConfigurationError("--grid: no values given")
     for value in values:
         if not 0 <= value < 1:
-            raise ConfigurationError(f"grid: value {value} outside [0, 1)")
+            raise ConfigurationError(f"--grid: value {value} outside [0, 1)")
     return values
 
 

@@ -47,6 +47,8 @@ ALL_SETTING_PAIRS: tuple[SettingPair, ...] = tuple(
     (a, b) for a in SETTINGS for b in SETTINGS
 )
 
+_CELLS: tuple[CellKey, ...] = tuple(iter_cells())
+
 
 @dataclass(frozen=True)
 class JointTable:
@@ -70,31 +72,25 @@ class JointTable:
 def enumerate_joint(config: ExperimentConfig) -> JointTable:
     """Full joint distribution of one experiment.
 
-    Each source entry contributes its (renormalized) weight spread over
-    the independent per-side switch laws: failure with probability p,
-    otherwise each setting with probability (1 - p) / 3. Outcomes are the
-    deterministic instruction lookups, with failure forcing NoFlash.
+    Each side's switch lands on the failure position (digit 0) with
+    probability p and on each setting with probability (1 - p) / 3; a
+    failed switch reads N, like an N instruction. The source's integer
+    cell masses (one pass per source, shared by every detector setting)
+    therefore give each of the 144 cells as one rational:
+    mass / total * law_a[digit_a] * law_b[digit_b].
     """
     config.validate()
-    entries = config.source.renormalized()
-
-    def switch_law(p: Fraction) -> list[tuple[SwitchPosition, Fraction]]:
-        per_setting = (1 - p) / 3
-        law: list[tuple[SwitchPosition, Fraction]] = [(FAILURE, p)]
-        law.extend((s, per_setting) for s in SETTINGS)
-        return [(sw, q) for sw, q in law if q != 0]
-
-    law_a = switch_law(config.detector_a.failure_probability)
-    law_b = switch_law(config.detector_b.failure_probability)
-
-    prob: dict[CellKey, Fraction] = {key: Fraction(0) for key in iter_cells()}
-    for state, weight in entries:
-        for swa, qa in law_a:
-            oa = Outcome.NO_FLASH if swa is FAILURE else state.alice.outcome_at(swa)
-            wa = weight * qa
-            for swb, qb in law_b:
-                ob = Outcome.NO_FLASH if swb is FAILURE else state.bob.outcome_at(swb)
-                prob[(swa, swb, oa, ob)] += wa * qb
+    masses, total = config.source.cell_masses
+    p_a = config.detector_a.failure_probability
+    p_b = config.detector_b.failure_probability
+    law_a = (p_a,) + ((1 - p_a) / 3,) * 3
+    law_b = (p_b,) + ((1 - p_b) / 3,) * 3
+    # Cell index // 9 is digit_a * 4 + digit_b.
+    switch_pair_law = [qa * qb for qa in law_a for qb in law_b]
+    prob = {
+        key: Fraction(mass, total) * switch_pair_law[index // 9]
+        for index, (key, mass) in enumerate(zip(_CELLS, masses))
+    }
     return JointTable(prob=MappingProxyType(prob))
 
 

@@ -11,7 +11,11 @@ so the same instruction-set types serve every model variant.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -216,6 +220,30 @@ class PairState:
 WeightLike = Union[Fraction, int, float, str]
 
 
+# The exponent of a decimal literal such as "1e-5" or "2.5E+3".
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact Fraction of a decimal ("0.25", "1e-3") or "num/den" string.
+
+    Fraction builds 10^exponent in full, so a decimal exponent beyond the
+    digit limit Python puts on int() strings (4300 by default) is refused
+    before parsing: "1e999999999" would otherwise run for hours.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ConfigurationError(
+            f"decimal exponent of {text!r} is beyond {limit}, the int digit limit"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"cannot parse {text!r} as a rational") from None
+
+
 def as_fraction(value: WeightLike) -> Fraction:
     """Coerce a probability-like value to an exact Fraction.
 
@@ -228,13 +256,10 @@ def as_fraction(value: WeightLike) -> Fraction:
         raise ConfigurationError(f"cannot interpret {value!r} as a probability")
     if isinstance(value, int):
         return Fraction(value)
-    try:
-        if isinstance(value, float):
-            return Fraction(repr(value))
-        if isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"cannot parse {value!r} as a rational") from None
+    if isinstance(value, float):
+        return parse_rational(repr(value))
+    if isinstance(value, str):
+        return parse_rational(value)
     raise ConfigurationError(f"cannot interpret {value!r} as a rational")
 
 
@@ -252,14 +277,26 @@ class SourceDistribution:
         cls, entries: Iterable[tuple[Union[PairState, str], WeightLike]]
     ) -> "SourceDistribution":
         built = []
-        for state, weight in entries:
+        for index, (state, weight) in enumerate(entries):
             if isinstance(state, str):
                 state = PairState.parse(state)
+            elif not isinstance(state, PairState):
+                raise ConfigurationError(
+                    f"entry {index}: expected a pair state, got {state!r}"
+                )
             built.append((state, as_fraction(weight)))
         return cls(tuple(built))
 
     def validate(self) -> None:
-        """Raise a DistributionError naming the offending entry, if any."""
+        """Raise a DistributionError naming the offending entry, if any.
+
+        The entries never change, so a passing check is remembered; a
+        failing one raises again on every call.
+        """
+        self._validated
+
+    @functools.cached_property
+    def _validated(self) -> bool:
         if not self.entries:
             raise EmptyDistributionError("source distribution has no entries")
         seen: set[PairState] = set()
@@ -277,6 +314,35 @@ class SourceDistribution:
             raise WeightSumMismatchError(
                 f"weights sum to {total} (~{float(total):.12g}), expected 1"
             )
+        return True
+
+    @functools.cached_property
+    def cell_masses(self) -> tuple[tuple[int, ...], int]:
+        """Integer mass of each of the 144 cells, in codec order, and the
+        total mass, with every weight put over the common denominator.
+
+        A state's mass lands once in each of the 16 (switch_a, switch_b)
+        digit pairs, in the cell of the outcomes its instructions give
+        there; digit 0, the failure position, reads N on either side. A
+        cell's probability is then mass / total times the probabilities
+        of its two switch positions, whatever the detectors. Computed
+        once per source, after validate() passes.
+        """
+        self.validate()
+        denominator = math.lcm(*(w.denominator for _, w in self.entries))
+        no_flash = outcome_index(Outcome.NO_FLASH)
+        masses = [0] * N_CELLS
+        total = 0
+        for state, weight in self.entries:
+            mass = weight.numerator * (denominator // weight.denominator)
+            total += mass
+            a = [no_flash] + [outcome_index(o) for o in state.alice.outcomes]
+            b = [no_flash] + [outcome_index(o) for o in state.bob.outcomes]
+            for digit_a in range(4):
+                row = digit_a * 36 + a[digit_a] * 3
+                for digit_b in range(4):
+                    masses[row + digit_b * 9 + b[digit_b]] += mass
+        return tuple(masses), total
 
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.entries), Fraction(0))

@@ -340,3 +340,60 @@ class TestRunFlagErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigFieldErrors:
+    # (config text, text the diagnostic must name); the decimal exponents
+    # would take hours to expand if parsed as written.
+    CASES = [
+        ('{"source": {"entries": [{"state": 123, "weight": 1}]}}', "source.entries[0].state"),
+        ('{"source": {"builtin": "single", "state": 5}}', "source.state"),
+        ('{"source": {"builtin": 5}}', "source.builtin"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": 1e999999999}]}}',
+         "source.entries[0].weight"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "1e999999999"}]}}',
+         "source.entries[0].weight"),
+        ('{"source": {"builtin": "table1_uniform"}, "n_trials": 1e-999999999}', "n_trials"),
+        ('{"source": ' + "[" * 900 + "]" * 900 + "}", "recursion depth"),
+        ('{"source": ' + "[" * 5000 + "]" * 5000 + "}", "recursion depth"),
+    ]
+    SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
+
+    @pytest.mark.parametrize("command", ["enumerate", "scan", "verify"])
+    @pytest.mark.parametrize(
+        "text, named", CASES, ids=[f"{i}-{case[-1].replace(' ', '-')}" for i, case in enumerate(CASES)]
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, text, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv + (self.SCAN if command == "scan" else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_grid_exponent_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["scan", "--config", str(cfg), "--parameter", "p_both",
+                "--grid", "0,1e-999999999", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --grid:") and "1e-999999999" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestAtomicReports:
+    def test_failed_write_keeps_the_earlier_report(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["enumerate", "--config", str(cfg), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def half_then_fail(obj, fh, **kwargs):
+            fh.write('{"p_same_case_a": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr("merminsim.cli.json.dump", half_then_fail)
+        assert main(argv) == EXIT_IO
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before

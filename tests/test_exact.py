@@ -264,3 +264,36 @@ class TestDetectorInvariance:
     def test_p_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             detector_invariance_check(config_for("table1_uniform"), [Fraction(3, 2)])
+
+
+class TestSourceMemo:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],
+            [("GGR-GGR", "1/2")],
+            [("GGR-GGR", "3/2"), ("GNR-GGR", "-1/2")],
+            [("GGR-GGR", "1/2"), ("GGR-GGR", "1/2")],
+        ],
+        ids=["empty", "sum", "negative", "duplicate"],
+    )
+    def test_invalid_source_raises_the_same_error_every_time(self, entries):
+        from merminsim.model import SourceDistribution
+
+        source = SourceDistribution.from_entries(entries)
+        config = ExperimentConfig(source=source)
+        errors = []
+        for check in (source.validate, source.validate, lambda: enumerate_joint(config),
+                      lambda: enumerate_joint(config), lambda: source.cell_masses):
+            with pytest.raises(ConfigurationError) as info:
+                check()
+            errors.append((type(info.value), str(info.value)))
+        assert len(set(errors)) == 1
+
+    def test_detector_settings_share_one_pass_per_source(self):
+        config = config_for("table1_uniform")
+        masses = config.source.cell_masses
+        swept = config.with_failure_probabilities(Fraction(1, 3), Fraction(1, 7))
+        assert swept.source.cell_masses is masses
+        # 12 states at weight 1/12: 16 switch-digit pairs each, over total 12.
+        assert masses[1] == 12 and sum(masses[0]) == 16 * 12

@@ -250,3 +250,24 @@ class TestDetectorAndConfig:
         assert swept.detector_a.failure_probability == Fraction(1, 5)
         assert swept.detector_b.failure_probability == Fraction(1, 2)
         assert swept.source is cfg.source
+
+
+class TestParseRational:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1e4300", Fraction(10**4300)), ("2.5E-4300", Fraction(25, 10**4301)),
+         ("1e0_4300", Fraction(10**4300)), (" 0.1 ", Fraction(1, 10)), ("3/9", Fraction(1, 3))],
+    )
+    def test_exact_within_the_digit_limit(self, text, expected):
+        assert as_fraction(text) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "1e-4301", "1e999999999", "1E+9_999_999", "1e" + "9" * 5000]
+    )
+    def test_exponent_past_the_digit_limit_is_refused(self, text):
+        with pytest.raises(ConfigurationError, match="exponent"):
+            as_fraction(text)
+
+    def test_non_state_entry_is_refused(self):
+        with pytest.raises(ConfigurationError, match="entry 1"):
+            SourceDistribution.from_entries([("GGR-GGR", "1/2"), (5, "1/2")])
