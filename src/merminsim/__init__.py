@@ -23,11 +23,8 @@ from .model import (
     SourceDistribution,
     TABLE1_PAIRS,
     TWO_ONE_SETS,
-    TrialRecord,
     WeightSumMismatchError,
     builtin_distribution,
-    classify,
-    outcome_for,
 )
 from .exact import (
     CaseStats,

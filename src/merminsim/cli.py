@@ -12,19 +12,14 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__
 from .exact import (
-    ALL_SETTING_PAIRS,
-    CaseStats,
     DegenerateConditioningError,
-    JointTable,
     conditional_stats,
     detector_invariance_check,
     enumerate_joint,
@@ -33,20 +28,18 @@ from .model import (
     ConfigurationError,
     DetectorModel,
     ExperimentConfig,
+    STATISTICS,
     SourceDistribution,
     as_fraction,
     builtin_distribution,
-    cell_at,
     encode_cell,
+    iter_cells,
     parse_rational,
     switch_digit,
-    N_CELLS,
 )
 from .montecarlo import (
     MAX_TRIALS,
-    EstimatedCaseStats,
     SimulationPlan,
-    TallyCounts,
     estimate_stats,
     run_trials,
 )
@@ -67,17 +60,7 @@ INDEPENDENCE_ALPHA = 1e-3
 INVARIANCE_GRID = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
 TARGET_CASE_A = Fraction(1)
 TARGET_CASE_B = Fraction(1, 4)
-
-_STAT_FIELDS = (
-    "p_same_case_a",
-    "p_same_case_b",
-    "eta_a",
-    "eta_b",
-    "eta_u_a",
-    "eta_u_b",
-    "eta_f_a",
-    "eta_f_b",
-)
+MAX_SEED = 1 << 64
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +210,6 @@ def _exact_field_json(value: Union[Fraction, None]) -> dict:
     }
 
 
-def _case_stats_json(stats: CaseStats) -> dict:
-    out = {name: _exact_field_json(getattr(stats, name)) for name in _STAT_FIELDS}
-    out["coincidence_rate"] = {
-        f"{sa.digit}{sb.digit}": _exact_field_json(stats.coincidence_rate[(sa, sb)])
-        for sa, sb in ALL_SETTING_PAIRS
-    }
-    return out
-
-
 def _estimate_json(est) -> dict:
     return {
         "value": est.value,
@@ -246,41 +220,47 @@ def _estimate_json(est) -> dict:
     }
 
 
-def _estimated_stats_json(stats: EstimatedCaseStats) -> dict:
-    out = {name: _estimate_json(getattr(stats, name)) for name in _STAT_FIELDS}
-    out["coincidence_rate"] = {
-        f"{sa.digit}{sb.digit}": _estimate_json(stats.coincidence_rate[(sa, sb)])
-        for sa, sb in ALL_SETTING_PAIRS
-    }
-    out["n_trials"] = stats.n_trials
+def _stats_json(stats, field_json: Callable[[Any], dict]) -> dict:
+    """One JSON entry per declared statistic of a CaseStats-shaped object;
+    coincidence rates nest under their name, keyed by setting digits."""
+    out: dict = {}
+    for stat in STATISTICS:
+        value = field_json(stat.read(stats))
+        if stat.pair is None:
+            out[stat.name] = value
+        else:
+            out.setdefault(stat.name, {})[stat.key] = value
     return out
 
 
-@contextmanager
-def _atomic_write(path: Path) -> Iterator[TextIO]:
-    """Open a temp file beside path; it replaces path only once written in
-    full, so a failed write leaves no partial report and keeps the old one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _exact_cells(value: Union[Fraction, None]) -> str:
+    if value is None:
+        return f"{'undefined':>12}  undefined"
+    return f"{float(value):>12.6f}  {_frac_str(value)}"
 
 
-def _write_json(path: Path, obj: Any) -> None:
-    with _atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _estimate_cells(est) -> str:
+    if not est.defined:
+        return f"{'undefined':>12}"
+    return f"{est.value:>12.6f}{est.se:>12.2g}  [{est.ci_low:.6f}, {est.ci_high:.6f}]"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    with _atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _print_stats(header: str, stats, cells: Callable[[Any], str]) -> None:
+    print(f"{'field':<24}{header}")
+    for stat in STATISTICS:
+        print(f"{stat.label:<24}{cells(stat.read(stats))}")
+
+
+_CELL_COLUMNS = ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell"]
+
+
+def _cell_rows(values: Iterable[Any]) -> list[list[Any]]:
+    """One CSV row per cell in codec order, ending in that cell's value."""
+    return [
+        [switch_digit(swa), switch_digit(swb), oa.letter, ob.letter,
+         encode_cell(swa, swb, oa, ob), value]
+        for (swa, swb, oa, ob), value in zip(iter_cells(), values)
+    ]
 
 
 def _csv_num(value: Union[float, Fraction, None]) -> str:
@@ -289,106 +269,46 @@ def _csv_num(value: Union[float, Fraction, None]) -> str:
     return repr(float(value))
 
 
-def _fmt(value: Union[float, Fraction, None]) -> str:
-    if value is None:
-        return "undefined"
-    return f"{float(value):.6f}"
+def _write_reports(reports: dict[Path, Any]) -> None:
+    """Write each report to a temp file beside its target: a .csv path
+    takes (header, rows), any other path a JSON document. The targets are
+    replaced only once every temp file is written in full, so a failed
+    write leaves no partial report and keeps the earlier set whole."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in reports}
+    try:
+        for path, content in reports.items():
+            with open(temps[path], "w", encoding="utf-8", newline="") as fh:
+                if path.suffix == ".csv":
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow(content[0])
+                    writer.writerows(content[1])
+                else:
+                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
-def _print_exact_stats(stats: CaseStats) -> None:
-    print(f"{'field':<24}{'value':>12}  exact")
-    for name in _STAT_FIELDS:
-        value = getattr(stats, name)
-        print(f"{name:<24}{_fmt(value):>12}  {_frac_str(value) or 'undefined'}")
-    for sa, sb in ALL_SETTING_PAIRS:
-        value = stats.coincidence_rate[(sa, sb)]
-        name = f"coincidence_rate[{sa.digit}{sb.digit}]"
-        print(f"{name:<24}{_fmt(value):>12}  {_frac_str(value) or 'undefined'}")
-
-
-def _print_estimates(stats: EstimatedCaseStats) -> None:
-    print(f"{'field':<24}{'estimate':>12}{'se':>12}  95% CI")
-    rows = [(name, getattr(stats, name)) for name in _STAT_FIELDS]
-    rows += [
-        (f"coincidence_rate[{sa.digit}{sb.digit}]", stats.coincidence_rate[(sa, sb)])
-        for sa, sb in ALL_SETTING_PAIRS
-    ]
-    for name, est in rows:
-        if not est.defined:
-            print(f"{name:<24}{'undefined':>12}")
-            continue
-        ci = f"[{est.ci_low:.6f}, {est.ci_high:.6f}]"
-        print(f"{name:<24}{est.value:>12.6f}{est.se:>12.2g}  {ci}")
-
-
-def _tally_rows(tally: TallyCounts) -> list[list[Any]]:
-    rows = []
-    for index in range(N_CELLS):
-        swa, swb, oa, ob = cell_at(index)
-        rows.append(
-            [
-                switch_digit(swa),
-                switch_digit(swb),
-                oa.letter,
-                ob.letter,
-                encode_cell(swa, swb, oa, ob),
-                int(tally.counts[index]),
-            ]
-        )
-    return rows
-
-
-def _joint_rows(table: JointTable) -> list[list[Any]]:
-    rows = []
-    for index in range(N_CELLS):
-        key = cell_at(index)
-        swa, swb, oa, ob = key
-        rows.append(
-            [
-                switch_digit(swa),
-                switch_digit(swb),
-                oa.letter,
-                ob.letter,
-                encode_cell(*key),
-                _csv_num(table.prob[key]),
-            ]
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args, doc: dict, n: int, seed: int, outputs: dict) -> dict:
     """Everything needed to reproduce a run's report files bit for bit
     (given the same build); the timestamp is the one non-reproducible
     field and lives only here."""
-
-    command: str
-    config_path: str
-    config: dict
-    seed: int
-    n_trials: int
-    n_streams: int
-    outputs: dict
-    tool: str = "merminsim"
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _manifest(args, doc: dict, n: int, seed: int, streams: int, outputs: dict) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        config_path=str(args.config),
-        config=_jsonable(doc),
-        seed=seed,
-        n_trials=n,
-        n_streams=streams,
-        outputs=outputs,
-    )
+    return {
+        "command": args.command,
+        "config_path": str(args.config),
+        "config": _jsonable(doc),
+        "seed": seed,
+        "n_trials": n,
+        "n_streams": args.streams,
+        "outputs": outputs,
+        "tool": "merminsim",
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
@@ -396,9 +316,14 @@ def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
         n, n_name = args.n, "--n"
     else:
         n, n_name = _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), "n_trials"), "n_trials"
-    seed = args.seed if args.seed is not None else _as_int(doc.get("seed", DEFAULT_SEED), "seed")
+    if args.seed is not None:
+        seed, seed_name = args.seed, "--seed"
+    else:
+        seed, seed_name = _as_int(doc.get("seed", DEFAULT_SEED), "seed"), "seed"
     if not 0 <= n < MAX_TRIALS:
         raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {n}")
+    if not 0 <= seed < MAX_SEED:
+        raise ConfigurationError(f"{seed_name} must be in [0, 2^64), got {seed}")
     if args.streams < 1:
         raise ConfigurationError(f"--streams must be >= 1, got {args.streams}")
     return n, seed
@@ -421,16 +346,17 @@ def cmd_enumerate(args) -> int:
     stats = conditional_stats(table)
 
     print(f"exact analysis of {args.config}")
-    _print_exact_stats(stats)
+    _print_stats(f"{'value':>12}  exact", stats, _exact_cells)
 
     out = _out_dir(args)
     stats_path = out / "case_stats.json"
     joint_path = out / "joint_table.csv"
-    _write_json(stats_path, _case_stats_json(stats))
-    _write_csv(
-        joint_path,
-        ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell", "probability"],
-        _joint_rows(table),
+    probabilities = (_csv_num(Fraction(w, table.denominator)) for w in table.weights)
+    _write_reports(
+        {
+            stats_path: _stats_json(stats, _exact_field_json),
+            joint_path: ([*_CELL_COLUMNS, "probability"], _cell_rows(probabilities)),
+        }
     )
     print(f"wrote {stats_path} and {joint_path}")
     return EXIT_OK
@@ -444,20 +370,20 @@ def cmd_simulate(args) -> int:
     stats = estimate_stats(tally)
 
     print(f"simulated {n} trials (seed {seed}, {args.streams} stream(s))")
-    _print_estimates(stats)
+    _print_stats(f"{'estimate':>12}{'se':>12}  95% CI", stats, _estimate_cells)
 
     out = _out_dir(args)
     tally_path = out / "tally.csv"
     stats_path = out / "mc_stats.json"
     manifest_path = out / "run_manifest.json"
-    _write_csv(
-        tally_path,
-        ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell", "count"],
-        _tally_rows(tally),
-    )
-    _write_json(stats_path, _estimated_stats_json(stats))
     outputs = {"tally_csv": str(tally_path), "stats_json": str(stats_path)}
-    _write_json(manifest_path, _manifest(args, doc, n, seed, args.streams, outputs).as_dict())
+    _write_reports(
+        {
+            tally_path: ([*_CELL_COLUMNS, "count"], _cell_rows(tally.counts.tolist())),
+            stats_path: {**_stats_json(stats, _estimate_json), "n_trials": stats.n_trials},
+            manifest_path: _manifest(args, doc, n, seed, outputs),
+        }
+    )
     print(f"wrote {tally_path}, {stats_path} and {manifest_path}")
     return EXIT_OK
 
@@ -501,10 +427,7 @@ def cmd_verify(args) -> int:
             "degrees_of_freedom": independence.degrees_of_freedom,
             "p_value": independence.p_value,
             "observed": {
-                f"{sa.digit}{sb.digit}": count
-                for (sa, sb), count in sorted(
-                    independence.observed.items(), key=lambda kv: (kv[0][0].digit, kv[0][1].digit)
-                )
+                f"{sa.digit}{sb.digit}": count for (sa, sb), count in independence.observed.items()
             },
             "expected": independence.expected,
         }
@@ -541,41 +464,39 @@ def cmd_verify(args) -> int:
 
     out = _out_dir(args)
     report_path = out / "verify_report.json"
-    _write_json(
-        report_path,
-        {
-            "config_path": str(args.config),
-            "config": _jsonable(doc),
-            "seed": seed,
-            "n_trials": n,
-            "n_streams": args.streams,
-            "threshold": args.threshold,
-            "checks": [
-                {"name": name, "passed": passed, "detail": detail}
-                for name, passed, detail in checks
-            ],
-            "comparison": [
-                {
-                    "name": row.name,
-                    "exact": _frac_str(row.exact),
-                    "estimate": row.estimate,
-                    "se": row.se,
-                    "z": row.z,
-                    "passed": row.passed,
-                    "note": row.note,
-                }
-                for row in report.rows
-            ],
-            "independence": independence_json,
-            "mermin_target": {
-                "case_a": _frac_str(exact.p_same_case_a),
-                "case_b": _frac_str(exact.p_same_case_b),
-                "target_case_a": _frac_str(TARGET_CASE_A),
-                "target_case_b": _frac_str(TARGET_CASE_B),
-                "matches": matches,
-            },
+    report_json = {
+        "config_path": str(args.config),
+        "config": _jsonable(doc),
+        "seed": seed,
+        "n_trials": n,
+        "n_streams": args.streams,
+        "threshold": args.threshold,
+        "checks": [
+            {"name": name, "passed": passed, "detail": detail}
+            for name, passed, detail in checks
+        ],
+        "comparison": [
+            {
+                "name": row.name,
+                "exact": _frac_str(row.exact),
+                "estimate": row.estimate,
+                "se": row.se,
+                "z": row.z,
+                "passed": row.passed,
+                "note": row.note,
+            }
+            for row in report.rows
+        ],
+        "independence": independence_json,
+        "mermin_target": {
+            "case_a": _frac_str(exact.p_same_case_a),
+            "case_b": _frac_str(exact.p_same_case_b),
+            "target_case_a": _frac_str(TARGET_CASE_A),
+            "target_case_b": _frac_str(TARGET_CASE_B),
+            "matches": matches,
         },
-    )
+    }
+    _write_reports({report_path: report_json})
     print(f"wrote {report_path}")
 
     return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_VERIFY
@@ -634,7 +555,7 @@ def cmd_scan(args) -> int:
 
     out = _out_dir(args)
     scan_path = out / "scan.csv"
-    _write_csv(scan_path, header, rows)
+    _write_reports({scan_path: (header, rows)})
     print(f"wrote {scan_path}")
     return EXIT_OK
 

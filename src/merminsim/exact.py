@@ -16,20 +16,21 @@ from typing import Mapping, Sequence, Union
 
 from .model import (
     ALL_EIGHT_SETS,
-    COLORS,
-    CellKey,
+    ALL_SETTING_PAIRS,
+    CASE_B_PAIRS,
     ConfigurationError,
     ExperimentConfig,
-    FAILURE,
     InstructionSet,
     Outcome,
-    SETTINGS,
+    STATISTICS,
     SetClass,
-    Setting,
+    SettingPair,
     SwitchPosition,
     WeightLike,
     as_fraction,
-    iter_cells,
+    cell_index,
+    statistic_fields,
+    statistic_sums,
 )
 
 
@@ -37,36 +38,33 @@ class DegenerateConditioningError(ValueError):
     """A requested statistic conditions on an event of probability zero."""
 
 
-SettingPair = tuple[Setting, Setting]
-
-CASE_B_PAIRS: tuple[SettingPair, ...] = tuple(
-    (a, b) for a in SETTINGS for b in SETTINGS if a is not b
-)
-
-ALL_SETTING_PAIRS: tuple[SettingPair, ...] = tuple(
-    (a, b) for a in SETTINGS for b in SETTINGS
-)
-
-_CELLS: tuple[CellKey, ...] = tuple(iter_cells())
-
-
 @dataclass(frozen=True)
 class JointTable:
-    """Exact joint law of (switch_a, switch_b, outcome_a, outcome_b).
+    """Exact joint law of (switch_a, switch_b, outcome_a, outcome_b): cell i
+    of the 144-cell codec has probability weights[i] / denominator.
 
-    Total over all 144 cells; probabilities sum to exactly 1, and any
-    cell pairing a failed switch with a flash has probability 0.
+    The exact twin of TallyCounts: the weights sum to exactly the
+    denominator, and any cell pairing a failed switch with a flash has
+    weight 0.
     """
 
-    prob: Mapping[CellKey, Fraction]
+    weights: tuple[int, ...]
+    denominator: int
 
     def probability(
         self, swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome
     ) -> Fraction:
-        return self.prob[(swa, swb, oa, ob)]
+        return Fraction(self.weights[cell_index(swa, swb, oa, ob)], self.denominator)
 
     def total(self) -> Fraction:
-        return sum(self.prob.values(), Fraction(0))
+        return Fraction(sum(self.weights), self.denominator)
+
+
+def _switch_weights(p: Fraction) -> tuple[int, int, int, int]:
+    """The switch law (p, (1-p)/3, (1-p)/3, (1-p)/3) of digits 0-3, times
+    3 * p.denominator."""
+    num, den = p.numerator, p.denominator
+    return (3 * num,) + (den - num,) * 3
 
 
 def enumerate_joint(config: ExperimentConfig) -> JointTable:
@@ -76,22 +74,20 @@ def enumerate_joint(config: ExperimentConfig) -> JointTable:
     probability p and on each setting with probability (1 - p) / 3; a
     failed switch reads N, like an N instruction. The source's integer
     cell masses (one pass per source, shared by every detector setting)
-    therefore give each of the 144 cells as one rational:
-    mass / total * law_a[digit_a] * law_b[digit_b].
+    therefore give each of the 144 cells the weight
+    mass * law_a[digit_a] * law_b[digit_b] in integers over one
+    denominator, total * 9 * den(p_a) * den(p_b).
     """
     config.validate()
     masses, total = config.source.cell_masses
     p_a = config.detector_a.failure_probability
     p_b = config.detector_b.failure_probability
-    law_a = (p_a,) + ((1 - p_a) / 3,) * 3
-    law_b = (p_b,) + ((1 - p_b) / 3,) * 3
     # Cell index // 9 is digit_a * 4 + digit_b.
-    switch_pair_law = [qa * qb for qa in law_a for qb in law_b]
-    prob = {
-        key: Fraction(mass, total) * switch_pair_law[index // 9]
-        for index, (key, mass) in enumerate(zip(_CELLS, masses))
-    }
-    return JointTable(prob=MappingProxyType(prob))
+    pair_law = [qa * qb for qa in _switch_weights(p_a) for qb in _switch_weights(p_b)]
+    return JointTable(
+        weights=tuple(mass * pair_law[index // 9] for index, mass in enumerate(masses)),
+        denominator=total * 9 * p_a.denominator * p_b.denominator,
+    )
 
 
 @dataclass(frozen=True)
@@ -127,54 +123,15 @@ class CaseStats:
 
 
 def conditional_stats(table: JointTable) -> CaseStats:
-    """CaseStats of a joint table that sums to exactly 1."""
-    if table.total() != 1:
+    """CaseStats of a joint table that sums to exactly 1: each statistic is
+    scale * numerator / denominator of its declared cell weights."""
+    if sum(table.weights) != table.denominator:
         raise ValueError("joint table does not sum to 1")
-    prob = table.prob
-
-    def both_flash_mass(sa: Setting, sb: Setting) -> Fraction:
-        return sum(
-            (prob[(sa, sb, ca, cb)] for ca in COLORS for cb in COLORS), Fraction(0)
-        )
-
-    def same_color_mass(sa: Setting, sb: Setting) -> Fraction:
-        return sum((prob[(sa, sb, c, c)] for c in COLORS), Fraction(0))
-
-    same_a = sum((same_color_mass(s, s) for s in SETTINGS), Fraction(0))
-    both_a = sum((both_flash_mass(s, s) for s in SETTINGS), Fraction(0))
-    same_b = sum((same_color_mass(sa, sb) for sa, sb in CASE_B_PAIRS), Fraction(0))
-    both_b = sum((both_flash_mass(sa, sb) for sa, sb in CASE_B_PAIRS), Fraction(0))
-
-    eta_a = sum(
-        (p for (swa, _, oa, _), p in prob.items() if oa.is_flash), Fraction(0)
-    )
-    eta_b = sum(
-        (p for (_, _, _, ob), p in prob.items() if ob.is_flash), Fraction(0)
-    )
-    fail_a = sum(
-        (p for (swa, _, _, _), p in prob.items() if swa is FAILURE), Fraction(0)
-    )
-    fail_b = sum(
-        (p for (_, swb, _, _), p in prob.items() if swb is FAILURE), Fraction(0)
-    )
-    eta_f_a = 1 - fail_a
-    eta_f_b = 1 - fail_b
-
-    coincidence = {
-        (sa, sb): 9 * both_flash_mass(sa, sb) for sa, sb in ALL_SETTING_PAIRS
-    }
-
-    return CaseStats(
-        p_same_case_a=same_a / both_a if both_a else None,
-        p_same_case_b=same_b / both_b if both_b else None,
-        eta_a=eta_a,
-        eta_b=eta_b,
-        eta_u_a=eta_a / eta_f_a if eta_f_a else None,
-        eta_u_b=eta_b / eta_f_b if eta_f_b else None,
-        eta_f_a=eta_f_a,
-        eta_f_b=eta_f_b,
-        coincidence_rate=MappingProxyType(coincidence),
-    )
+    values = [
+        Fraction(stat.scale * num, den) if den else None
+        for stat, (num, den) in zip(STATISTICS, statistic_sums(table.weights))
+    ]
+    return CaseStats(**statistic_fields(values))
 
 
 def case_b_same_fraction(s: InstructionSet) -> Fraction:

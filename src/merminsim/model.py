@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class ConfigurationError(ValueError):
@@ -176,16 +177,6 @@ class InstructionSet:
 
     def __str__(self) -> str:
         return self.encode()
-
-
-def outcome_for(s: InstructionSet, k: Setting) -> Outcome:
-    """Outcome dictated by instruction set s at switch position k."""
-    return s.outcome_at(k)
-
-
-def classify(s: InstructionSet) -> SetClass:
-    """Homogeneous, two-one, or contains a no-flash instruction."""
-    return s.classify()
 
 
 @dataclass(frozen=True)
@@ -386,15 +377,14 @@ class DetectorModel:
 class ExperimentConfig:
     """Everything that determines the statistics of one experiment.
 
-    settings_law is provenance only: the three real settings are always
-    independently uniform per detector, which makes the nine setting
-    pairs equiprobable when both failure probabilities are zero.
+    The three real settings are always independently uniform per
+    detector, which makes the nine setting pairs equiprobable when both
+    failure probabilities are zero.
     """
 
     source: SourceDistribution
     detector_a: DetectorModel = DetectorModel()
     detector_b: DetectorModel = DetectorModel()
-    settings_law: str = "uniform"
 
     def validate(self) -> None:
         self.source.validate()
@@ -406,33 +396,7 @@ class ExperimentConfig:
             source=self.source,
             detector_a=DetectorModel(as_fraction(p_a)),
             detector_b=DetectorModel(as_fraction(p_b)),
-            settings_law=self.settings_law,
         )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: realized switch positions and lamp outcomes, e.g. 21GR.
-
-    A side whose switch landed on position 0 necessarily shows NoFlash.
-    """
-
-    switch_a: SwitchPosition
-    switch_b: SwitchPosition
-    outcome_a: Outcome
-    outcome_b: Outcome
-
-    def __post_init__(self) -> None:
-        if self.switch_a is FAILURE and self.outcome_a is not Outcome.NO_FLASH:
-            raise ValueError("detector A failed but reports a flash")
-        if self.switch_b is FAILURE and self.outcome_b is not Outcome.NO_FLASH:
-            raise ValueError("detector B failed but reports a flash")
-
-    def encode(self) -> str:
-        return encode_cell(self.switch_a, self.switch_b, self.outcome_a, self.outcome_b)
-
-    def __str__(self) -> str:
-        return self.encode()
 
 
 def _sets(*texts: str) -> tuple[InstructionSet, ...]:
@@ -509,11 +473,6 @@ def builtin_distribution(
     )
 
 
-def validate(distribution: SourceDistribution) -> None:
-    """Module-level alias for SourceDistribution.validate."""
-    distribution.validate()
-
-
 # ---------------------------------------------------------------------------
 # Cell codec shared by the exact analyzer, the tally engine and the reports.
 # A cell is (switch_a, switch_b, outcome_a, outcome_b); its text form is the
@@ -537,24 +496,21 @@ def cell_index(
     return ((switch_digit(swa) * 4 + switch_digit(swb)) * 3 + outcome_index(oa)) * 3 + outcome_index(ob)
 
 
+# Codec order: switch_a digit, switch_b digit, outcome_a, outcome_b.
+_CELLS: tuple[CellKey, ...] = tuple(
+    itertools.product(SWITCH_POSITIONS, SWITCH_POSITIONS, OUTCOMES, OUTCOMES)
+)
+
+
 def cell_at(index: int) -> CellKey:
     if not 0 <= index < N_CELLS:
         raise IndexError(f"cell index {index} out of range")
-    index, ob = divmod(index, 3)
-    index, oa = divmod(index, 3)
-    ia, ib = divmod(index, 4)
-    return (
-        switch_from_digit(ia),
-        switch_from_digit(ib),
-        OUTCOMES[oa],
-        OUTCOMES[ob],
-    )
+    return _CELLS[index]
 
 
 def iter_cells() -> Iterator[CellKey]:
     """All 144 cells in index order."""
-    for index in range(N_CELLS):
-        yield cell_at(index)
+    return iter(_CELLS)
 
 
 def encode_cell(
@@ -572,3 +528,108 @@ def decode_cell(text: str) -> CellKey:
         Outcome.from_letter(text[2]),
         Outcome.from_letter(text[3]),
     )
+
+
+# ---------------------------------------------------------------------------
+# The statistics of an experiment, each declared once over the cell codec.
+# The exact oracle, the Monte Carlo estimates, the comparison report and the
+# CLI reports all read this declaration.
+# ---------------------------------------------------------------------------
+
+SettingPair = tuple[Setting, Setting]
+
+CASE_A_PAIRS: tuple[SettingPair, ...] = tuple((s, s) for s in SETTINGS)
+
+CASE_B_PAIRS: tuple[SettingPair, ...] = tuple(
+    (a, b) for a in SETTINGS for b in SETTINGS if a is not b
+)
+
+ALL_SETTING_PAIRS: tuple[SettingPair, ...] = tuple(
+    (a, b) for a in SETTINGS for b in SETTINGS
+)
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """scale * (weight of the numerator cells) / (weight of the denominator
+    cells), over any nonnegative weights of the 144 cells: probabilities
+    or trial counts. Each mask is the tuple of its cell indices.
+
+    A coincidence rate carries its setting pair; its report label is
+    name[digits], e.g. coincidence_rate[12].
+    """
+
+    name: str
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
+    scale: int = 1
+    pair: Union[SettingPair, None] = None
+
+    @property
+    def key(self) -> str:
+        return f"{self.pair[0].digit}{self.pair[1].digit}"
+
+    @property
+    def label(self) -> str:
+        return self.name if self.pair is None else f"{self.name}[{self.key}]"
+
+    def read(self, stats):
+        """This statistic's field of a CaseStats-shaped object."""
+        value = getattr(stats, self.name)
+        return value if self.pair is None else value[self.pair]
+
+
+def _mask(test) -> tuple[int, ...]:
+    return tuple(i for i, cell in enumerate(iter_cells()) if test(*cell))
+
+
+def _both_flash(pairs: tuple[SettingPair, ...], same_color: bool = False) -> tuple[int, ...]:
+    return _mask(
+        lambda swa, swb, oa, ob: (swa, swb) in pairs
+        and oa.is_flash
+        and ob.is_flash
+        and (oa is ob or not same_color)
+    )
+
+
+_ALL = _mask(lambda swa, swb, oa, ob: True)
+_FLASH_A = _mask(lambda swa, swb, oa, ob: oa.is_flash)
+_FLASH_B = _mask(lambda swa, swb, oa, ob: ob.is_flash)
+_SET_A = _mask(lambda swa, swb, oa, ob: swa is not FAILURE)
+_SET_B = _mask(lambda swa, swb, oa, ob: swb is not FAILURE)
+
+# p_same_case_a / p_same_case_b: same colour among double flashes at equal /
+# different settings. eta = eta_u * eta_f per detector: eta is the flash
+# rate, eta_f the chance the switch selects a setting and eta_u the flash
+# rate given that it does. coincidence_rate: both-flash rate of a setting
+# pair over the 1/9 chance of aiming at it.
+STATISTICS: tuple[Statistic, ...] = (
+    Statistic("p_same_case_a", _both_flash(CASE_A_PAIRS, True), _both_flash(CASE_A_PAIRS)),
+    Statistic("p_same_case_b", _both_flash(CASE_B_PAIRS, True), _both_flash(CASE_B_PAIRS)),
+    Statistic("eta_a", _FLASH_A, _ALL),
+    Statistic("eta_b", _FLASH_B, _ALL),
+    Statistic("eta_u_a", _FLASH_A, _SET_A),
+    Statistic("eta_u_b", _FLASH_B, _SET_B),
+    Statistic("eta_f_a", _SET_A, _ALL),
+    Statistic("eta_f_b", _SET_B, _ALL),
+) + tuple(
+    Statistic("coincidence_rate", _both_flash((pair,)), _ALL, scale=9, pair=pair)
+    for pair in ALL_SETTING_PAIRS
+)
+
+_MASKS = tuple(dict.fromkeys(m for s in STATISTICS for m in (s.numerator, s.denominator)))
+
+
+def statistic_sums(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """(numerator, denominator) weight sums of every statistic, in
+    declaration order, from the 144 cell weights in codec order."""
+    sums = {mask: sum([weights[i] for i in mask]) for mask in _MASKS}
+    return [(sums[s.numerator], sums[s.denominator]) for s in STATISTICS]
+
+
+def statistic_fields(values: Sequence) -> dict:
+    """Keyword arguments of a CaseStats-shaped object from one value per
+    statistic in declaration order; coincidence rates map by setting pair."""
+    scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.pair is None}
+    rates = {s.pair: v for s, v in zip(STATISTICS, values) if s.pair is not None}
+    return {**scalars, "coincidence_rate": MappingProxyType(rates)}

@@ -27,7 +27,6 @@ from typing import Mapping, Union
 import numpy as np
 
 from .model import (
-    COLORS,
     CellKey,
     ConfigurationError,
     ExperimentConfig,
@@ -35,11 +34,14 @@ from .model import (
     N_CELLS,
     Outcome,
     SETTINGS,
-    Setting,
+    STATISTICS,
+    SettingPair,
     cell_at,
     cell_index,
     decode_cell,
     outcome_index,
+    statistic_fields,
+    statistic_sums,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -127,9 +129,6 @@ class TallyCounts:
 
     def count(self, swa, swb, oa, ob) -> int:
         return int(self.counts[cell_index(swa, swb, oa, ob)])
-
-    def as_mapping(self) -> dict[CellKey, int]:
-        return {cell_at(i): int(self.counts[i]) for i in range(N_CELLS)}
 
 
 def merge(t1: TallyCounts, t2: TallyCounts) -> TallyCounts:
@@ -472,56 +471,22 @@ class EstimatedCaseStats:
     eta_u_b: Estimate
     eta_f_a: Estimate
     eta_f_b: Estimate
-    coincidence_rate: Mapping[tuple[Setting, Setting], Estimate]
+    coincidence_rate: Mapping[SettingPair, Estimate]
     n_trials: int
 
 
 def estimate_stats(tally: TallyCounts) -> EstimatedCaseStats:
     """Relative-frequency estimates of every CaseStats field.
 
-    Conditionals are computed over double-flash events only; a field whose
-    conditioning count is zero comes back undefined. coincidence_rate
-    estimates use the known 1/9 aiming probability as denominator (the
-    scaled estimator 9 k / n), matching the exact definition.
+    Each statistic is its numerator count over its denominator count, so
+    conditionals are computed over double-flash events only and a field
+    whose conditioning count is zero comes back undefined.
+    coincidence_rate estimates use the known 1/9 aiming probability as
+    denominator (the scaled estimator 9 k / n), matching the exact
+    definition.
     """
-    n = tally.n_trials
-    grid = tally.counts.reshape(4, 4, 3, 3)
-    color_hi = len(COLORS)  # colours occupy outcome codes 0..1
-
-    flash_a = int(grid[:, :, :color_hi, :].sum())
-    flash_b = int(grid[:, :, :, :color_hi].sum())
-    ok_a = n - int(grid[0, :, :, :].sum())
-    ok_b = n - int(grid[:, 0, :, :].sum())
-
-    same_a = 0
-    both_a = 0
-    for s in SETTINGS:
-        d = s.value
-        both_a += int(grid[d, d, :color_hi, :color_hi].sum())
-        same_a += int(grid[d, d, 0, 0] + grid[d, d, 1, 1])
-
-    same_b = 0
-    both_b = 0
-    coincidence: dict[tuple[Setting, Setting], Estimate] = {}
-    for sa in SETTINGS:
-        for sb in SETTINGS:
-            pair_both = int(grid[sa.value, sb.value, :color_hi, :color_hi].sum())
-            coincidence[(sa, sb)] = _proportion(pair_both, n, scale=9.0)
-            if sa is not sb:
-                both_b += pair_both
-                same_b += int(
-                    grid[sa.value, sb.value, 0, 0] + grid[sa.value, sb.value, 1, 1]
-                )
-
-    return EstimatedCaseStats(
-        p_same_case_a=_proportion(same_a, both_a),
-        p_same_case_b=_proportion(same_b, both_b),
-        eta_a=_proportion(flash_a, n),
-        eta_b=_proportion(flash_b, n),
-        eta_u_a=_proportion(flash_a, ok_a),
-        eta_u_b=_proportion(flash_b, ok_b),
-        eta_f_a=_proportion(ok_a, n),
-        eta_f_b=_proportion(ok_b, n),
-        coincidence_rate=coincidence,
-        n_trials=n,
-    )
+    values = [
+        _proportion(num, den, stat.scale)
+        for stat, (num, den) in zip(STATISTICS, statistic_sums(tally.counts.tolist()))
+    ]
+    return EstimatedCaseStats(**statistic_fields(values), n_trials=tally.n_trials)

@@ -3,30 +3,19 @@ settings-independence chi-square test on coincidence counts."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .exact import ALL_SETTING_PAIRS, CaseStats
-from .model import COLORS, SETTINGS, Setting
+from .exact import CaseStats
+from .model import STATISTICS, SettingPair, statistic_sums
 from .montecarlo import Estimate, EstimatedCaseStats, TallyCounts
 
 
 class NoCoincidencesError(ValueError):
     """The tally contains no double-flash event to test."""
-
-
-_SCALAR_FIELDS = (
-    "p_same_case_a",
-    "p_same_case_b",
-    "eta_a",
-    "eta_b",
-    "eta_u_a",
-    "eta_u_b",
-    "eta_f_a",
-    "eta_f_b",
-)
 
 
 @dataclass(frozen=True)
@@ -59,34 +48,18 @@ def _compare_one(
     estimate: Estimate,
     threshold: float,
 ) -> Union[ComparisonRow, None]:
-    est_defined = estimate.defined
-    if exact_value is None and not est_defined:
+    row = functools.partial(ComparisonRow, name, exact_value, estimate.value, estimate.se)
+    if exact_value is None and not estimate.defined:
         return None  # undefined on both sides: skipped
-    if exact_value is None or not est_defined:
-        return ComparisonRow(
-            name=name,
-            exact=exact_value,
-            estimate=estimate.value,
-            se=estimate.se,
-            z=None,
-            passed=False,
-            note="defined on one side only",
-        )
+    if exact_value is None or not estimate.defined:
+        return row(None, False, "defined on one side only")
     x = float(exact_value)
     if estimate.value == x:
-        return ComparisonRow(name, exact_value, estimate.value, estimate.se, 0.0, True)
+        return row(0.0, True)
     if not estimate.se:
-        return ComparisonRow(
-            name,
-            exact_value,
-            estimate.value,
-            estimate.se,
-            None,
-            False,
-            note="zero variance but values differ",
-        )
+        return row(None, False, "zero variance but values differ")
     z = (estimate.value - x) / estimate.se
-    return ComparisonRow(name, exact_value, estimate.value, estimate.se, z, abs(z) <= threshold)
+    return row(z, abs(z) <= threshold)
 
 
 def compare(
@@ -100,19 +73,11 @@ def compare(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    rows: list[ComparisonRow] = []
-    for name in _SCALAR_FIELDS:
-        row = _compare_one(name, getattr(exact, name), getattr(estimated, name), threshold)
-        if row is not None:
-            rows.append(row)
-    for pair in ALL_SETTING_PAIRS:
-        name = f"coincidence_rate[{pair[0].digit}{pair[1].digit}]"
-        row = _compare_one(
-            name, exact.coincidence_rate[pair], estimated.coincidence_rate[pair], threshold
-        )
-        if row is not None:
-            rows.append(row)
-    return ComparisonReport(threshold=threshold, rows=tuple(rows))
+    rows = (
+        _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
+        for stat in STATISTICS
+    )
+    return ComparisonReport(threshold, tuple(row for row in rows if row is not None))
 
 
 @dataclass(frozen=True)
@@ -123,7 +88,7 @@ class IndependenceTestResult:
     statistic: float
     degrees_of_freedom: int
     p_value: float
-    observed: Mapping[tuple[Setting, Setting], int]
+    observed: Mapping[SettingPair, int]
     expected: float
 
 
@@ -131,16 +96,14 @@ def settings_independence_test(tally: TallyCounts) -> IndependenceTestResult:
     """Test whether the detected sample size depends on the setting pair.
 
     Observed counts are the double flashes per realized (setting_a,
-    setting_b) cell, failures excluded. Under uniform settings the nine
-    cells share one expected count, total / 9; only that total is
-    estimated from the data, leaving 8 degrees of freedom.
+    setting_b) cell, failures excluded: the numerators of the nine
+    coincidence rates. Under uniform settings the nine cells share one
+    expected count, total / 9; only that total is estimated from the
+    data, leaving 8 degrees of freedom.
     """
-    grid = tally.counts.reshape(4, 4, 3, 3)
-    color_hi = len(COLORS)
+    sums = statistic_sums(tally.counts.tolist())
     observed = {
-        (sa, sb): int(grid[sa.value, sb.value, :color_hi, :color_hi].sum())
-        for sa in SETTINGS
-        for sb in SETTINGS
+        stat.pair: num for stat, (num, _) in zip(STATISTICS, sums) if stat.pair is not None
     }
     total = sum(observed.values())
     if total == 0:

@@ -318,23 +318,27 @@ class TestScan:
 
 
 class TestRunFlagErrors:
-    # (command, extra argv, environment, text the diagnostic must name)
+    # (command, extra argv, environment, config fields, text the
+    # diagnostic must name)
     CASES = [
-        ("simulate", ["--streams", "0"], {}, "--streams"),
-        ("simulate", ["--n", str(1 << 60)], {}, "--n"),
-        ("verify", ["--threshold", "0"], {}, "--threshold"),
-        ("simulate", [], {"MERMIN_SIM_THREADS": "abc"}, "MERMIN_SIM_THREADS"),
+        ("simulate", ["--streams", "0"], {}, {}, "--streams"),
+        ("simulate", ["--n", str(1 << 60)], {}, {}, "--n"),
+        ("verify", ["--threshold", "0"], {}, {}, "--threshold"),
+        ("simulate", [], {"MERMIN_SIM_THREADS": "abc"}, {}, "MERMIN_SIM_THREADS"),
+        ("simulate", ["--seed", "-1"], {}, {}, "--seed"),
+        ("verify", ["--seed", str(1 << 64)], {}, {}, "--seed"),
+        ("simulate", [], {}, {"seed": 1 << 64}, "seed"),
     ]
 
     @pytest.mark.parametrize(
-        "command, extra, env, named", CASES, ids=[case[-1] for case in CASES]
+        "command, extra, env, fields, named", CASES, ids=[case[-1] for case in CASES]
     )
     def test_exits_2_naming_the_flag(
-        self, tmp_path, capsys, monkeypatch, command, extra, env, named
+        self, tmp_path, capsys, monkeypatch, command, extra, env, fields, named
     ):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        cfg = write_config(tmp_path, n_trials=1000)
+        cfg = write_config(tmp_path, n_trials=1000, **fields)
         argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *extra]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -396,4 +400,20 @@ class TestAtomicReports:
 
         monkeypatch.setattr("merminsim.cli.json.dump", half_then_fail)
         assert main(argv) == EXIT_IO
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_write_replaces_no_report_of_the_set(self, tmp_path, monkeypatch):
+        # The second run writes case_stats.json (case-b 1/3) before its
+        # joint_table.csv fails; neither may replace the first run's file.
+        out = tmp_path / "out"
+        first = write_config(tmp_path, "first.json", source={"builtin": "table1_uniform"})
+        assert main(["enumerate", "--config", str(first), "--out-dir", str(out)]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def failing_writer(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("merminsim.cli.csv.writer", failing_writer)
+        second = write_config(tmp_path, "second.json", source={"builtin": "two_one_uniform"})
+        assert main(["enumerate", "--config", str(second), "--out-dir", str(out)]) == EXIT_IO
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before

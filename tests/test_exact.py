@@ -24,6 +24,7 @@ from merminsim.model import (
     Setting,
     TABLE1_PAIRS,
     builtin_distribution,
+    iter_cells,
 )
 
 
@@ -54,8 +55,8 @@ class TestEnumerateJoint:
         assert t.probability(S1, S1, G, G) == Fraction(1, 9)
         assert t.probability(S1, S3, G, R) == Fraction(1, 9)
         noflash_mass = sum(
-            p
-            for (swa, swb, oa, ob), p in t.prob.items()
+            w
+            for (swa, swb, oa, ob), w in zip(iter_cells(), t.weights)
             if oa is N or ob is N or swa is FAILURE or swb is FAILURE
         )
         assert noflash_mass == 0
@@ -78,8 +79,8 @@ class TestEnumerateJoint:
         assert expected == Fraction(1, 6)
 
         t = enumerate_joint(config_for("table1_uniform"))
-        mass = sum(p for (_, _, oa, _), p in t.prob.items() if oa is N)
-        assert mass == expected
+        mass = sum(w for (_, _, oa, _), w in zip(iter_cells(), t.weights) if oa is N)
+        assert Fraction(mass, t.denominator) == expected
 
     @pytest.mark.parametrize("name", ["table1_uniform", "two_one_uniform", "all_eight_uniform"])
     @pytest.mark.parametrize("p", [0, Fraction(1, 5), Fraction(1, 2), Fraction(9, 10), 1])
@@ -99,9 +100,9 @@ class TestEnumerateJoint:
 
     def test_failure_flash_cells_are_zero(self):
         t = enumerate_joint(config_for("table1_uniform", p_a=Fraction(1, 3), p_b=Fraction(1, 2)))
-        for (swa, swb, oa, ob), p in t.prob.items():
+        for (swa, swb, oa, ob), w in zip(iter_cells(), t.weights):
             if (swa is FAILURE and oa is not N) or (swb is FAILURE and ob is not N):
-                assert p == 0
+                assert w == 0
 
     def test_invalid_distribution_rejected(self):
         from merminsim.model import SourceDistribution
@@ -178,7 +179,7 @@ class TestConditionalStats:
 
     def test_rejects_unnormalized_table(self):
         t = enumerate_joint(config_for("table1_uniform"))
-        halved = JointTable(prob={k: v / 2 for k, v in t.prob.items()})
+        halved = JointTable(weights=t.weights, denominator=2 * t.denominator)
         with pytest.raises(ValueError):
             conditional_stats(halved)
 

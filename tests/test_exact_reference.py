@@ -78,12 +78,13 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
     config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
     table = enumerate_joint(config)
 
-    assert list(table.prob.items()) == list(reference_joint(config).items())
-    assert all(type(q) is Fraction for q in table.prob.values())
+    cells = [Fraction(w, table.denominator) for w in table.weights]
+    assert list(zip(iter_cells(), cells)) == list(reference_joint(config).items())
+    assert all(type(w) is int for w in table.weights) and type(table.denominator) is int
     assert table.total() == 1
     assert all(
-        q == 0
-        for (swa, swb, oa, ob), q in table.prob.items()
+        w == 0
+        for (swa, swb, oa, ob), w in zip(iter_cells(), table.weights)
         if (swa is FAILURE and oa.is_flash) or (swb is FAILURE and ob.is_flash)
     )
 

@@ -22,18 +22,14 @@ from merminsim.model import (
     SourceDistribution,
     TABLE1_PAIRS,
     TWO_ONE_SETS,
-    TrialRecord,
     WeightSumMismatchError,
     as_fraction,
     builtin_distribution,
     cell_at,
     cell_index,
-    classify,
     decode_cell,
     encode_cell,
     iter_cells,
-    outcome_for,
-    validate,
 )
 
 
@@ -43,25 +39,25 @@ GNR = InstructionSet.parse("GNR")
 
 class TestOutcomeFor:
     def test_ggr_setting_3_is_red(self):
-        assert outcome_for(GGR, Setting.S3) is Outcome.RED
+        assert GGR.outcome_at(Setting.S3) is Outcome.RED
 
     def test_homogeneous_rrr(self):
-        assert outcome_for(InstructionSet.parse("RRR"), Setting.S2) is Outcome.RED
+        assert InstructionSet.parse("RRR").outcome_at(Setting.S2) is Outcome.RED
 
     def test_gnr_setting_2_is_noflash(self):
-        assert outcome_for(GNR, Setting.S2) is Outcome.NO_FLASH
+        assert GNR.outcome_at(Setting.S2) is Outcome.NO_FLASH
 
     def test_flash_only_sets_never_yield_noflash(self):
         for s in ALL_EIGHT_SETS:
             for k in SETTINGS:
-                assert outcome_for(s, k).is_flash
+                assert s.outcome_at(k).is_flash
 
 
 class TestClassify:
     def test_examples(self):
-        assert classify(GGR) is SetClass.TWO_ONE
-        assert classify(InstructionSet.parse("GGG")) is SetClass.HOMOGENEOUS
-        assert classify(GNR) is SetClass.WITH_NO_FLASH
+        assert GGR.classify() is SetClass.TWO_ONE
+        assert InstructionSet.parse("GGG").classify() is SetClass.HOMOGENEOUS
+        assert GNR.classify() is SetClass.WITH_NO_FLASH
 
     def test_partition_of_all_27_sets(self):
         # Oracle: enumerate the 3^3 outcome maps directly and count patterns.
@@ -73,7 +69,7 @@ class TestClassify:
                 expected = SetClass.HOMOGENEOUS
             else:
                 expected = SetClass.TWO_ONE
-            got = classify(InstructionSet.parse("".join(letters)))
+            got = InstructionSet.parse("".join(letters)).classify()
             assert got is expected
             counts[got] += 1
         assert counts == {
@@ -122,7 +118,7 @@ class TestBuiltinDistributions:
 class TestValidate:
     def test_builtins_validate(self):
         for name in ("table1_uniform", "two_one_uniform", "all_eight_uniform"):
-            validate(builtin_distribution(name))
+            builtin_distribution(name).validate()
 
     def test_weight_sum_mismatch_names_total(self):
         d = SourceDistribution.from_entries([("GGR-GGR", "1/2")])
@@ -192,18 +188,6 @@ class TestEncodings:
         with pytest.raises(ConfigurationError):
             PairState.parse("GGRGGR")
 
-    def test_trial_record_encoding(self):
-        rec = TrialRecord(Setting.S2, Setting.S1, Outcome.GREEN, Outcome.RED)
-        assert rec.encode() == "21GR"
-        failed = TrialRecord(FAILURE, Setting.S1, Outcome.NO_FLASH, Outcome.GREEN)
-        assert failed.encode() == "01NG"
-
-    def test_trial_record_failure_forces_noflash(self):
-        with pytest.raises(ValueError):
-            TrialRecord(FAILURE, Setting.S1, Outcome.GREEN, Outcome.GREEN)
-        with pytest.raises(ValueError):
-            TrialRecord(Setting.S1, FAILURE, Outcome.GREEN, Outcome.GREEN)
-
     def test_cell_codec_round_trip(self):
         seen = set()
         for index, key in enumerate(iter_cells()):
@@ -213,6 +197,8 @@ class TestEncodings:
             assert decode_cell(text) == key
             seen.add(text)
         assert len(seen) == N_CELLS
+        assert encode_cell(Setting.S2, Setting.S1, Outcome.GREEN, Outcome.RED) == "21GR"
+        assert encode_cell(FAILURE, Setting.S1, Outcome.NO_FLASH, Outcome.GREEN) == "01NG"
 
 
 class TestFractions:

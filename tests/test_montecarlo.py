@@ -144,10 +144,6 @@ class TestTallyCounts:
         with pytest.raises(ValueError):
             tally.counts[0] = 1
 
-    def test_as_mapping_is_total(self):
-        mapping = TallyCounts.empty().as_mapping()
-        assert len(mapping) == N_CELLS
-
 
 class TestMerge:
     def test_identity(self):
