@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -293,17 +294,25 @@ def _write_reports(reports: dict[Path, Any]) -> None:
         raise
 
 
+def _run_fields(args, doc: dict, n: int, seed: int) -> dict:
+    """The inputs of a Monte Carlo run, as the manifest and the verify
+    report record them."""
+    return {
+        "config_path": str(args.config),
+        "config": _jsonable(doc),
+        "seed": seed,
+        "n_trials": n,
+        "n_streams": args.streams,
+    }
+
+
 def _manifest(args, doc: dict, n: int, seed: int, outputs: dict) -> dict:
     """Everything needed to reproduce a run's report files bit for bit
     (given the same build); the timestamp is the one non-reproducible
     field and lives only here."""
     return {
         "command": args.command,
-        "config_path": str(args.config),
-        "config": _jsonable(doc),
-        "seed": seed,
-        "n_trials": n,
-        "n_streams": args.streams,
+        **_run_fields(args, doc, n, seed),
         "outputs": outputs,
         "tool": "merminsim",
         "version": __version__,
@@ -423,13 +432,10 @@ def cmd_verify(args) -> int:
             )
         )
         independence_json = {
-            "statistic": independence.statistic,
-            "degrees_of_freedom": independence.degrees_of_freedom,
-            "p_value": independence.p_value,
+            **asdict(independence),
             "observed": {
                 f"{sa.digit}{sb.digit}": count for (sa, sb), count in independence.observed.items()
             },
-            "expected": independence.expected,
         }
     except NoCoincidencesError:
         checks.append(("settings-independence", False, "no coincidences in tally"))
@@ -465,28 +471,13 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     report_path = out / "verify_report.json"
     report_json = {
-        "config_path": str(args.config),
-        "config": _jsonable(doc),
-        "seed": seed,
-        "n_trials": n,
-        "n_streams": args.streams,
+        **_run_fields(args, doc, n, seed),
         "threshold": args.threshold,
         "checks": [
             {"name": name, "passed": passed, "detail": detail}
             for name, passed, detail in checks
         ],
-        "comparison": [
-            {
-                "name": row.name,
-                "exact": _frac_str(row.exact),
-                "estimate": row.estimate,
-                "se": row.se,
-                "z": row.z,
-                "passed": row.passed,
-                "note": row.note,
-            }
-            for row in report.rows
-        ],
+        "comparison": [{**asdict(row), "exact": _frac_str(row.exact)} for row in report.rows],
         "independence": independence_json,
         "mermin_target": {
             "case_a": _frac_str(exact.p_same_case_a),

@@ -308,31 +308,50 @@ class SourceDistribution:
         return True
 
     @functools.cached_property
-    def cell_masses(self) -> tuple[tuple[int, ...], int]:
-        """Integer mass of each of the 144 cells, in codec order, and the
-        total mass, with every weight put over the common denominator.
-
-        A state's mass lands once in each of the 16 (switch_a, switch_b)
-        digit pairs, in the cell of the outcomes its instructions give
-        there; digit 0, the failure position, reads N on either side. A
-        cell's probability is then mass / total times the probabilities
-        of its two switch positions, whatever the detectors. Computed
-        once per source, after validate() passes.
-        """
+    def state_masses(self) -> tuple[tuple[int, ...], int]:
+        """Each entry's weight as an integer mass over the common
+        denominator of the weights, and the total mass: entry i has
+        probability masses[i] / total. Computed once per source, after
+        validate() passes."""
         self.validate()
         denominator = math.lcm(*(w.denominator for _, w in self.entries))
+        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in self.entries)
+        return masses, sum(masses)
+
+    @functools.cached_property
+    def state_cells(self) -> tuple[tuple[int, ...], ...]:
+        """Per entry, the cell of each of the 16 (switch_a, switch_b) digit
+        pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
+        give there, with digit 0, the failure position, reading N on either
+        side. The exact oracle and the Monte Carlo engine both read it."""
         no_flash = outcome_index(Outcome.NO_FLASH)
-        masses = [0] * N_CELLS
-        total = 0
-        for state, weight in self.entries:
-            mass = weight.numerator * (denominator // weight.denominator)
-            total += mass
+        cells = []
+        for state, _ in self.entries:
             a = [no_flash] + [outcome_index(o) for o in state.alice.outcomes]
             b = [no_flash] + [outcome_index(o) for o in state.bob.outcomes]
-            for digit_a in range(4):
-                row = digit_a * 36 + a[digit_a] * 3
-                for digit_b in range(4):
-                    masses[row + digit_b * 9 + b[digit_b]] += mass
+            cells.append(
+                tuple(
+                    ((digit_a * 4 + digit_b) * 3 + a[digit_a]) * 3 + b[digit_b]
+                    for digit_a in range(4)
+                    for digit_b in range(4)
+                )
+            )
+        return tuple(cells)
+
+    @functools.cached_property
+    def cell_masses(self) -> tuple[tuple[int, ...], int]:
+        """Integer mass of each of the 144 cells, in codec order, and the
+        total mass of state_masses.
+
+        A state's mass lands once in each of its 16 state_cells. A cell's
+        probability is then mass / total times the probabilities of its two
+        switch positions, whatever the detectors.
+        """
+        state_masses, total = self.state_masses
+        masses = [0] * N_CELLS
+        for mass, cells in zip(state_masses, self.state_cells):
+            for cell in cells:
+                masses[cell] += mass
         return tuple(masses), total
 
     def total_weight(self) -> Fraction:

@@ -21,7 +21,6 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
@@ -32,14 +31,11 @@ from .model import (
     ExperimentConfig,
     FAILURE,
     N_CELLS,
-    Outcome,
-    SETTINGS,
     STATISTICS,
     SettingPair,
     cell_at,
     cell_index,
     decode_cell,
-    outcome_index,
     statistic_fields,
     statistic_sums,
 )
@@ -182,8 +178,8 @@ class _Sampler:
     binary search. There are at least 8K buckets; search_steps is at
     most ceil(log2 K) and is 1 when no bucket holds two thresholds. A
     side fails when k < its fail threshold; otherwise its setting is
-    1 + (k >= _SET_1) + (k >= _SET_2). cells maps (state, switch_a,
-    switch_b) to the cell code.
+    1 + (k >= _SET_1) + (k >= _SET_2). cells maps (state, switch_a * 4 +
+    switch_b) to the cell code: the source's state_cells.
     """
 
     thresholds: np.ndarray
@@ -200,40 +196,27 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
 
     Each threshold is the exact integer form of a comparison of u with a
     float64: the cumulative weight fractions and the failure
-    probabilities, each rendered to float64.
+    probabilities, each rendered to float64. The cumulative fractions come
+    from the source's integer state masses, which the exact oracle reads
+    too; int / int is correctly rounded, so acc / total is that float64.
     """
-    entries = config.source.renormalized()
-    acc = Fraction(0)
+    masses, total = config.source.state_masses
+    acc = 0
     cum = []
-    for _, weight in entries:
-        acc += weight
-        cum.append(_ceil_k(float(acc)))
+    for mass in masses:
+        acc += mass
+        cum.append(_ceil_k(acc / total))
     if cum[-1] != _ONE:
-        raise ValueError(f"renormalized source weights sum to {acc}, not 1")
+        raise ValueError(f"source weights sum to {acc}/{total}, not 1")
     inner = cum[:-1]
 
-    bucket_bits = (_BUCKETS_PER_STATE * len(entries) - 1).bit_length()
+    bucket_bits = (_BUCKETS_PER_STATE * len(masses) - 1).bit_length()
     shift = 53 - bucket_bits
     inner_k = np.array(inner, dtype=np.uint64)
     starts = np.arange(1 << bucket_bits, dtype=np.uint64) << np.uint64(shift)
     guide = np.searchsorted(inner_k, starts, side="right")
     ends = np.searchsorted(inner_k, starts + np.uint64((1 << shift) - 1), side="right")
     steps = int((ends - guide).max()).bit_length()
-
-    # Outcome codes per (state, side, switch digit); digit 0 is NoFlash.
-    no_flash = outcome_index(Outcome.NO_FLASH)
-    codes = np.array(
-        [
-            [
-                [no_flash] + [outcome_index(inst.outcome_at(s)) for s in SETTINGS]
-                for inst in (state.alice, state.bob)
-            ]
-            for state, _ in entries
-        ]
-    )
-    out_a, out_b = codes[:, 0], codes[:, 1]
-    digit = np.arange(4)
-    cells = ((digit[:, None] * 4 + digit) * 3 + out_a[:, :, None]) * 3 + out_b[:, None, :]
 
     return _Sampler(
         thresholds=np.array(inner + [_ONE] * (1 << steps), dtype=np.uint64),
@@ -242,7 +225,7 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
         search_steps=steps,
         fail_a=_ceil_k(float(config.detector_a.failure_probability)),
         fail_b=_ceil_k(float(config.detector_b.failure_probability)),
-        cells=cells,
+        cells=np.array(config.source.state_cells),
     )
 
 

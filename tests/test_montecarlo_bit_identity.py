@@ -215,7 +215,8 @@ def test_setting_thresholds_reproduce_float_rounding():
 
 def test_weights_not_summing_to_one_are_rejected(monkeypatch):
     config = ExperimentConfig(source=SOURCES["table1"])
-    entries = SourceDistribution.renormalized(config.source)
-    monkeypatch.setattr(SourceDistribution, "renormalized", lambda self: entries[:-1])
+    masses, total = config.source.state_masses
+    short = property(lambda self: (masses[:-1], total))
+    monkeypatch.setattr(SourceDistribution, "state_masses", short)
     with pytest.raises(ValueError, match="not 1"):
         _sampler_tables(config)
