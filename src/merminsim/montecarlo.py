@@ -397,9 +397,10 @@ def wilson_interval(
         p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials)
     )
     # The bounds are exactly 0 / 1 at the extremes; keep them free of
-    # float round-off there.
-    low = 0.0 if successes == 0 else max(0.0, center - margin)
-    high = 1.0 if successes == trials else min(1.0, center + margin)
+    # float round-off there. Past 2^53 trials, k / n can round onto a
+    # bound's far side; the interval always holds the estimate.
+    low = 0.0 if successes == 0 else max(0.0, min(p_hat, center - margin))
+    high = 1.0 if successes == trials else min(1.0, max(p_hat, center + margin))
     return (low, high)
 
 
@@ -435,8 +436,8 @@ def _proportion(successes: int, trials: int, scale: float = 1.0) -> Estimate:
     return Estimate(
         value=scale * p_hat,
         se=se,
-        ci_low=min(1.0, scale * lo),
-        ci_high=min(1.0, scale * hi),
+        ci_low=scale * lo,
+        ci_high=scale * hi,
         successes=successes,
         trials=trials,
     )

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
@@ -16,8 +17,10 @@ from merminsim.model import (
     cell_index,
 )
 from merminsim.montecarlo import (
+    MAX_TRIALS,
     SimulationPlan,
     TallyCounts,
+    _proportion,
     estimate_stats,
     merge,
     run_trials,
@@ -246,3 +249,21 @@ class TestWilsonInterval:
         assert lo1 < 0.3 < hi1
         assert lo2 < 0.3 < hi2
         assert hi2 - lo2 < hi1 - lo1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.integers(1, 100), st.integers(1, MAX_TRIALS - 1)),
+    offset=st.one_of(st.sampled_from([0, 1]), st.integers(0, MAX_TRIALS - 1)),
+    from_top=st.booleans(),
+    scale=st.sampled_from([1, 9]),
+)
+# Past 2^53 trials, (n - 1) / n rounds to 1.0, above the computed bound.
+@example(n=2**54 + 1, offset=1, from_top=True, scale=1)
+def test_interval_holds_the_estimate(n, offset, from_top, scale):
+    # A coincidence rate is 9 k / n, and its interval is 9 times the Wilson
+    # interval of k / n: both can exceed 1.
+    k = n - min(offset, n) if from_top else min(offset, n)
+    est = _proportion(k, n, scale)
+    assert est.ci_low <= est.value <= est.ci_high
+    assert 0 <= est.ci_low and est.ci_high <= scale
