@@ -384,8 +384,8 @@ def wilson_interval(
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
-    Stays inside [0, 1] and behaves at the extremes: k = 0 gives a lower
-    bound of exactly 0 and k = n an upper bound of exactly 1.
+    Stays inside [0, 1], holds k / n, and behaves at the extremes: k = 0
+    gives a lower bound of exactly 0 and k = n an upper bound of exactly 1.
     """
     if trials <= 0:
         raise ValueError("wilson_interval needs at least one trial")
@@ -397,8 +397,8 @@ def wilson_interval(
         p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials)
     )
     # The bounds are exactly 0 / 1 at the extremes; keep them free of
-    # float round-off there. Past 2^53 trials, k / n can round onto a
-    # bound's far side; the interval always holds the estimate.
+    # float round-off there. Past 2^53 trials, k / n can round to a double
+    # beyond a computed bound, so each bound is widened to hold k / n.
     low = 0.0 if successes == 0 else max(0.0, min(p_hat, center - margin))
     high = 1.0 if successes == trials else min(1.0, max(p_hat, center + margin))
     return (low, high)
@@ -467,7 +467,8 @@ def estimate_stats(tally: TallyCounts) -> EstimatedCaseStats:
     whose conditioning count is zero comes back undefined.
     coincidence_rate estimates use the known 1/9 aiming probability as
     denominator (the scaled estimator 9 k / n), matching the exact
-    definition.
+    definition; their standard error and interval are 9 times those of
+    k / n, so both the estimate and its interval can exceed 1.
     """
     values = [
         _proportion(num, den, stat.scale)

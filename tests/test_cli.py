@@ -417,3 +417,34 @@ class TestAtomicReports:
         second = write_config(tmp_path, "second.json", source={"builtin": "two_one_uniform"})
         assert main(["enumerate", "--config", str(second), "--out-dir", str(out)]) == EXIT_IO
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+class TestExitCodes:
+    # (case, commands, expected exit code); every command runs on a
+    # 20000-trial table1_uniform config unless the case changes it.
+    COMMANDS = ("enumerate", "simulate", "verify", "scan")
+    TABLE = [
+        ("good-config", COMMANDS, EXIT_OK),
+        ("missing-config", COMMANDS, EXIT_IO),
+        ("out-dir-is-a-file", COMMANDS, EXIT_IO),
+        ("bad-config", COMMANDS, EXIT_CONFIG),
+        ("unattainable-threshold", ("verify",), EXIT_VERIFY),
+    ]
+    CASES = [(command, case, code) for case, commands, code in TABLE for command in commands]
+
+    @pytest.mark.parametrize(
+        "command, case, code", CASES, ids=[f"{command}-{case}" for command, case, _ in CASES]
+    )
+    def test_exit_code(self, tmp_path, command, case, code):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        extra = ["--parameter", "p_both", "--grid", "0,1/2"] if command == "scan" else []
+        if case == "missing-config":
+            cfg = tmp_path / "missing.json"
+        elif case == "out-dir-is-a-file":
+            out.write_text("")
+        elif case == "bad-config":
+            cfg.write_text('{"source": {"builtin": "nope"}}')
+        elif case == "unattainable-threshold":
+            extra = ["--threshold", "1e-9"]
+        assert main([command, "--config", str(cfg), "--out-dir", str(out), *extra]) == code

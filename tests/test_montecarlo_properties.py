@@ -1,0 +1,82 @@
+"""Monte Carlo invariants as properties over random sources.
+
+The sources are the exact oracle's random sources: up to 729 pair states,
+N instructions included, with random exact failure probabilities. Tallies
+must not depend on how the trial range is split between workers, merge
+must be a commutative monoid, and the estimates must agree with the exact
+statistics.
+"""
+
+import os
+from unittest import mock
+
+from hypothesis import assume, given, settings, strategies as st
+
+from merminsim import montecarlo
+from merminsim.exact import conditional_stats, enumerate_joint
+from merminsim.model import ExperimentConfig, statistic_sums
+from merminsim.montecarlo import SimulationPlan, TallyCounts, estimate_stats, merge, run_trials
+from merminsim.stats import compare
+from test_exact_reference import failure_probabilities, random_sources
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+def configs():
+    return st.builds(
+        lambda source, p_a, p_b: ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b),
+        random_sources(),
+        failure_probabilities,
+        failure_probabilities,
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(config=configs(), n=st.integers(200, 2000), seed=seeds)
+def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
+    # 64-trial chunks give every one of three workers several chunks to
+    # take from the shared queue.
+    with mock.patch.object(montecarlo, "_CHUNK", 64), mock.patch.dict(
+        os.environ, {"MERMIN_SIM_THREADS": "3"}
+    ):
+        tallies = [run_trials(SimulationPlan(config, n, seed, streams)) for streams in (1, 2, 3)]
+    assert tallies[0] == tallies[1] == tallies[2]
+    assert tallies[0].n_trials == n
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(config=configs(), sizes=st.tuples(*[st.integers(0, 300)] * 3), seed=seeds)
+def test_merge_is_a_commutative_monoid(config, sizes, seed):
+    a, b, c = (run_trials(SimulationPlan(config, n, seed + i)) for i, n in enumerate(sizes))
+    empty = TallyCounts.empty()
+    assert merge(merge(a, b), c) == merge(a, merge(b, c))
+    assert merge(a, b) == merge(b, a)
+    assert merge(a, empty) == a == merge(empty, a)
+
+
+N_COMPARE = 20_000
+SEEDS = (1, 2, 3)
+# Expected count below which a statistic's estimate may come out
+# undefined or at zero variance, which compare counts as a failure.
+MIN_EXPECTED = 100
+
+
+def well_sampled(table, n):
+    """Every statistic's numerator and the rest of its denominator are
+    either impossible or expected at least MIN_EXPECTED times in n trials."""
+    return all(
+        part == 0 or part * n >= MIN_EXPECTED * table.denominator
+        for num, den in statistic_sums(table.weights)
+        for part in (num, den - num)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=configs())
+def test_estimates_agree_with_the_exact_oracle(config):
+    table = enumerate_joint(config)
+    assume(well_sampled(table, N_COMPARE))
+    exact = conditional_stats(table)
+    for seed in SEEDS:
+        tally = run_trials(SimulationPlan(config, N_COMPARE, seed))
+        assert compare(exact, estimate_stats(tally), threshold=5.0).all_pass
