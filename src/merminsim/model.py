@@ -324,16 +324,20 @@ class SourceDistribution:
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
         side. The exact oracle and the Monte Carlo engine both read it."""
-        no_flash = outcome_index(Outcome.NO_FLASH)
+        # OUTCOMES.index is outcome_index without hashing an Enum, which
+        # runs in Python: this is the one per-state pass of a source.
+        no_flash = OUTCOMES.index(Outcome.NO_FLASH)
         cells = []
         for state, _ in self.entries:
-            a = [no_flash] + [outcome_index(o) for o in state.alice.outcomes]
-            b = [no_flash] + [outcome_index(o) for o in state.bob.outcomes]
+            a = (no_flash, *map(OUTCOMES.index, state.alice.outcomes))
+            b = (no_flash, *map(OUTCOMES.index, state.bob.outcomes))
             cells.append(
                 tuple(
-                    ((digit_a * 4 + digit_b) * 3 + a[digit_a]) * 3 + b[digit_b]
-                    for digit_a in range(4)
-                    for digit_b in range(4)
+                    [
+                        ((digit_a * 4 + digit_b) * 3 + a[digit_a]) * 3 + b[digit_b]
+                        for digit_a in range(4)
+                        for digit_b in range(4)
+                    ]
                 )
             )
         return tuple(cells)
