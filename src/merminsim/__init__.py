@@ -37,20 +37,20 @@ from .exact import (
     min_case_b_no_noflash,
 )
 from .montecarlo import (
-    Estimate,
-    EstimatedCaseStats,
     SimulationPlan,
     TallyCounts,
-    estimate_stats,
     merge,
     run_trials,
-    wilson_interval,
 )
 from .stats import (
     ComparisonReport,
+    Estimate,
+    EstimatedCaseStats,
     IndependenceTestResult,
     NoCoincidencesError,
     compare,
+    estimate_stats,
     regularized_gamma_q,
     settings_independence_test,
+    wilson_interval,
 )

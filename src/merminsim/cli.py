@@ -38,15 +38,11 @@ from .model import (
     parse_rational,
     switch_digit,
 )
-from .montecarlo import (
-    MAX_TRIALS,
-    SimulationPlan,
-    estimate_stats,
-    run_trials,
-)
+from .montecarlo import MAX_TRIALS, SimulationPlan, run_trials
 from .stats import (
     NoCoincidencesError,
     compare,
+    estimate_stats,
     settings_independence_test,
 )
 
@@ -84,9 +80,22 @@ def _require_str(value: Any, name: str) -> None:
         raise ConfigurationError(f"{name}: expected a string, got {value!r}")
 
 
+def _check_fields(spec: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse any field the loader would not read, naming its path."""
+    for key in spec:
+        if key not in known:
+            path = f"{where}.{key}" if where else key
+            raise ConfigurationError(f"{path}: unknown field (known: {', '.join(known)})")
+
+
 def _build_source(spec: Any) -> SourceDistribution:
     if not isinstance(spec, dict):
         raise ConfigurationError("source: expected an object")
+    _check_fields(spec, ("builtin", "state", "entries"), "source")
+    if "state" in spec and spec.get("builtin") != "single":
+        raise ConfigurationError('source.state: only the builtin "single" takes a state')
+    if "builtin" in spec and "entries" in spec:
+        raise ConfigurationError("source.entries: not allowed beside source.builtin")
     if "builtin" in spec:
         _require_str(spec["builtin"], "source.builtin")
         if spec.get("state") is not None:
@@ -98,6 +107,8 @@ def _build_source(spec: Any) -> SourceDistribution:
             raise ConfigurationError("source.entries: expected a list")
         built = []
         for i, entry in enumerate(entries):
+            if isinstance(entry, dict):
+                _check_fields(entry, ("state", "weight"), f"source.entries[{i}]")
             if not isinstance(entry, dict) or "state" not in entry or "weight" not in entry:
                 raise ConfigurationError(
                     f"source.entries[{i}]: expected an object with state and weight"
@@ -117,6 +128,7 @@ def _build_detector(spec: Any, name: str) -> DetectorModel:
         return DetectorModel()
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{name}: expected an object")
+    _check_fields(spec, ("failure_probability",), name)
     try:
         return DetectorModel(spec.get("failure_probability", Fraction(0)))
     except ConfigurationError as exc:
@@ -164,6 +176,10 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
         raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
+    try:
+        _check_fields(doc, ("source", "detector_a", "detector_b", "seed", "n_trials"), "")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if "source" not in doc:
         raise ConfigurationError(f"{path}: missing source")
     try:
@@ -274,7 +290,8 @@ def _write_reports(reports: dict[Path, Any]) -> None:
     """Write each report to a temp file beside its target: a .csv path
     takes (header, rows), any other path a JSON document. The targets are
     replaced only once every temp file is written in full, so a failed
-    write leaves no partial report and keeps the earlier set whole."""
+    write leaves no partial report and keeps the earlier set whole. Then
+    names the targets on stdout, in order."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in reports}
     try:
         for path, content in reports.items():
@@ -292,6 +309,8 @@ def _write_reports(reports: dict[Path, Any]) -> None:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
         raise
+    *rest, last = reports
+    print(f"wrote {', '.join(map(str, rest))} and {last}" if rest else f"wrote {last}")
 
 
 def _run_fields(args, doc: dict, n: int, seed: int) -> dict:
@@ -367,7 +386,6 @@ def cmd_enumerate(args) -> int:
             joint_path: ([*_CELL_COLUMNS, "probability"], _cell_rows(probabilities)),
         }
     )
-    print(f"wrote {stats_path} and {joint_path}")
     return EXIT_OK
 
 
@@ -393,7 +411,6 @@ def cmd_simulate(args) -> int:
             manifest_path: _manifest(args, doc, n, seed, outputs),
         }
     )
-    print(f"wrote {tally_path}, {stats_path} and {manifest_path}")
     return EXIT_OK
 
 
@@ -488,7 +505,6 @@ def cmd_verify(args) -> int:
         },
     }
     _write_reports({report_path: report_json})
-    print(f"wrote {report_path}")
 
     return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_VERIFY
 
@@ -547,7 +563,6 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     scan_path = out / "scan.csv"
     _write_reports({scan_path: (header, rows)})
-    print(f"wrote {scan_path}")
     return EXIT_OK
 
 

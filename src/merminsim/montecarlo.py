@@ -15,7 +15,6 @@ gives.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from bisect import bisect_left
@@ -31,13 +30,9 @@ from .model import (
     ExperimentConfig,
     FAILURE,
     N_CELLS,
-    STATISTICS,
-    SettingPair,
     cell_at,
     cell_index,
     decode_cell,
-    statistic_fields,
-    statistic_sums,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -330,8 +325,9 @@ def _worker_cap() -> int:
             raise ConfigurationError(
                 f"MERMIN_SIM_THREADS must be an integer, got {raw!r}"
             ) from None
-        if cap >= 1:
-            return cap
+        if cap < 1:
+            raise ConfigurationError(f"MERMIN_SIM_THREADS must be at least 1, got {cap}")
+        return cap
     return os.cpu_count() or 1
 
 
@@ -359,119 +355,11 @@ def run_trials(plan: SimulationPlan) -> TallyCounts:
     def work(_):
         return _run_chunks(starts, lock, plan.n_trials, seed, tables)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, range(workers)))
-    else:
-        partials = [work(0)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(work, range(workers)))
 
     counts = np.zeros(N_CELLS, dtype=np.int64)
     for partial in partials:
         counts += partial
     return TallyCounts(counts, plan.n_trials)
 
-
-# ---------------------------------------------------------------------------
-# Frequency estimates with sampling uncertainty.
-# ---------------------------------------------------------------------------
-
-# Two-sided 95% normal quantile used by the Wilson score interval.
-Z_95 = 1.959963984540054
-
-
-def wilson_interval(
-    successes: int, trials: int, z: float = Z_95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    Stays inside [0, 1], holds k / n, and behaves at the extremes: k = 0
-    gives a lower bound of exactly 0 and k = n an upper bound of exactly 1.
-    """
-    if trials <= 0:
-        raise ValueError("wilson_interval needs at least one trial")
-    p_hat = successes / trials
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (p_hat + z2 / (2.0 * trials)) / denom
-    margin = (z / denom) * math.sqrt(
-        p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials)
-    )
-    # The bounds are exactly 0 / 1 at the extremes; keep them free of
-    # float round-off there. Past 2^53 trials, k / n can round to a double
-    # beyond a computed bound, so each bound is widened to hold k / n.
-    low = 0.0 if successes == 0 else max(0.0, min(p_hat, center - margin))
-    high = 1.0 if successes == trials else min(1.0, max(p_hat, center + margin))
-    return (low, high)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A relative frequency with its standard error and Wilson 95% CI.
-
-    value is None when the conditioning count is zero (undefined, not 0).
-    """
-
-    value: Union[float, None]
-    se: Union[float, None]
-    ci_low: Union[float, None]
-    ci_high: Union[float, None]
-    successes: int
-    trials: int
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
-
-def _undefined(successes: int = 0) -> Estimate:
-    return Estimate(None, None, None, None, successes, 0)
-
-
-def _proportion(successes: int, trials: int, scale: float = 1.0) -> Estimate:
-    if trials == 0:
-        return _undefined(successes)
-    p_hat = successes / trials
-    se = scale * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    lo, hi = wilson_interval(successes, trials)
-    return Estimate(
-        value=scale * p_hat,
-        se=se,
-        ci_low=scale * lo,
-        ci_high=scale * hi,
-        successes=successes,
-        trials=trials,
-    )
-
-
-@dataclass(frozen=True)
-class EstimatedCaseStats:
-    """CaseStats estimated from a tally, field for field, with errors."""
-
-    p_same_case_a: Estimate
-    p_same_case_b: Estimate
-    eta_a: Estimate
-    eta_b: Estimate
-    eta_u_a: Estimate
-    eta_u_b: Estimate
-    eta_f_a: Estimate
-    eta_f_b: Estimate
-    coincidence_rate: Mapping[SettingPair, Estimate]
-    n_trials: int
-
-
-def estimate_stats(tally: TallyCounts) -> EstimatedCaseStats:
-    """Relative-frequency estimates of every CaseStats field.
-
-    Each statistic is its numerator count over its denominator count, so
-    conditionals are computed over double-flash events only and a field
-    whose conditioning count is zero comes back undefined.
-    coincidence_rate estimates use the known 1/9 aiming probability as
-    denominator (the scaled estimator 9 k / n), matching the exact
-    definition; their standard error and interval are 9 times those of
-    k / n, so both the estimate and its interval can exceed 1.
-    """
-    values = [
-        _proportion(num, den, stat.scale)
-        for stat, (num, den) in zip(STATISTICS, statistic_sums(tally.counts.tolist()))
-    ]
-    return EstimatedCaseStats(**statistic_fields(values), n_trials=tally.n_trials)

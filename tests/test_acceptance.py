@@ -21,8 +21,8 @@ from merminsim.model import (
     Setting,
     builtin_distribution,
 )
-from merminsim.montecarlo import SimulationPlan, TallyCounts, estimate_stats, run_trials
-from merminsim.stats import compare, regularized_gamma_q, settings_independence_test
+from merminsim.montecarlo import SimulationPlan, TallyCounts, run_trials
+from merminsim.stats import compare, estimate_stats, regularized_gamma_q, settings_independence_test
 
 N_ACCEPT = 1_000_000
 SEED = 1

@@ -328,6 +328,8 @@ class TestRunFlagErrors:
         ("simulate", ["--seed", "-1"], {}, {}, "--seed"),
         ("verify", ["--seed", str(1 << 64)], {}, {}, "--seed"),
         ("simulate", [], {}, {"seed": 1 << 64}, "seed"),
+        ("simulate", [], {"MERMIN_SIM_THREADS": "0"}, {}, "MERMIN_SIM_THREADS must be at least 1, got 0"),
+        ("simulate", [], {"MERMIN_SIM_THREADS": "-3"}, {}, "MERMIN_SIM_THREADS must be at least 1, got -3"),
     ]
 
     @pytest.mark.parametrize(
@@ -360,6 +362,14 @@ class TestConfigFieldErrors:
         ('{"source": {"builtin": "table1_uniform"}, "n_trials": 1e-999999999}', "n_trials"),
         ('{"source": ' + "[" * 900 + "]" * 900 + "}", "recursion depth"),
         ('{"source": ' + "[" * 5000 + "]" * 5000 + "}", "recursion depth"),
+        ('{"source": {"builtin": "table1_uniform"}, "n_trial": 5}', "n_trial: unknown field"),
+        ('{"source": {"builtin": "table1_uniform"}, "detector_a": {"failure_probabilty": 0.5}}',
+         "detector_a.failure_probabilty: unknown field"),
+        ('{"source": {"entries": [' + '{"state": "GGR-GGR", "weight": "1/4"}, ' * 3
+         + '{"state": "RRG-RRG", "wieght": "1/4"}]}}', "source.entries[3].wieght: unknown field"),
+        ('{"source": {"bultin": "table1_uniform"}}', "source.bultin: unknown field"),
+        ('{"source": {"builtin": "table1_uniform", "state": "GGR-GGR"}}', "source.state: only"),
+        ('{"source": {"builtin": "table1_uniform", "entries": []}}', "source.entries: not allowed"),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 

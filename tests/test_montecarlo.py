@@ -20,13 +20,10 @@ from merminsim.montecarlo import (
     MAX_TRIALS,
     SimulationPlan,
     TallyCounts,
-    _proportion,
-    estimate_stats,
     merge,
     run_trials,
-    wilson_interval,
 )
-from merminsim.stats import compare
+from merminsim.stats import _proportion, compare, estimate_stats, wilson_interval
 
 
 S1, S2, S3 = Setting.S1, Setting.S2, Setting.S3

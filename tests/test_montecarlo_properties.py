@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import ExperimentConfig, statistic_sums
-from merminsim.montecarlo import SimulationPlan, TallyCounts, estimate_stats, merge, run_trials
-from merminsim.stats import compare
+from merminsim.montecarlo import SimulationPlan, TallyCounts, merge, run_trials
+from merminsim.stats import compare, estimate_stats
 from test_exact_reference import failure_probabilities, random_sources
 
 seeds = st.integers(0, 2**64 - 1)

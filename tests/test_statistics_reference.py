@@ -22,8 +22,13 @@ from merminsim.model import (
     FAILURE,
     SETTINGS,
 )
-from merminsim.montecarlo import SimulationPlan, _proportion, estimate_stats, run_trials
-from merminsim.stats import NoCoincidencesError, settings_independence_test
+from merminsim.montecarlo import SimulationPlan, run_trials
+from merminsim.stats import (
+    NoCoincidencesError,
+    _proportion,
+    estimate_stats,
+    settings_independence_test,
+)
 from test_exact_reference import failure_probabilities, random_sources, reference_joint
 
 SCALARS = (

@@ -6,14 +6,10 @@ import pytest
 
 from merminsim.exact import ALL_SETTING_PAIRS, CaseStats
 from merminsim.model import ExperimentConfig, Setting, builtin_distribution
-from merminsim.montecarlo import (
+from merminsim.montecarlo import SimulationPlan, TallyCounts, run_trials
+from merminsim.stats import (
     Estimate,
     EstimatedCaseStats,
-    SimulationPlan,
-    TallyCounts,
-    run_trials,
-)
-from merminsim.stats import (
     NoCoincidencesError,
     compare,
     regularized_gamma_q,
