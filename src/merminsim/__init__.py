@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .model import (
     ALL_EIGHT_SETS,
+    CellWeights,
     ConfigurationError,
     DetectorModel,
     DistributionError,
@@ -25,23 +26,18 @@ from .model import (
     TWO_ONE_SETS,
     WeightSumMismatchError,
     builtin_distribution,
+    merge,
 )
 from .exact import (
     CaseStats,
     DegenerateConditioningError,
-    JointTable,
     case_b_same_fraction,
     conditional_stats,
     detector_invariance_check,
     enumerate_joint,
     min_case_b_no_noflash,
 )
-from .montecarlo import (
-    SimulationPlan,
-    TallyCounts,
-    merge,
-    run_trials,
-)
+from .montecarlo import SimulationPlan, run_trials
 from .stats import (
     ComparisonReport,
     Estimate,

@@ -139,19 +139,27 @@ class _DecimalLiteral(str):
     """A JSON decimal literal, kept as text until its field is known."""
 
 
+class _Fields(list):
+    """A JSON object as its (key, value) pairs, repeated keys included."""
+
+
 def _exact_decimals(obj: Any, where: str) -> Any:
-    """The document with each decimal literal parsed to an exact Fraction;
-    a literal that cannot be parsed is reported by its field path."""
+    """The document with each object a dict and each decimal literal parsed
+    to an exact Fraction; a literal that cannot be parsed, or a field that
+    appears twice in one object, is reported by its field path."""
     if isinstance(obj, _DecimalLiteral):
         try:
             return parse_rational(obj)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
-    if isinstance(obj, dict):
-        return {
-            key: _exact_decimals(value, f"{where}.{key}" if where else key)
-            for key, value in obj.items()
-        }
+    if isinstance(obj, _Fields):
+        fields = {}
+        for key, value in obj:
+            path = f"{where}.{key}" if where else key
+            if key in fields:
+                raise ConfigurationError(f"{path}: duplicate field")
+            fields[key] = _exact_decimals(value, path)
+        return fields
     if isinstance(obj, list):
         return [_exact_decimals(value, f"{where}[{i}]") for i, value in enumerate(obj)]
     return obj
@@ -167,7 +175,8 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
     # ValueError covers bad UTF-8 or JSON and integers past the digit limit;
     # RecursionError, here and in the walk, covers arrays nested too deep.
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_DecimalLiteral)
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     try:
@@ -379,7 +388,7 @@ def cmd_enumerate(args) -> int:
     out = _out_dir(args)
     stats_path = out / "case_stats.json"
     joint_path = out / "joint_table.csv"
-    probabilities = (_csv_num(Fraction(w, table.denominator)) for w in table.weights)
+    probabilities = (_csv_num(Fraction(w, table.total)) for w in table.weights)
     _write_reports(
         {
             stats_path: _stats_json(stats, _exact_field_json),
@@ -406,7 +415,7 @@ def cmd_simulate(args) -> int:
     outputs = {"tally_csv": str(tally_path), "stats_json": str(stats_path)}
     _write_reports(
         {
-            tally_path: ([*_CELL_COLUMNS, "count"], _cell_rows(tally.counts.tolist())),
+            tally_path: ([*_CELL_COLUMNS, "count"], _cell_rows(tally.weights)),
             stats_path: {**_stats_json(stats, _estimate_json), "n_trials": stats.n_trials},
             manifest_path: _manifest(args, doc, n, seed, outputs),
         }

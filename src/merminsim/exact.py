@@ -18,17 +18,15 @@ from .model import (
     ALL_EIGHT_SETS,
     ALL_SETTING_PAIRS,
     CASE_B_PAIRS,
+    CellWeights,
     ConfigurationError,
     ExperimentConfig,
     InstructionSet,
-    Outcome,
     STATISTICS,
     SetClass,
     SettingPair,
-    SwitchPosition,
     WeightLike,
     as_fraction,
-    cell_index,
     statistic_fields,
     statistic_sums,
 )
@@ -38,28 +36,6 @@ class DegenerateConditioningError(ValueError):
     """A requested statistic conditions on an event of probability zero."""
 
 
-@dataclass(frozen=True)
-class JointTable:
-    """Exact joint law of (switch_a, switch_b, outcome_a, outcome_b): cell i
-    of the 144-cell codec has probability weights[i] / denominator.
-
-    The exact twin of TallyCounts: the weights sum to exactly the
-    denominator, and any cell pairing a failed switch with a flash has
-    weight 0.
-    """
-
-    weights: tuple[int, ...]
-    denominator: int
-
-    def probability(
-        self, swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome
-    ) -> Fraction:
-        return Fraction(self.weights[cell_index(swa, swb, oa, ob)], self.denominator)
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self.weights), self.denominator)
-
-
 def _switch_weights(p: Fraction) -> tuple[int, int, int, int]:
     """The switch law (p, (1-p)/3, (1-p)/3, (1-p)/3) of digits 0-3, times
     3 * p.denominator."""
@@ -67,7 +43,7 @@ def _switch_weights(p: Fraction) -> tuple[int, int, int, int]:
     return (3 * num,) + (den - num,) * 3
 
 
-def enumerate_joint(config: ExperimentConfig) -> JointTable:
+def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     """Full joint distribution of one experiment.
 
     Each side's switch lands on the failure position (digit 0) with
@@ -84,9 +60,9 @@ def enumerate_joint(config: ExperimentConfig) -> JointTable:
     p_b = config.detector_b.failure_probability
     # Cell index // 9 is digit_a * 4 + digit_b.
     pair_law = [qa * qb for qa in _switch_weights(p_a) for qb in _switch_weights(p_b)]
-    return JointTable(
-        weights=tuple(mass * pair_law[index // 9] for index, mass in enumerate(masses)),
-        denominator=total * 9 * p_a.denominator * p_b.denominator,
+    return CellWeights(
+        tuple(mass * pair_law[index // 9] for index, mass in enumerate(masses)),
+        total * 9 * p_a.denominator * p_b.denominator,
     )
 
 
@@ -122,11 +98,9 @@ class CaseStats:
     coincidence_rate: Mapping[SettingPair, Fraction]
 
 
-def conditional_stats(table: JointTable) -> CaseStats:
-    """CaseStats of a joint table that sums to exactly 1: each statistic is
+def conditional_stats(table: CellWeights) -> CaseStats:
+    """Exact CaseStats of cell weights, a law or a tally: each statistic is
     scale * numerator / denominator of its declared cell weights."""
-    if sum(table.weights) != table.denominator:
-        raise ValueError("joint table does not sum to 1")
     values = [
         Fraction(stat.scale * num, den) if den else None
         for stat, (num, den) in zip(STATISTICS, statistic_sums(table.weights))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class ConfigurationError(ValueError):
@@ -639,6 +639,57 @@ STATISTICS: tuple[Statistic, ...] = (
     Statistic("coincidence_rate", _both_flash((pair,)), _ALL, scale=9, pair=pair)
     for pair in ALL_SETTING_PAIRS
 )
+
+# Cells pairing a failed switch with a flash: no trial can land there.
+_IMPOSSIBLE = _mask(
+    lambda swa, swb, oa, ob: (swa is FAILURE and oa.is_flash) or (swb is FAILURE and ob.is_flash)
+)
+
+
+@dataclass(frozen=True)
+class CellWeights:
+    """Integer weights of the 144 cells in codec order, over their total:
+    the exact joint law (cell i has probability weights[i] / total) or a
+    tally (trial counts over the number of trials). The weights are
+    non-negative, sum to the total and are 0 on impossible cells. They form
+    a commutative monoid under merge, with empty() as identity.
+    """
+
+    weights: tuple[int, ...]
+    total: int
+
+    def __post_init__(self) -> None:
+        weights = tuple(self.weights)
+        if len(weights) != N_CELLS:
+            raise ValueError(f"expected {N_CELLS} cell weights, got {len(weights)}")
+        if min(weights) < 0:
+            raise ValueError("cell weights must be non-negative")
+        if sum(weights) != self.total:
+            raise ValueError(f"cell weights sum to {sum(weights)}, not to the total {self.total}")
+        if any([weights[i] for i in _IMPOSSIBLE]):
+            raise ValueError("a failed switch cannot coincide with a flash")
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def empty(cls) -> "CellWeights":
+        return cls((0,) * N_CELLS, 0)
+
+    @classmethod
+    def from_mapping(cls, weights: Mapping[Union[CellKey, str], int]) -> "CellWeights":
+        """Weights of the cells keyed by text ("12GR") or CellKey; others 0."""
+        cells = [0] * N_CELLS
+        for key, value in weights.items():
+            cells[cell_index(*(decode_cell(key) if isinstance(key, str) else key))] += value
+        return cls(tuple(cells), sum(cells))
+
+    def weight(self, swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome) -> int:
+        return self.weights[cell_index(swa, swb, oa, ob)]
+
+
+def merge(a: CellWeights, b: CellWeights) -> CellWeights:
+    """Cellwise sum; associative and commutative, identity CellWeights.empty()."""
+    return CellWeights(tuple(x + y for x, y in zip(a.weights, b.weights)), a.total + b.total)
+
 
 _MASKS = tuple(dict.fromkeys(m for s in STATISTICS for m in (s.numerator, s.denominator)))
 

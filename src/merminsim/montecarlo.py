@@ -20,20 +20,10 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Union
 
 import numpy as np
 
-from .model import (
-    CellKey,
-    ConfigurationError,
-    ExperimentConfig,
-    FAILURE,
-    N_CELLS,
-    cell_at,
-    cell_index,
-    decode_cell,
-)
+from .model import CellWeights, ConfigurationError, ExperimentConfig, N_CELLS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -61,73 +51,6 @@ _CHUNK = 1 << 16
 # (two for 399 of 400 random-weight 729-state sources, where 2 buckets
 # per state gave one source in twelve a third round and ~10% more time).
 _BUCKETS_PER_STATE = 8
-
-_I64_MAX = (1 << 63) - 1
-
-# Cells pairing a failed switch with a flash can never be produced.
-_INVALID_CELLS = np.array(
-    [
-        (swa is FAILURE and oa.is_flash) or (swb is FAILURE and ob.is_flash)
-        for (swa, swb, oa, ob) in (cell_at(i) for i in range(N_CELLS))
-    ]
-)
-
-
-@dataclass(frozen=True, eq=False)
-class TallyCounts:
-    """Trial counts per (switch_a, switch_b, outcome_a, outcome_b) cell.
-
-    counts is a read-only int64 vector over the 144-cell codec of
-    model.cell_index; counts sum to n_trials and no failure-with-flash
-    cell is ever nonzero. Tallies form a commutative monoid under merge
-    with the empty tally as identity.
-    """
-
-    counts: np.ndarray
-    n_trials: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
-        if counts.shape != (N_CELLS,):
-            raise ValueError(f"counts must have shape ({N_CELLS},)")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != self.n_trials:
-            raise ValueError("counts do not sum to n_trials")
-        if counts[_INVALID_CELLS].any():
-            raise ValueError("a failed switch cannot coincide with a flash")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TallyCounts):
-            return NotImplemented
-        return self.n_trials == other.n_trials and bool(
-            np.array_equal(self.counts, other.counts)
-        )
-
-    @classmethod
-    def empty(cls) -> "TallyCounts":
-        return cls(np.zeros(N_CELLS, dtype=np.int64), 0)
-
-    @classmethod
-    def from_mapping(cls, counts: Mapping[Union[CellKey, str], int]) -> "TallyCounts":
-        arr = np.zeros(N_CELLS, dtype=np.int64)
-        for key, value in counts.items():
-            cell = decode_cell(key) if isinstance(key, str) else key
-            arr[cell_index(*cell)] += value
-        return cls(arr, int(arr.sum()))
-
-    def count(self, swa, swb, oa, ob) -> int:
-        return int(self.counts[cell_index(swa, swb, oa, ob)])
-
-
-def merge(t1: TallyCounts, t2: TallyCounts) -> TallyCounts:
-    """Entrywise sum; associative and commutative, identity = empty tally."""
-    if t1.n_trials > _I64_MAX - t2.n_trials:
-        raise OverflowError("merged tally would exceed 64-bit counts")
-    return TallyCounts(t1.counts + t2.counts, t1.n_trials + t2.n_trials)
-
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -331,8 +254,9 @@ def _worker_cap() -> int:
     return os.cpu_count() or 1
 
 
-def run_trials(plan: SimulationPlan) -> TallyCounts:
-    """Simulate plan.n_trials independent trials into a tally.
+def run_trials(plan: SimulationPlan) -> CellWeights:
+    """Simulate plan.n_trials independent trials into a tally: cell
+    weights that count trials, over the total plan.n_trials.
 
     Per trial: a pair state is drawn by weight, then each side
     independently draws failure (probability p) before a uniform setting,
@@ -342,15 +266,16 @@ def run_trials(plan: SimulationPlan) -> TallyCounts:
     identical for any stream count because every trial owns its counters.
     """
     plan.config.validate()
+    cap = _worker_cap()
     if plan.n_trials == 0:
-        return TallyCounts.empty()
+        return CellWeights.empty()
     tables = _sampler_tables(plan.config)
     seed = plan.seed & _MASK64
 
     starts = iter(range(0, plan.n_trials, _CHUNK))
     lock = threading.Lock()
     chunks = -(-plan.n_trials // _CHUNK)
-    workers = min(plan.n_streams, _worker_cap(), chunks)
+    workers = min(plan.n_streams, cap, chunks)
 
     def work(_):
         return _run_chunks(starts, lock, plan.n_trials, seed, tables)
@@ -361,5 +286,5 @@ def run_trials(plan: SimulationPlan) -> TallyCounts:
     counts = np.zeros(N_CELLS, dtype=np.int64)
     for partial in partials:
         counts += partial
-    return TallyCounts(counts, plan.n_trials)
+    return CellWeights(tuple(counts.tolist()), plan.n_trials)
 

@@ -9,13 +9,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from .exact import CaseStats
-from .model import STATISTICS, SettingPair, statistic_fields, statistic_sums
-
-if TYPE_CHECKING:
-    from .montecarlo import TallyCounts
+from .model import STATISTICS, CellWeights, SettingPair, statistic_fields, statistic_sums
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 Z_95 = 1.959963984540054
@@ -95,7 +92,7 @@ class EstimatedCaseStats:
     n_trials: int
 
 
-def estimate_stats(tally: TallyCounts) -> EstimatedCaseStats:
+def estimate_stats(tally: CellWeights) -> EstimatedCaseStats:
     """Relative-frequency estimates of every CaseStats field.
 
     Each statistic is its numerator count over its denominator count, so
@@ -108,9 +105,9 @@ def estimate_stats(tally: TallyCounts) -> EstimatedCaseStats:
     """
     values = [
         _proportion(num, den, stat.scale)
-        for stat, (num, den) in zip(STATISTICS, statistic_sums(tally.counts.tolist()))
+        for stat, (num, den) in zip(STATISTICS, statistic_sums(tally.weights))
     ]
-    return EstimatedCaseStats(**statistic_fields(values), n_trials=tally.n_trials)
+    return EstimatedCaseStats(**statistic_fields(values), n_trials=tally.total)
 
 
 class NoCoincidencesError(ValueError):
@@ -191,7 +188,7 @@ class IndependenceTestResult:
     expected: float
 
 
-def settings_independence_test(tally: TallyCounts) -> IndependenceTestResult:
+def settings_independence_test(tally: CellWeights) -> IndependenceTestResult:
     """Test whether the detected sample size depends on the setting pair.
 
     Observed counts are the double flashes per realized (setting_a,
@@ -200,7 +197,7 @@ def settings_independence_test(tally: TallyCounts) -> IndependenceTestResult:
     expected count, total / 9; only that total is estimated from the
     data, leaving 8 degrees of freedom.
     """
-    sums = statistic_sums(tally.counts.tolist())
+    sums = statistic_sums(tally.weights)
     observed = {
         stat.pair: num for stat, (num, _) in zip(STATISTICS, sums) if stat.pair is not None
     }

@@ -17,11 +17,12 @@ from merminsim.exact import (
 )
 from merminsim.model import (
     ALL_EIGHT_SETS,
+    CellWeights,
     ExperimentConfig,
     Setting,
     builtin_distribution,
 )
-from merminsim.montecarlo import SimulationPlan, TallyCounts, run_trials
+from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import compare, estimate_stats, regularized_gamma_q, settings_independence_test
 
 N_ACCEPT = 1_000_000
@@ -167,7 +168,7 @@ def test_criterion_6_settings_independence():
         for sb in Setting
         if not (sa is Setting.S1 and sb is Setting.S1)
     }
-    biased = settings_independence_test(TallyCounts.from_mapping(cells))
+    biased = settings_independence_test(CellWeights.from_mapping(cells))
     assert biased.p_value < 1e-6
 
     rendered = ", ".join(f"seed {s}: p = {p:.3g}" for s, p in p_values.items())

@@ -330,6 +330,10 @@ class TestRunFlagErrors:
         ("simulate", [], {}, {"seed": 1 << 64}, "seed"),
         ("simulate", [], {"MERMIN_SIM_THREADS": "0"}, {}, "MERMIN_SIM_THREADS must be at least 1, got 0"),
         ("simulate", [], {"MERMIN_SIM_THREADS": "-3"}, {}, "MERMIN_SIM_THREADS must be at least 1, got -3"),
+        ("simulate", ["--n", "0"], {"MERMIN_SIM_THREADS": "-7"}, {},
+         "MERMIN_SIM_THREADS must be at least 1, got -7"),
+        ("verify", ["--n", "0"], {"MERMIN_SIM_THREADS": "abc"}, {},
+         "MERMIN_SIM_THREADS must be an integer, got 'abc'"),
     ]
 
     @pytest.mark.parametrize(
@@ -370,6 +374,10 @@ class TestConfigFieldErrors:
         ('{"source": {"bultin": "table1_uniform"}}', "source.bultin: unknown field"),
         ('{"source": {"builtin": "table1_uniform", "state": "GGR-GGR"}}', "source.state: only"),
         ('{"source": {"builtin": "table1_uniform", "entries": []}}', "source.entries: not allowed"),
+        ('{"source": {"builtin": "table1_uniform"}, "seed": 3, "seed": 4}', "seed: duplicate field"),
+        ('{"source": {"builtin": "table1_uniform"}, '
+         '"detector_a": {"failure_probability": "1/2", "failure_probability": 0}}',
+         "detector_a.failure_probability: duplicate field"),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 

@@ -78,10 +78,10 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
     config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
     table = enumerate_joint(config)
 
-    cells = [Fraction(w, table.denominator) for w in table.weights]
+    cells = [Fraction(w, table.total) for w in table.weights]
     assert list(zip(iter_cells(), cells)) == list(reference_joint(config).items())
-    assert all(type(w) is int for w in table.weights) and type(table.denominator) is int
-    assert table.total() == 1
+    assert all(type(w) is int for w in table.weights) and type(table.total) is int
+    assert sum(table.weights) == table.total
     assert all(
         w == 0
         for (swa, swb, oa, ob), w in zip(iter_cells(), table.weights)

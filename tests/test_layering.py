@@ -1,8 +1,9 @@
 """The import graph inside the package, read from the source with ast.
 
 The engine (montecarlo) only counts, stats estimates and tests, and the
-exact oracle and the statistic algebra in model sit below both. Imports
-under `if TYPE_CHECKING:` do not run and are not counted.
+exact oracle and the statistic algebra in model sit below both. Every
+import statement counts, wherever it sits, `if TYPE_CHECKING:` blocks
+included.
 """
 
 import ast
@@ -20,11 +21,6 @@ LAYERS = {
     "montecarlo": {"model"},
     "stats": {"model", "exact"},
 }
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    name = test.attr if isinstance(test, ast.Attribute) else getattr(test, "id", None)
-    return name == "TYPE_CHECKING"
 
 
 def _targets(node: ast.AST) -> list[str]:
@@ -50,14 +46,12 @@ def _targets(node: ast.AST) -> list[str]:
 
 
 def runtime_imports(module: str) -> set[str]:
-    """Every module that module imports when it runs."""
+    """Every module an import statement of module names, wherever it sits."""
     found: set[str] = set()
 
     def walk(statements):
         for node in statements:
-            if isinstance(node, ast.If) and _is_type_checking(node.test):
-                walk(node.orelse)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 found.update(_targets(node))
             else:
                 for field in ("body", "orelse", "finalbody", "handlers"):

@@ -1,12 +1,12 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
+    CellWeights,
     ExperimentConfig,
     FAILURE,
     N_CELLS,
@@ -14,15 +14,9 @@ from merminsim.model import (
     SETTINGS,
     Setting,
     builtin_distribution,
-    cell_index,
-)
-from merminsim.montecarlo import (
-    MAX_TRIALS,
-    SimulationPlan,
-    TallyCounts,
     merge,
-    run_trials,
 )
+from merminsim.montecarlo import MAX_TRIALS, SimulationPlan, run_trials
 from merminsim.stats import _proportion, compare, estimate_stats, wilson_interval
 
 
@@ -44,16 +38,16 @@ def plan_for(name, n, seed, streams=1, state=None, p_a=0, p_b=0):
 class TestRunTrials:
     def test_homogeneous_state_always_same_color(self):
         tally = run_trials(plan_for("single", 1000, seed=42, state="RRR-RRR"))
-        assert tally.n_trials == 1000
+        assert tally.total == 1000
         rr_total = sum(
-            tally.count(sa, sb, R, R) for sa in SETTINGS for sb in SETTINGS
+            tally.weight(sa, sb, R, R) for sa in SETTINGS for sb in SETTINGS
         )
         assert rr_total == 1000
 
     def test_zero_trials_gives_empty_tally(self):
         tally = run_trials(plan_for("table1_uniform", 0, seed=5))
-        assert tally.n_trials == 0
-        assert tally == TallyCounts.empty()
+        assert tally.total == 0
+        assert tally == CellWeights.empty()
 
     def test_reproducible_bitwise(self):
         a = run_trials(plan_for("table1_uniform", 50_000, seed=9))
@@ -97,14 +91,14 @@ class TestRunTrials:
         tally = run_trials(
             plan_for("table1_uniform", 40_000, seed=21, p_a=Fraction(3, 10), p_b=Fraction(1, 10))
         )
-        assert int(tally.counts.sum()) == 40_000
+        assert sum(tally.weights) == 40_000
         for sb in SETTINGS:
             for color in (G, R):
-                assert tally.count(FAILURE, sb, color, G) == 0
-                assert tally.count(S1, FAILURE, G, color) == 0
+                assert tally.weight(FAILURE, sb, color, G) == 0
+                assert tally.weight(S1, FAILURE, G, color) == 0
         # failures do occur at these rates
         fail_a = sum(
-            tally.count(FAILURE, swb, N, ob)
+            tally.weight(FAILURE, swb, N, ob)
             for swb in (FAILURE,) + SETTINGS
             for ob in (G, R, N)
         )
@@ -120,36 +114,36 @@ class TestRunTrials:
             SimulationPlan(cfg, 1 << 61, seed=0)
 
 
-class TestTallyCounts:
-    def test_from_mapping_and_count(self):
-        tally = TallyCounts.from_mapping({"12GG": 3, (S1, S2, G, R): 4})
-        assert tally.n_trials == 7
-        assert tally.count(S1, S2, G, G) == 3
-        assert tally.count(S1, S2, G, R) == 4
+class TestCellWeights:
+    def test_from_mapping_and_weight(self):
+        tally = CellWeights.from_mapping({"12GG": 3, (S1, S2, G, R): 4})
+        assert tally.total == 7
+        assert tally.weight(S1, S2, G, G) == 3
+        assert tally.weight(S1, S2, G, R) == 4
 
     def test_rejects_failure_flash_cells(self):
         with pytest.raises(ValueError):
-            TallyCounts.from_mapping({(FAILURE, S1, G, G): 1})
+            CellWeights.from_mapping({(FAILURE, S1, G, G): 1})
 
     def test_rejects_negative_and_bad_sum(self):
-        arr = np.zeros(N_CELLS, dtype=np.int64)
-        arr[0] = -1
+        weights = [0] * N_CELLS
+        weights[0] = -1
         with pytest.raises(ValueError):
-            TallyCounts(arr, -1)
+            CellWeights(weights, -1)
         with pytest.raises(ValueError):
-            TallyCounts(np.zeros(N_CELLS, dtype=np.int64), 5)
+            CellWeights([0] * N_CELLS, 5)
 
-    def test_counts_are_read_only(self):
-        tally = TallyCounts.empty()
-        with pytest.raises(ValueError):
-            tally.counts[0] = 1
+    def test_weights_are_read_only(self):
+        tally = CellWeights.empty()
+        with pytest.raises(TypeError):
+            tally.weights[0] = 1
 
 
 class TestMerge:
     def test_identity(self):
         t = run_trials(plan_for("table1_uniform", 1_000, seed=3))
-        assert merge(t, TallyCounts.empty()) == t
-        assert merge(TallyCounts.empty(), t) == t
+        assert merge(t, CellWeights.empty()) == t
+        assert merge(CellWeights.empty(), t) == t
 
     def test_commutative_and_associative(self):
         t1 = run_trials(plan_for("table1_uniform", 1_000, seed=3))
@@ -161,27 +155,26 @@ class TestMerge:
     def test_n_trials_additive(self):
         t1 = run_trials(plan_for("table1_uniform", 1_500, seed=6))
         t2 = run_trials(plan_for("table1_uniform", 500, seed=7))
-        assert merge(t1, t2).n_trials == 2_000
+        assert merge(t1, t2).total == 2_000
 
     def test_merged_streams_equal_sequential(self):
         # The stream partition is internal, but merging externally split
         # tallies must agree with the single-stream run too.
         whole = run_trials(plan_for("table1_uniform", 8_000, seed=8))
         parts = run_trials(plan_for("table1_uniform", 8_000, seed=8, streams=4))
-        assert merge(whole, TallyCounts.empty()) == parts
+        assert merge(whole, CellWeights.empty()) == parts
 
-    def test_overflow_is_an_explicit_error(self):
-        arr = np.zeros(N_CELLS, dtype=np.int64)
-        arr[cell_index(S1, S1, G, G)] = I64_MAX
-        big = TallyCounts(arr, I64_MAX)
-        one = TallyCounts.from_mapping({"11GG": 1})
-        with pytest.raises(OverflowError):
-            merge(big, one)
+    def test_merge_counts_exactly_past_64_bits(self):
+        big = CellWeights.from_mapping({"11GG": I64_MAX})
+        one = CellWeights.from_mapping({"11GG": 1})
+        merged = merge(big, one)
+        assert merged.total == 1 << 63
+        assert merged.weight(S1, S1, G, G) == 1 << 63
 
 
 class TestEstimateStats:
     def test_case_b_ratio_and_wilson_ci(self):
-        tally = TallyCounts.from_mapping({"12GG": 300, "12GR": 900})
+        tally = CellWeights.from_mapping({"12GG": 300, "12GR": 900})
         est = estimate_stats(tally)
         assert est.p_same_case_b.value == pytest.approx(0.25)
         assert est.p_same_case_b.successes == 300
@@ -190,14 +183,14 @@ class TestEstimateStats:
         assert 0.20 < lo < 0.25 < hi < 0.30
 
     def test_all_same_color_hits_ci_bound(self):
-        tally = TallyCounts.from_mapping({"11RR": 500})
+        tally = CellWeights.from_mapping({"11RR": 500})
         est = estimate_stats(tally)
         assert est.p_same_case_a.value == 1.0
         assert est.p_same_case_a.se == 0.0
         assert est.p_same_case_a.ci_high == 1.0
 
     def test_empty_tally_all_undefined(self):
-        est = estimate_stats(TallyCounts.empty())
+        est = estimate_stats(CellWeights.empty())
         for name in (
             "p_same_case_a",
             "p_same_case_b",

@@ -3,19 +3,20 @@
 The sources are the exact oracle's random sources: up to 729 pair states,
 N instructions included, with random exact failure probabilities. Tallies
 must not depend on how the trial range is split between workers, merge
-must be a commutative monoid, and the estimates must agree with the exact
-statistics.
+must be a commutative monoid, a tally must read as the law of its own
+frequencies, and the estimates must agree with the exact statistics.
 """
 
 import os
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
 from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
-from merminsim.model import ExperimentConfig, statistic_sums
-from merminsim.montecarlo import SimulationPlan, TallyCounts, merge, run_trials
+from merminsim.model import STATISTICS, CellWeights, ExperimentConfig, merge, statistic_sums
+from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import compare, estimate_stats
 from test_exact_reference import failure_probabilities, random_sources
 
@@ -41,17 +42,30 @@ def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
     ):
         tallies = [run_trials(SimulationPlan(config, n, seed, streams)) for streams in (1, 2, 3)]
     assert tallies[0] == tallies[1] == tallies[2]
-    assert tallies[0].n_trials == n
+    assert tallies[0].total == n
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(config=configs(), sizes=st.tuples(*[st.integers(0, 300)] * 3), seed=seeds)
 def test_merge_is_a_commutative_monoid(config, sizes, seed):
     a, b, c = (run_trials(SimulationPlan(config, n, seed + i)) for i, n in enumerate(sizes))
-    empty = TallyCounts.empty()
+    empty = CellWeights.empty()
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
     assert merge(a, b) == merge(b, a)
     assert merge(a, empty) == a == merge(empty, a)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(config=configs(), n=st.integers(0, 500), seed=seeds)
+def test_a_tally_reads_as_the_law_of_its_frequencies(config, n, seed):
+    # The exact oracle and the estimates read one tally through one
+    # declaration: each exact value is the estimate's own success ratio.
+    tally = run_trials(SimulationPlan(config, n, seed))
+    exact, estimated = conditional_stats(tally), estimate_stats(tally)
+    for stat in STATISTICS:
+        e = stat.read(estimated)
+        expected = Fraction(stat.scale * e.successes, e.trials) if e.trials else None
+        assert stat.read(exact) == expected
 
 
 N_COMPARE = 20_000
@@ -65,7 +79,7 @@ def well_sampled(table, n):
     """Every statistic's numerator and the rest of its denominator are
     either impossible or expected at least MIN_EXPECTED times in n trials."""
     return all(
-        part == 0 or part * n >= MIN_EXPECTED * table.denominator
+        part == 0 or part * n >= MIN_EXPECTED * table.total
         for num, den in statistic_sums(table.weights)
         for part in (num, den - num)
     )

@@ -10,6 +10,7 @@ float for float, and the same counts.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,8 +78,8 @@ def reference_conditional_stats(prob):
 
 def reference_estimates(tally):
     """Estimates of every statistic, counted on the (4, 4, 3, 3) grid."""
-    n = tally.n_trials
-    grid = tally.counts.reshape(4, 4, 3, 3)
+    n = tally.total
+    grid = np.array(tally.weights).reshape(4, 4, 3, 3)
     color_hi = len(COLORS)
     flash_a = int(grid[:, :, :color_hi, :].sum())
     flash_b = int(grid[:, :, :, :color_hi].sum())
@@ -113,7 +114,7 @@ def reference_estimates(tally):
 
 def reference_observed(tally):
     """Double flashes per realized setting pair."""
-    grid = tally.counts.reshape(4, 4, 3, 3)
+    grid = np.array(tally.weights).reshape(4, 4, 3, 3)
     color_hi = len(COLORS)
     return {
         (sa, sb): int(grid[sa.value, sb.value, :color_hi, :color_hi].sum())

@@ -5,8 +5,8 @@ from types import MappingProxyType
 import pytest
 
 from merminsim.exact import ALL_SETTING_PAIRS, CaseStats
-from merminsim.model import ExperimentConfig, Setting, builtin_distribution
-from merminsim.montecarlo import SimulationPlan, TallyCounts, run_trials
+from merminsim.model import CellWeights, ExperimentConfig, Setting, builtin_distribution
+from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import (
     Estimate,
     EstimatedCaseStats,
@@ -126,7 +126,7 @@ def uniform_coincidence_tally(count_per_cell):
     for sa in Setting:
         for sb in Setting:
             cells[f"{sa.digit}{sb.digit}GG"] = count_per_cell
-    return TallyCounts.from_mapping(cells)
+    return CellWeights.from_mapping(cells)
 
 
 class TestSettingsIndependence:
@@ -144,7 +144,7 @@ class TestSettingsIndependence:
             for sb in Setting
             if not (sa is Setting.S1 and sb is Setting.S1)
         }
-        tally = TallyCounts.from_mapping(cells)
+        tally = CellWeights.from_mapping(cells)
         result = settings_independence_test(tally)
         # Oracle: expected = 9000/9 = 1000, so the statistic is
         # 1000^2/1000 + 8 * 125^2/1000 = 1125.
@@ -157,9 +157,9 @@ class TestSettingsIndependence:
             "21GG": 20, "22GG": 10, "23GG": 20,
             "31GG": 10, "32GG": 20, "33GG": 10,
         }
-        small = settings_independence_test(TallyCounts.from_mapping(cells_small))
+        small = settings_independence_test(CellWeights.from_mapping(cells_small))
         tripled = settings_independence_test(
-            TallyCounts.from_mapping({k: 3 * v for k, v in cells_small.items()})
+            CellWeights.from_mapping({k: 3 * v for k, v in cells_small.items()})
         )
         assert tripled.statistic == pytest.approx(3 * small.statistic)
         # Only the statistic-0 case is invariant under uniform scaling.
@@ -168,7 +168,7 @@ class TestSettingsIndependence:
         assert zero.statistic == zero_scaled.statistic == 0.0
 
     def test_failures_and_singles_excluded(self):
-        tally = TallyCounts.from_mapping(
+        tally = CellWeights.from_mapping(
             {"11GG": 100, "01NG": 50, "10GN": 50, "12GN": 25, "00NN": 25}
         )
         result = settings_independence_test(tally)
@@ -176,9 +176,9 @@ class TestSettingsIndependence:
 
     def test_no_coincidences_raises(self):
         with pytest.raises(NoCoincidencesError):
-            settings_independence_test(TallyCounts.empty())
+            settings_independence_test(CellWeights.empty())
         with pytest.raises(NoCoincidencesError):
-            settings_independence_test(TallyCounts.from_mapping({"11NN": 40}))
+            settings_independence_test(CellWeights.from_mapping({"11NN": 40}))
 
     def test_simulated_table1_not_extreme(self):
         cfg = ExperimentConfig(source=builtin_distribution("table1_uniform"))
