@@ -38,7 +38,7 @@ from .model import (
     parse_rational,
     switch_digit,
 )
-from .montecarlo import MAX_TRIALS, SimulationPlan, run_trials
+from .montecarlo import MAX_TRIALS, RNG_SCHEME, SimulationPlan, run_trials
 from .stats import (
     NoCoincidencesError,
     compare,
@@ -342,6 +342,7 @@ def _manifest(args, doc: dict, n: int, seed: int, outputs: dict) -> dict:
         "command": args.command,
         **_run_fields(args, doc, n, seed),
         "outputs": outputs,
+        "rng_scheme": RNG_SCHEME,
         "tool": "merminsim",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

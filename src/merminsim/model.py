@@ -160,7 +160,8 @@ class InstructionSet:
             raise ConfigurationError(
                 f"instruction set text must be 3 letters, got {text!r}"
             )
-        return cls(tuple(Outcome.from_letter(ch) for ch in text))
+        # Each valid text maps to its prebuilt set; from_letter names a bad letter.
+        return _SETS_BY_TEXT.get(text) or cls(tuple(map(Outcome.from_letter, text)))
 
     def outcome_at(self, setting: Setting) -> Outcome:
         return self.outcomes[setting.value - 1]
@@ -430,6 +431,11 @@ def _pairs(*texts: str) -> tuple[PairState, ...]:
     return tuple(PairState.parse(t) for t in texts)
 
 
+ALL_INSTRUCTION_SETS = tuple(
+    InstructionSet(combo) for combo in itertools.product(OUTCOMES, repeat=3)
+)
+_SETS_BY_TEXT = {s.encode(): s for s in ALL_INSTRUCTION_SETS}
+
 # The six no-N sets where one colour appears once and the other twice.
 TWO_ONE_SETS = _sets("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")
 
@@ -453,10 +459,6 @@ TABLE1_PAIRS = _pairs(
     "GGR-GNR",
     "RGG-RGN",
     "GRR-GRN",
-)
-
-ALL_INSTRUCTION_SETS = tuple(
-    InstructionSet(combo) for combo in itertools.product(OUTCOMES, repeat=3)
 )
 
 BUILTIN_NAMES = ("table1_uniform", "two_one_uniform", "all_eight_uniform", "single")

@@ -6,18 +6,16 @@ counter. Trial i therefore owns its randomness regardless of scheduling,
 so any partition of the trial range into streams produces bitwise
 identical tallies, and tallies merge as a commutative monoid.
 
-A draw is the top 53 bits k of a lane's hash and stands for the double
-u = k * 2^-53. The engine never forms u: each float64 comparison on u is
-made on k against the exact integer threshold it implies, so the lane
-scheme, and with it every tally, is what comparing u in floating point
-gives.
+A draw is the top 53 bits k of a lane's hash and stands for u = k * 2^-53.
+The state draw compares k with the exact integer form of each float64
+comparison on u, so it is what comparing u in floating point gives. Each
+side's switch digit cuts one draw at exact rational boundaries.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,10 +28,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Counter stride per trial; lanes 0-4 are consumed (state, A-failure,
-# A-setting, B-failure, B-setting), the rest are reserved headroom.
+# Recorded in run manifests. Scheme 1 hashed a failure and a setting lane per side.
+RNG_SCHEME = 2
+
+# Counter stride per trial. Lane 0 draws the state and lanes 2 and 4 the
+# switch digits of sides A and B; lanes 1, 3 and 5-7 are reserved headroom.
 _LANES = 8
-_STATE_LANE, _FAIL_A_LANE, _SET_A_LANE, _FAIL_B_LANE, _SET_B_LANE = range(5)
+_STATE_LANE, _SIDE_A_LANE, _SIDE_B_LANE = 0, 2, 4
 MAX_TRIALS = 1 << 60
 
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
@@ -71,19 +72,16 @@ class SimulationPlan:
             raise ValueError("n_streams must be >= 1")
 
 
-def _ceil_k(x: float) -> int:
-    """Least k with k / _ONE >= x, exactly: ceil(x * 2^53)."""
-    num, den = x.as_integer_ratio()
+def _ceil_k(num: int, den: int) -> int:
+    """Least k with k / _ONE >= num / den, exactly: ceil(num * 2^53 / den)."""
     return -(-num * _ONE // den)
 
 
-# A setting is 1 + int(u * 3.0). The rounding of u * 3.0 moves its
-# boundaries off ceil(j * 2^53 / 3) (k = (2^54 - 1) / 3 rounds up to 2.0),
-# so the thresholds bisect that float expression itself.
-_SET_1, _SET_2 = (
-    bisect_left(range(_ONE), True, key=lambda k, j=j: k * 2.0**-53 * 3.0 >= j)
-    for j in (1, 2)
-)
+def _switch_thresholds(p) -> tuple[int, ...]:
+    """t_j = ceil(2^53 (p + j (1 - p) / 3)) for j = 0, 1, 2, exactly, for
+    the rational failure probability p: digit = #{j : k >= t_j}."""
+    num, den = p.numerator, p.denominator
+    return tuple(_ceil_k(3 * num + j * (den - num), 3 * den) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -94,36 +92,35 @@ class _Sampler:
     a guide table over the top bits of k (bucket = k >> bucket_shift holds
     the state of its least k) and then search_steps rounds of branchless
     binary search. There are at least 8K buckets; search_steps is at
-    most ceil(log2 K) and is 1 when no bucket holds two thresholds. A
-    side fails when k < its fail threshold; otherwise its setting is
-    1 + (k >= _SET_1) + (k >= _SET_2). cells maps (state, switch_a * 4 +
-    switch_b) to the cell code: the source's state_cells.
+    most ceil(log2 K) and is 1 when no bucket holds two thresholds.
+    switch_a and switch_b are _switch_thresholds. cells maps (state,
+    switch_a * 4 + switch_b) to the cell code: the source's state_cells.
     """
 
     thresholds: np.ndarray
     guide: np.ndarray
     bucket_shift: int
     search_steps: int
-    fail_a: int
-    fail_b: int
+    switch_a: tuple[int, ...]
+    switch_b: tuple[int, ...]
     cells: np.ndarray
 
 
 def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     """Integer thresholds for the draws of config, built once per run.
 
-    Each threshold is the exact integer form of a comparison of u with a
-    float64: the cumulative weight fractions and the failure
-    probabilities, each rendered to float64. The cumulative fractions come
-    from the source's integer state masses, which the exact oracle reads
-    too; int / int is correctly rounded, so acc / total is that float64.
+    Each state threshold is the exact integer form of a comparison of u
+    with a cumulative weight fraction rendered to float64. The fractions
+    come from the source's integer state masses, which the exact oracle
+    reads too; int / int is correctly rounded, so acc / total is that
+    float64.
     """
     masses, total = config.source.state_masses
     acc = 0
     cum = []
     for mass in masses:
         acc += mass
-        cum.append(_ceil_k(acc / total))
+        cum.append(_ceil_k(*(acc / total).as_integer_ratio()))
     if cum[-1] != _ONE:
         raise ValueError(f"source weights sum to {acc}/{total}, not 1")
     inner = cum[:-1]
@@ -141,8 +138,8 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
         guide=guide,
         bucket_shift=shift,
         search_steps=steps,
-        fail_a=_ceil_k(float(config.detector_a.failure_probability)),
-        fail_b=_ceil_k(float(config.detector_b.failure_probability)),
+        switch_a=_switch_thresholds(config.detector_a.failure_probability),
+        switch_b=_switch_thresholds(config.detector_b.failure_probability),
         cells=np.array(config.source.state_cells),
     )
 
@@ -166,6 +163,21 @@ def _draw_state(k, tables: _Sampler, st, t, h, sc) -> np.ndarray:
     return st
 
 
+def _switch_digits(k, thresholds, sw, h) -> np.ndarray:
+    """Switch digit #{j : k >= thresholds[j]} of each draw in k, into sw
+    (uint8); h is a bool scratch buffer the size of k."""
+    t0, t1, t2 = map(np.uint64, thresholds)
+    np.greater_equal(k, t1, out=h)
+    if t0:
+        np.greater_equal(k, t0, out=sw.view(bool))
+        np.add(sw, h, out=sw)
+    else:  # p = 0: every k meets t0 = 0, so it is not compared
+        np.add(h, 1, out=sw, dtype=np.uint8)
+    np.greater_equal(k, t2, out=h)
+    np.add(sw, h, out=sw)
+    return sw
+
+
 def _run_range(lo: int, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     """Cell counts of trials [lo, hi) under the 64-bit seed."""
     return _run_chunks(iter(range(lo, hi, _CHUNK)), threading.Lock(), hi, seed, tables)
@@ -181,7 +193,6 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
     size = min(_CHUNK, hi)
     u64 = np.uint64
     stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    offsets = [u64(((lane + 1) * _GAMMA + seed) & _MASK64) for lane in range(5)]
     base, k, tmp = (np.empty(size, dtype=u64) for _ in range(3))
     state, scratch = (np.empty(size, dtype=np.intp) for _ in range(2))
     hit = np.empty(size, dtype=bool)
@@ -191,7 +202,7 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
     def draw(lane, m):
         """k = mix64((8 i + lane + 1) * GAMMA + seed) >> 11 per trial i."""
         z, t = k[:m], tmp[:m]
-        np.add(base[:m], offsets[lane], out=z)
+        np.add(base[:m], u64(((lane + 1) * _GAMMA + seed) & _MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, u64(shift), out=t)
             np.bitwise_xor(z, t, out=z)
@@ -201,35 +212,21 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
         np.right_shift(z, u64(11), out=z)
         return z
 
-    def switch(fail_lane, set_lane, fail, out, m):
-        """Switch digits 0-3 of one side into out; at p = 0 the failure
-        lane cannot change them and is not hashed."""
-        sw = out[:m]
-        z, h = draw(set_lane, m), hit[:m]
-        np.greater_equal(z, u64(_SET_1), out=h)
-        np.add(h, 1, out=sw, dtype=np.uint8)
-        np.greater_equal(z, u64(_SET_2), out=h)
-        np.add(sw, h, out=sw)
-        if fail:
-            z = draw(fail_lane, m)
-            np.greater_equal(z, u64(fail), out=h)
-            np.multiply(sw, h, out=sw)
-        return sw
-
     while True:
         with lock:
             start = next(starts, None)
         if start is None:
             break
         m = min(_CHUNK, hi - start)
+        h = hit[:m]
         np.add(stride[:m], u64(start * _LANES * _GAMMA & _MASK64), out=base[:m])
-        pair = switch(_FAIL_A_LANE, _SET_A_LANE, tables.fail_a, sw_a, m)
+        pair = _switch_digits(draw(_SIDE_A_LANE, m), tables.switch_a, sw_a[:m], h)
         np.left_shift(pair, 2, out=pair)
-        np.add(pair, switch(_FAIL_B_LANE, _SET_B_LANE, tables.fail_b, sw_b, m), out=pair)
+        np.add(pair, _switch_digits(draw(_SIDE_B_LANE, m), tables.switch_b, sw_b[:m], h), out=pair)
         # Count (state, switch_a, switch_b) triples; cells folds the
         # histogram into the cell codec once, after the last chunk.
         z = draw(_STATE_LANE, m)
-        st = _draw_state(z, tables, state[:m], tmp[:m], hit[:m], scratch[:m])
+        st = _draw_state(z, tables, state[:m], tmp[:m], h, scratch[:m])
         np.left_shift(st, 4, out=st)
         np.add(st, pair, out=st)
         hist += np.bincount(st, minlength=hist.size)
@@ -259,11 +256,11 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     weights that count trials, over the total plan.n_trials.
 
     Per trial: a pair state is drawn by weight, then each side
-    independently draws failure (probability p) before a uniform setting,
-    and the outcome is the instruction lookup with failure forcing
-    NoFlash. plan.n_streams workers take chunks of the trial range in
-    turn and their partial tallies are merged; the result is bitwise
-    identical for any stream count because every trial owns its counters.
+    independently draws failure (probability p) or a uniform setting, and
+    the outcome is the instruction lookup with failure forcing NoFlash.
+    plan.n_streams workers take chunks of the trial range in turn and
+    their partial tallies are merged; the result is bitwise identical for
+    any stream count because every trial owns its counters.
     """
     plan.config.validate()
     cap = _worker_cap()

@@ -1,8 +1,11 @@
-"""The integer-threshold engine against the float sampler it replaces.
+"""The integer-threshold engine against a reference sampler written from
+the definitions.
 
 Every draw is a 53-bit integer k standing for u = k 2^-53; the engine
-compares k with integer thresholds instead of comparing u with floats.
-These tests pin that the two give the same tallies, draw for draw.
+compares k with integer thresholds. The reference draws the state as a
+float searchsorted of u over the cumulative weights, and each side's
+switch digit as an exact rational partition of k. These tests pin that
+the two give the same tallies, draw for draw.
 """
 
 import math
@@ -27,11 +30,10 @@ from merminsim.model import (
 from merminsim.montecarlo import (
     MAX_TRIALS,
     _CHUNK,
-    _SET_1,
-    _SET_2,
     _draw_state,
     _run_range,
     _sampler_tables,
+    _switch_digits,
 )
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -47,11 +49,23 @@ def float_cumulative(config):
     )
 
 
+def exact_digits(k, p):
+    """Switch digit of each draw k at failure probability p = num / den:
+    #{j : 3 den k >= 2^53 (3 num + j (den - num))}, in Python ints."""
+    num, den = p.numerator, p.denominator
+    scaled = k.astype(object) * (3 * den)
+    return sum(
+        (scaled >= ONE * (3 * num + j * (den - num))).astype(np.int64) for j in range(3)
+    )
+
+
 def reference_run_range(lo, hi, seed, config):
-    """Float form of the sampler, the oracle for the integer engine:
-    lane j of trial i is u = (mix64((8 i + j + 1) GAMMA + seed) >> 11) 2^-53,
-    the state is a searchsorted over float cumulative weights, and each
-    side's outcome is gathered from its own (state, switch) table."""
+    """Reference form of the sampler, the oracle for the integer engine:
+    lane j of trial i is k = mix64((8 i + j + 1) GAMMA + seed) >> 11, the
+    state is a searchsorted of u = k 2^-53 over float cumulative weights,
+    each side's switch digit is exact_digits of its lane (2 for A, 4 for
+    B), and each side's outcome is gathered from its own (state, switch)
+    table."""
     entries = config.source.renormalized()
     cum = float_cumulative(config)
     no_flash = outcome_index(Outcome.NO_FLASH)
@@ -62,17 +76,15 @@ def reference_run_range(lo, hi, seed, config):
     )
     trial = np.arange(lo, hi, dtype=U64)
 
-    def uniforms(lane):
+    def draws(lane):
         z = (trial * U64(8) + U64(lane + 1)) * U64(GAMMA) + U64(seed)
         for shift, mult in ((30, MIX1), (27, MIX2)):
             z = (z ^ (z >> U64(shift))) * U64(mult)
-        return ((z ^ (z >> U64(31))) >> U64(11)).astype(np.float64) * 2.0**-53
+        return (z ^ (z >> U64(31))) >> U64(11)
 
-    state = np.searchsorted(cum, uniforms(0), side="right")
-    p_a = float(config.detector_a.failure_probability)
-    p_b = float(config.detector_b.failure_probability)
-    sw_a = np.where(uniforms(1) < p_a, 0, 1 + (uniforms(2) * 3.0).astype(np.int64))
-    sw_b = np.where(uniforms(3) < p_b, 0, 1 + (uniforms(4) * 3.0).astype(np.int64))
+    state = np.searchsorted(cum, draws(0).astype(np.float64) * 2.0**-53, side="right")
+    sw_a = exact_digits(draws(2), config.detector_a.failure_probability)
+    sw_b = exact_digits(draws(4), config.detector_b.failure_probability)
     cell = ((sw_a * 4 + sw_b) * 3 + table_a[state, sw_a]) * 3 + table_b[state, sw_b]
     return np.bincount(cell, minlength=N_CELLS)
 
@@ -141,7 +153,7 @@ SOURCES = {
     offset=st.integers(1, _CHUNK - 1),
     span=st.integers(2 * _CHUNK, 3 * _CHUNK),
 )
-def test_bit_identical_to_float_sampler(source, p_a, p_b, seed, first_chunk, offset, span):
+def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk, offset, span):
     config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
     lo = first_chunk * _CHUNK + offset
     expected = reference_run_range(lo, lo + span, seed, config)
@@ -172,13 +184,24 @@ def test_state_draw_at_every_threshold_and_bucket_edge(name):
 
 
 @pytest.mark.parametrize(
-    "p", [Fraction(1, 5), Fraction(1, 10), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**9)]
+    "p",
+    [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(1, 10), Fraction(1, 3),
+     Fraction(2, 3), Fraction(1, 10**9), Fraction(99, 100)],
 )
-def test_failure_threshold_edges(p):
-    config = ExperimentConfig(source=SOURCES["table1"])
-    fail = _sampler_tables(config.with_failure_probabilities(p, 0)).fail_a
-    k = edges([fail])
-    assert np.array_equal(k < U64(fail), k.astype(np.float64) * 2.0**-53 < float(p))
+def test_switch_digits_at_every_threshold_edge(p):
+    # Side B runs at 1 - p, so a table built for the wrong side shows.
+    config = ExperimentConfig(source=SOURCES["table1"]).with_failure_probabilities(p, 1 - p)
+    tables = _sampler_tables(config)
+    for prob, thresholds in ((p, tables.switch_a), (1 - p, tables.switch_b)):
+        k = edges(thresholds)
+        got = _switch_digits(
+            k, thresholds, np.empty(len(k), dtype=np.uint8), np.empty(len(k), dtype=bool)
+        )
+        assert np.array_equal(got, exact_digits(k, prob))
+        # t_j is the least draw whose digit exceeds j.
+        for j, t in enumerate(thresholds):
+            assert t == ONE or exact_digits(np.array([t], dtype=U64), prob)[0] > j
+            assert t == 0 or exact_digits(np.array([t - 1], dtype=U64), prob)[0] <= j
 
 
 def test_in_bucket_search_is_logarithmic():
@@ -204,13 +227,16 @@ def test_search_rounds_do_not_vary_between_random_weight_sources():
     assert rounds == {2}
 
 
-def test_setting_thresholds_reproduce_float_rounding():
-    # (2^54 - 1) / 3 * 3 * 2^-53 = 2 - 2^-53 rounds up to 2.0, one
-    # draw below the exact boundary ceil(2^54 / 3).
-    assert _SET_2 == (2**54 - 1) // 3
-    for k in (0, _SET_1 - 1, _SET_1, _SET_2 - 1, _SET_2, ONE - 1):
-        u_times_3 = np.float64(k) * 2.0**-53 * 3.0
-        assert 1 + (k >= _SET_1) + (k >= _SET_2) == 1 + int(u_times_3)
+def test_scheme_2_differs_from_scheme_1_at_p_0_on_one_draw():
+    # Scheme 1 set the digit to 1 + int(u * 3.0) in float64. Both digits
+    # are non-decreasing steps in k, so agreeing on each side of t1 and
+    # of t2 - 1 pins every step: (2^54 - 1) / 3 * 2^-53 * 3 = 2 - 2^-53
+    # rounds up to 2.0, one draw below the exact t2 = ceil(2^54 / 3).
+    t0, t1, t2 = _sampler_tables(ExperimentConfig(source=SOURCES["table1"])).switch_a
+    assert (t0, t1, t2) == (0, -(-ONE // 3), -(-2 * ONE // 3))
+    k = edges([t1, t2 - 1])
+    scheme_1 = 1 + (k.astype(np.float64) * 2.0**-53 * 3.0).astype(np.int64)
+    assert k[scheme_1 != exact_digits(k, Fraction(0))].tolist() == [(2**54 - 1) // 3]
 
 
 def test_weights_not_summing_to_one_are_rejected(monkeypatch):
