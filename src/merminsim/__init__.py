@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .model import (
     ALL_EIGHT_SETS,
+    CaseStats,
     CellWeights,
     ConfigurationError,
     DetectorModel,
@@ -29,7 +30,6 @@ from .model import (
     merge,
 )
 from .exact import (
-    CaseStats,
     DegenerateConditioningError,
     case_b_same_fraction,
     conditional_stats,
@@ -41,12 +41,11 @@ from .montecarlo import SimulationPlan, run_trials
 from .stats import (
     ComparisonReport,
     Estimate,
-    EstimatedCaseStats,
     IndependenceTestResult,
     NoCoincidencesError,
+    chi_square_tail_dof8,
     compare,
     estimate_stats,
-    regularized_gamma_q,
     settings_independence_test,
     wilson_interval,
 )

@@ -247,7 +247,7 @@ def _estimate_json(est) -> dict:
 
 
 def _stats_json(stats, field_json: Callable[[Any], dict]) -> dict:
-    """One JSON entry per declared statistic of a CaseStats-shaped object;
+    """One JSON entry per declared statistic of a CaseStats;
     coincidence rates nest under their name, keyed by setting digits."""
     out: dict = {}
     for stat in STATISTICS:
@@ -417,7 +417,7 @@ def cmd_simulate(args) -> int:
     _write_reports(
         {
             tally_path: ([*_CELL_COLUMNS, "count"], _cell_rows(tally.weights)),
-            stats_path: {**_stats_json(stats, _estimate_json), "n_trials": stats.n_trials},
+            stats_path: {**_stats_json(stats, _estimate_json), "n_trials": tally.total},
             manifest_path: _manifest(args, doc, n, seed, outputs),
         }
     )

@@ -18,16 +18,15 @@ from .model import (
     ALL_EIGHT_SETS,
     ALL_SETTING_PAIRS,
     CASE_B_PAIRS,
+    CaseStats,
     CellWeights,
     ConfigurationError,
     ExperimentConfig,
     InstructionSet,
     STATISTICS,
     SetClass,
-    SettingPair,
     WeightLike,
     as_fraction,
-    statistic_fields,
     statistic_sums,
 )
 
@@ -66,46 +65,14 @@ def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     )
 
 
-@dataclass(frozen=True)
-class CaseStats:
-    """Conditional statistics of an experiment, as exact rationals.
-
-    p_same_case_a / p_same_case_b are the same-colour probabilities among
-    double flashes at equal / different settings. eta_a and eta_b are the
-    per-detector flash probabilities, factored as eta = eta_u * eta_f:
-    eta_f = 1 - p is the apparatus part and eta_u the particle part (the
-    chance the instruction at the selected setting is not N).
-
-    coincidence_rate maps each setting pair to the probability that a
-    trial aimed at that pair yields two flashes: the both-flash mass of
-    the pair divided by the 1/9 chance of aiming at it. It equals the
-    realized-pair conditional when p_a = p_b = 0 and scales by
-    (1 - p_a)(1 - p_b) under detector failure, while the case conditionals
-    and eta_u do not move.
-
-    A field is None (never zero) when its conditioning event has
-    probability zero.
-    """
-
-    p_same_case_a: Union[Fraction, None]
-    p_same_case_b: Union[Fraction, None]
-    eta_a: Fraction
-    eta_b: Fraction
-    eta_u_a: Union[Fraction, None]
-    eta_u_b: Union[Fraction, None]
-    eta_f_a: Fraction
-    eta_f_b: Fraction
-    coincidence_rate: Mapping[SettingPair, Fraction]
-
-
-def conditional_stats(table: CellWeights) -> CaseStats:
+def conditional_stats(table: CellWeights) -> CaseStats[Union[Fraction, None]]:
     """Exact CaseStats of cell weights, a law or a tally: each statistic is
     scale * numerator / denominator of its declared cell weights."""
     values = [
         Fraction(stat.scale * num, den) if den else None
         for stat, (num, den) in zip(STATISTICS, statistic_sums(table.weights))
     ]
-    return CaseStats(**statistic_fields(values))
+    return CaseStats.from_values(values)
 
 
 def case_b_same_fraction(s: InstructionSet) -> Fraction:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class ConfigurationError(ValueError):
@@ -469,11 +469,9 @@ def builtin_distribution(
 ) -> SourceDistribution:
     """One of the named source distributions.
 
-    "single" takes the pair state as a second argument or inline as
-    "single:XXX-YYY"; the other builtins take no argument.
+    "single" takes the pair state as a second argument; the other
+    builtins take no argument.
     """
-    if name.startswith("single:") and state is None:
-        name, state = "single", name.split(":", 1)[1]
     if name == "table1_uniform":
         weight = Fraction(1, 12)
         return SourceDistribution(tuple((p, weight) for p in TABLE1_PAIRS))
@@ -599,7 +597,7 @@ class Statistic:
         return self.name if self.pair is None else f"{self.name}[{self.key}]"
 
     def read(self, stats):
-        """This statistic's field of a CaseStats-shaped object."""
+        """This statistic's field of a CaseStats."""
         value = getattr(stats, self.name)
         return value if self.pair is None else value[self.pair]
 
@@ -703,9 +701,39 @@ def statistic_sums(weights: Sequence[int]) -> list[tuple[int, int]]:
     return [(sums[s.numerator], sums[s.denominator]) for s in STATISTICS]
 
 
-def statistic_fields(values: Sequence) -> dict:
-    """Keyword arguments of a CaseStats-shaped object from one value per
-    statistic in declaration order; coincidence rates map by setting pair."""
-    scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.pair is None}
-    rates = {s.pair: v for s, v in zip(STATISTICS, values) if s.pair is not None}
-    return {**scalars, "coincidence_rate": MappingProxyType(rates)}
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class CaseStats(Generic[T]):
+    """One value per declared statistic, each field as STATISTICS defines
+    it: exact rationals from conditional_stats (CaseStats[Fraction | None])
+    or estimates with errors from estimate_stats (CaseStats[Estimate]).
+
+    eta = eta_u * eta_f per detector: eta_f = 1 - p is the apparatus part
+    and eta_u the particle part (the chance the instruction at the selected
+    setting is not N). A coincidence rate equals the realized-pair
+    conditional when p_a = p_b = 0 and scales by (1 - p_a)(1 - p_b) under
+    detector failure, while the case conditionals and eta_u do not move.
+
+    An exact field is None (never zero), and an estimate undefined, when
+    its conditioning event has probability or count zero.
+    """
+
+    p_same_case_a: T
+    p_same_case_b: T
+    eta_a: T
+    eta_b: T
+    eta_u_a: T
+    eta_u_b: T
+    eta_f_a: T
+    eta_f_b: T
+    coincidence_rate: Mapping[SettingPair, T]
+
+    @classmethod
+    def from_values(cls, values: Sequence[T]) -> "CaseStats[T]":
+        """The record of one value per statistic in declaration order;
+        coincidence rates map by setting pair."""
+        scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.pair is None}
+        rates = {s.pair: v for s, v in zip(STATISTICS, values) if s.pair is not None}
+        return cls(**scalars, coincidence_rate=MappingProxyType(rates))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CellWeights, ConfigurationError, ExperimentConfig, N_CELLS
+from .model import CellWeights, ExperimentConfig, N_CELLS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -236,21 +236,6 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
     return counts
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("MERMIN_SIM_THREADS")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"MERMIN_SIM_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if cap < 1:
-            raise ConfigurationError(f"MERMIN_SIM_THREADS must be at least 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
-
-
 def run_trials(plan: SimulationPlan) -> CellWeights:
     """Simulate plan.n_trials independent trials into a tally: cell
     weights that count trials, over the total plan.n_trials.
@@ -258,12 +243,12 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     Per trial: a pair state is drawn by weight, then each side
     independently draws failure (probability p) or a uniform setting, and
     the outcome is the instruction lookup with failure forcing NoFlash.
-    plan.n_streams workers take chunks of the trial range in turn and
-    their partial tallies are merged; the result is bitwise identical for
-    any stream count because every trial owns its counters.
+    plan.n_streams workers (at most one per CPU) take chunks of the trial
+    range in turn and their partial tallies are merged; the result is
+    bitwise identical for any stream count because every trial owns its
+    counters.
     """
     plan.config.validate()
-    cap = _worker_cap()
     if plan.n_trials == 0:
         return CellWeights.empty()
     tables = _sampler_tables(plan.config)
@@ -272,7 +257,7 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     starts = iter(range(0, plan.n_trials, _CHUNK))
     lock = threading.Lock()
     chunks = -(-plan.n_trials // _CHUNK)
-    workers = min(plan.n_streams, cap, chunks)
+    workers = min(plan.n_streams, os.cpu_count() or 1, chunks)
 
     def work(_):
         return _run_chunks(starts, lock, plan.n_trials, seed, tables)

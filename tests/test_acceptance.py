@@ -23,7 +23,12 @@ from merminsim.model import (
     builtin_distribution,
 )
 from merminsim.montecarlo import SimulationPlan, run_trials
-from merminsim.stats import compare, estimate_stats, regularized_gamma_q, settings_independence_test
+from merminsim.stats import (
+    chi_square_tail_dof8,
+    compare,
+    estimate_stats,
+    settings_independence_test,
+)
 
 N_ACCEPT = 1_000_000
 SEED = 1
@@ -192,18 +197,18 @@ def test_criterion_7_oracle_cross_validation():
     )
 
 
-def test_criterion_8_gamma_kernel_against_mpmath():
-    mpmath.mp.dps = 50
-    grid = [(a, x) for a in (0.5, 1.0, 2.5, 4.0, 10.0) for x in (0.1, 1.0, 5.0, 20.0)]
-    assert len(grid) == 20
+def test_criterion_8_chi_square_tail_against_mpmath():
+    # Midpoints of 2000 equal steps over [0, 200]; the tail there runs from
+    # about 1 down to 7e-39, all normal doubles.
+    grid = [(i + 0.5) / 10 for i in range(2000)]
     worst = 0.0
-    for a, x in grid:
-        mine = regularized_gamma_q(a, x)
-        reference = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
-        worst = max(worst, abs(mine - reference))
-    assert worst < 1e-10
+    with mpmath.workdps(50):
+        for x in grid:
+            reference = mpmath.gammainc(4, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+            worst = max(worst, float(abs((chi_square_tail_dof8(x) - reference) / reference)))
+    assert worst < 1e-15
 
     print(
-        f"\nPASS criterion 8: regularized_gamma_q within {worst:.2e} of a "
-        f"50-digit independent evaluation on the 20-point grid"
+        f"\nPASS criterion 8: the dof-8 chi-square tail within relative {worst:.2e} "
+        f"of a 50-digit independent evaluation at {len(grid)} points over [0, 200]"
     )

@@ -1,9 +1,9 @@
 """The import graph inside the package, read from the source with ast.
 
-The engine (montecarlo) only counts, stats estimates and tests, and the
-exact oracle and the statistic algebra in model sit below both. Every
-import statement counts, wherever it sits, `if TYPE_CHECKING:` blocks
-included.
+The engine (montecarlo) only counts, stats estimates and tests, and exact
+computes the exact law; the three sit side by side on the statistic
+algebra in model and import none of each other. Every import statement
+counts, wherever it sits, `if TYPE_CHECKING:` blocks included.
 """
 
 import ast
@@ -19,7 +19,7 @@ LAYERS = {
     "model": set(),
     "exact": {"model"},
     "montecarlo": {"model"},
-    "stats": {"model", "exact"},
+    "stats": {"model"},
 }
 
 

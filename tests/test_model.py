@@ -103,8 +103,8 @@ class TestBuiltinDistributions:
     def test_single(self):
         d = builtin_distribution("single", "GNR-GGR")
         assert d.entries == ((PairState.parse("GNR-GGR"), Fraction(1)),)
-        inline = builtin_distribution("single:GNR-GGR")
-        assert inline == d
+        with pytest.raises(ConfigurationError, match="unknown builtin"):
+            builtin_distribution("single:GNR-GGR")
 
     def test_single_without_state_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -71,17 +72,21 @@ class TestRunTrials:
         assert base == split
 
     def test_worker_cap_does_not_change_result(self, monkeypatch):
+        # Small chunks, so the CPU count and not the chunk count caps the workers.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         base = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
-        monkeypatch.setenv("MERMIN_SIM_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         capped = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
         assert base == capped
 
     @pytest.mark.parametrize("streams", [2, 3, 8])
     def test_threads_sharing_chunks_count_every_trial_once(self, streams, monkeypatch):
         base = run_trials(plan_for("table1_uniform", 30_500, seed=17, p_a=Fraction(1, 5)))
-        # Small chunks and no thread cap, so each worker takes many chunks.
+        # Small chunks and a CPU count above the stream count, so every
+        # stream gets a worker and each worker takes many chunks.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-        monkeypatch.setenv("MERMIN_SIM_THREADS", "8")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         split = run_trials(
             plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
         )

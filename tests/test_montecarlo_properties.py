@@ -37,8 +37,8 @@ def configs():
 def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
     # 64-trial chunks give every one of three workers several chunks to
     # take from the shared queue.
-    with mock.patch.object(montecarlo, "_CHUNK", 64), mock.patch.dict(
-        os.environ, {"MERMIN_SIM_THREADS": "3"}
+    with mock.patch.object(montecarlo, "_CHUNK", 64), mock.patch.object(
+        os, "cpu_count", return_value=3
     ):
         tallies = [run_trials(SimulationPlan(config, n, seed, streams)) for streams in (1, 2, 3)]
     assert tallies[0] == tallies[1] == tallies[2]

@@ -150,7 +150,7 @@ def test_declared_statistics_match_reference_derivations(source, p_a, p_b, seed)
     tally = run_trials(SimulationPlan(config, n_trials=3000, seed=seed))
     estimated = estimate_stats(tally)
     assert_same_fields(estimated, reference_estimates(tally))
-    assert estimated.n_trials == 3000
+    assert tally.total == 3000
 
     observed = reference_observed(tally)
     if sum(observed.values()) == 0:

@@ -1,18 +1,22 @@
-import math
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 
-from merminsim.exact import ALL_SETTING_PAIRS, CaseStats
-from merminsim.model import CellWeights, ExperimentConfig, Setting, builtin_distribution
+from merminsim.model import (
+    ALL_SETTING_PAIRS,
+    CaseStats,
+    CellWeights,
+    ExperimentConfig,
+    Setting,
+    builtin_distribution,
+)
 from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import (
     Estimate,
-    EstimatedCaseStats,
     NoCoincidencesError,
+    chi_square_tail_dof8,
     compare,
-    regularized_gamma_q,
     settings_independence_test,
 )
 
@@ -41,7 +45,7 @@ def make_pair(exact_case_b, est_case_b):
         coincidence_rate=MappingProxyType({pair: zero for pair in ALL_SETTING_PAIRS}),
     )
     one = exact_estimate(1.0)
-    est = EstimatedCaseStats(
+    est = CaseStats(
         p_same_case_a=exact_estimate(1.0),
         p_same_case_b=est_case_b,
         eta_a=one,
@@ -51,7 +55,6 @@ def make_pair(exact_case_b, est_case_b):
         eta_f_a=one,
         eta_f_b=one,
         coincidence_rate={pair: exact_estimate(0.0) for pair in ALL_SETTING_PAIRS},
-        n_trials=1,
     )
     return exact, est
 
@@ -187,47 +190,21 @@ class TestSettingsIndependence:
         assert result.p_value > 0.001
 
 
-class TestRegularizedGammaQ:
+class TestChiSquareTailDof8:
     def test_at_zero(self):
-        for a in (0.3, 1.0, 4.0, 25.0):
-            assert regularized_gamma_q(a, 0.0) == 1.0
-
-    def test_half_against_erfc(self):
-        # Q(1/2, x) = erfc(sqrt(x)); math.erfc is an independent evaluation.
-        for x in (0.25, 1.0, 4.0):
-            assert regularized_gamma_q(0.5, x) == pytest.approx(
-                math.erfc(math.sqrt(x)), abs=1e-12
-            )
-
-    def test_integer_a_against_poisson_sum(self):
-        # Oracle: for integer a, Q(a, x) = exp(-x) * sum_{k<a} x^k / k!.
-        for a in (1, 4, 7):
-            for x in (0.5, 8.0, 30.0):
-                expected = math.exp(-x) * sum(x**k / math.factorial(k) for k in range(a))
-                assert regularized_gamma_q(float(a), x) == pytest.approx(expected, abs=1e-12)
+        assert chi_square_tail_dof8(0.0) == 1.0
 
     def test_chi_square_example(self):
         # dof 8 at statistic 16 -> Q(4, 8)
-        assert regularized_gamma_q(4.0, 8.0) == pytest.approx(0.04238011199168, abs=1e-10)
+        assert chi_square_tail_dof8(16.0) == pytest.approx(0.04238011199168, abs=1e-14)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_gamma_q(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_q(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_q(1.0, -0.5)
-
-    def test_monotone_decreasing_in_x(self):
-        # Non-strict everywhere (Q saturates at 1.0 in double precision when
-        # the lower tail is below epsilon), strict once it leaves saturation.
-        for a in (0.5, 1.0, 2.5, 4.0, 10.0):
-            values = [regularized_gamma_q(a, x) for x in (0.0, 0.1, 0.5, 1, 2, 5, 10, 25, 60)]
-            for earlier, later in zip(values, values[1:]):
-                assert earlier >= later
-                if earlier < 1.0:
-                    assert earlier > later
+    def test_non_increasing(self):
+        grid = [0.0, 1e-12, 0.1, 0.5, 1, 2, 5, 8, 10, 16, 25, 60, 200, 700, 1500, 3500]
+        values = [chi_square_tail_dof8(x) for x in grid]
+        for earlier, later in zip(values, values[1:]):
+            assert earlier >= later
 
     def test_tails(self):
-        assert regularized_gamma_q(1.0, 700.0) == pytest.approx(0.0, abs=1e-300)
-        assert regularized_gamma_q(4.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+        assert chi_square_tail_dof8(1e-12) == pytest.approx(1.0, abs=1e-12)
+        # The explicit_entries golden verify report's statistic.
+        assert chi_square_tail_dof8(3355.4613481292645) == 0.0
