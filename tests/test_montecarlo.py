@@ -80,6 +80,14 @@ class TestRunTrials:
         capped = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
         assert base == capped
 
+    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch):
+        # os.cpu_count() may return None; the run then takes one worker.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        base = run_trials(plan_for("table1_uniform", 20_000, seed=13))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        unknown = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=4))
+        assert base == unknown
+
     @pytest.mark.parametrize("streams", [2, 3, 8])
     def test_threads_sharing_chunks_count_every_trial_once(self, streams, monkeypatch):
         base = run_trials(plan_for("table1_uniform", 30_500, seed=17, p_a=Fraction(1, 5)))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -203,6 +204,34 @@ class TestChiSquareTailDof8:
         values = [chi_square_tail_dof8(x) for x in grid]
         for earlier, later in zip(values, values[1:]):
             assert earlier >= later
+
+    # Upper-tail critical values of chi-square with 8 degrees of freedom,
+    # as printed (to 3 decimals) in standard statistical tables.
+    @pytest.mark.parametrize(
+        "critical, tail",
+        [
+            (1.646, 0.99),
+            (2.733, 0.95),
+            (3.490, 0.90),
+            (13.362, 0.10),
+            (15.507, 0.05),
+            (20.090, 0.01),
+            (26.124, 0.001),
+        ],
+    )
+    def test_published_critical_values(self, critical, tail):
+        # Rounding the critical value to 3 decimals moves the tail by at
+        # most about 2e-4 of itself.
+        assert chi_square_tail_dof8(critical) == pytest.approx(tail, rel=5e-4)
+
+    def test_slope_is_the_dof8_density(self):
+        # -dQ/dx is the chi-square density x^3 e^(-x/2) / 96, checked by
+        # central differences.
+        step = 1e-5
+        for x in (0.5, 2.0, 6.0, 8.0, 15.0, 40.0):
+            slope = (chi_square_tail_dof8(x - step) - chi_square_tail_dof8(x + step)) / (2 * step)
+            density = x**3 * math.exp(-x / 2) / 96
+            assert slope == pytest.approx(density, rel=1e-6)
 
     def test_tails(self):
         assert chi_square_tail_dof8(1e-12) == pytest.approx(1.0, abs=1e-12)
