@@ -119,7 +119,7 @@ def _build_source(spec: Any) -> SourceDistribution:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"source.entries[{i}].weight: {exc}") from None
             built.append((entry["state"], weight))
-        return SourceDistribution.from_entries(built)
+        return SourceDistribution(built)
     raise ConfigurationError("source: needs either a builtin name or an entries list")
 
 
@@ -166,7 +166,7 @@ def _exact_decimals(obj: Any, where: str) -> Any:
 
 
 def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a JSON experiment description.
+    """Parse and check a JSON experiment description.
 
     Decimal literals are read exactly (0.1 means 1/10) and weights accept
     "num/den" strings. Returns the config and the raw document, which
@@ -193,7 +193,6 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
         raise ConfigurationError(f"{path}: missing source")
     try:
         source = _build_source(doc["source"])
-        source.validate()
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: source: {type(exc).__name__}: {exc}") from None
     try:
@@ -353,11 +352,13 @@ def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
     if args.n is not None:
         n, n_name = args.n, "--n"
     else:
-        n, n_name = _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), "n_trials"), "n_trials"
+        n_name = f"{args.config}: n_trials"
+        n = _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), n_name)
     if args.seed is not None:
         seed, seed_name = args.seed, "--seed"
     else:
-        seed, seed_name = _as_int(doc.get("seed", DEFAULT_SEED), "seed"), "seed"
+        seed_name = f"{args.config}: seed"
+        seed = _as_int(doc.get("seed", DEFAULT_SEED), seed_name)
     if not 0 <= n < MAX_TRIALS:
         raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {n}")
     if not 0 <= seed < MAX_SEED:

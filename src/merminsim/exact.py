@@ -3,7 +3,7 @@
 Every quantity produced here is a Fraction obtained by summing finitely
 many products of exact weights and switch probabilities, so equalities
 like "the case-b same-colour rate is exactly 1/4" are decidable with no
-tolerance. This module is the oracle the Monte Carlo engine is validated
+tolerance. This module is the oracle the Monte Carlo engine is checked
 against.
 """
 
@@ -53,7 +53,6 @@ def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     mass * law_a[digit_a] * law_b[digit_b] in integers over one
     denominator, total * 9 * den(p_a) * den(p_b).
     """
-    config.validate()
     masses, total = config.source.cell_masses
     p_a = config.detector_a.failure_probability
     p_b = config.detector_b.failure_probability

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Generic, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class ConfigurationError(ValueError):
@@ -117,15 +117,6 @@ SWITCH_POSITIONS: tuple[SwitchPosition, ...] = (FAILURE,) + SETTINGS
 
 def switch_digit(sw: SwitchPosition) -> int:
     return 0 if sw is FAILURE else sw.value
-
-
-def switch_from_digit(digit: int) -> SwitchPosition:
-    if digit == 0:
-        return FAILURE
-    try:
-        return Setting(digit)
-    except ValueError:
-        raise ConfigurationError(f"unknown switch digit {digit!r}") from None
 
 
 class SetClass(Enum):
@@ -257,43 +248,31 @@ def as_fraction(value: WeightLike) -> Fraction:
 
 @dataclass(frozen=True)
 class SourceDistribution:
-    """Weighted list of pair states emitted by the source."""
+    """Weighted list of pair states emitted by the source.
+
+    Building one checks it: states may be given as text ("GNR-GGR") and
+    weights as anything as_fraction reads, and a list that is empty, has a
+    negative weight, repeats a state or does not sum to 1 (within
+    WEIGHT_SUM_TOLERANCE) raises the DistributionError naming the fault.
+    """
 
     entries: tuple[tuple[PairState, Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
-
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[tuple[Union[PairState, str], WeightLike]]
-    ) -> "SourceDistribution":
-        built = []
-        for index, (state, weight) in enumerate(entries):
+        entries = []
+        for index, (state, weight) in enumerate(self.entries):
             if isinstance(state, str):
                 state = PairState.parse(state)
             elif not isinstance(state, PairState):
                 raise ConfigurationError(
                     f"entry {index}: expected a pair state, got {state!r}"
                 )
-            built.append((state, as_fraction(weight)))
-        return cls(tuple(built))
-
-    def validate(self) -> None:
-        """Raise a DistributionError naming the offending entry, if any.
-
-        The entries never change, so a passing check is remembered; a
-        failing one raises again on every call.
-        """
-        self._validated
-
-    @functools.cached_property
-    def _validated(self) -> bool:
-        if not self.entries:
+            entries.append((state, as_fraction(weight)))
+        if not entries:
             raise EmptyDistributionError("source distribution has no entries")
         seen: set[PairState] = set()
         total = Fraction(0)
-        for index, (state, weight) in enumerate(self.entries):
+        for index, (state, weight) in enumerate(entries):
             if weight < 0:
                 raise NegativeWeightError(
                     f"entry {index} ({state}) has negative weight {weight}"
@@ -306,15 +285,13 @@ class SourceDistribution:
             raise WeightSumMismatchError(
                 f"weights sum to {total} (~{float(total):.12g}), expected 1"
             )
-        return True
+        object.__setattr__(self, "entries", tuple(entries))
 
     @functools.cached_property
     def state_masses(self) -> tuple[tuple[int, ...], int]:
         """Each entry's weight as an integer mass over the common
         denominator of the weights, and the total mass: entry i has
-        probability masses[i] / total. Computed once per source, after
-        validate() passes."""
-        self.validate()
+        probability masses[i] / total. Computed once per source."""
         denominator = math.lcm(*(w.denominator for _, w in self.entries))
         masses = tuple(w.numerator * (denominator // w.denominator) for _, w in self.entries)
         return masses, sum(masses)
@@ -325,8 +302,9 @@ class SourceDistribution:
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
         side. The exact oracle and the Monte Carlo engine both read it."""
-        # OUTCOMES.index is outcome_index without hashing an Enum, which
-        # runs in Python: this is the one per-state pass of a source.
+        # Inline arithmetic over OUTCOMES.index, not _CELL_INDEX: hashing an
+        # Enum member runs in Python, which costs about 2 ms on 729 states in
+        # this, the one per-state pass of a source.
         no_flash = OUTCOMES.index(Outcome.NO_FLASH)
         cells = []
         for state, _ in self.entries:
@@ -365,8 +343,6 @@ class SourceDistribution:
     def renormalized(self) -> tuple[tuple[PairState, Fraction], ...]:
         """Entries with weights divided by the exact total, summing to 1."""
         total = self.total_weight()
-        if total == 0:
-            raise WeightSumMismatchError("weights sum to 0; cannot renormalize")
         return tuple((state, weight / total) for state, weight in self.entries)
 
     def swapped(self) -> "SourceDistribution":
@@ -392,10 +368,6 @@ class DetectorModel:
             raise ConfigurationError(f"failure probability {p} outside [0, 1]")
         object.__setattr__(self, "failure_probability", p)
 
-    @property
-    def fair_efficiency(self) -> Fraction:
-        return 1 - self.failure_probability
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -410,16 +382,13 @@ class ExperimentConfig:
     detector_a: DetectorModel = DetectorModel()
     detector_b: DetectorModel = DetectorModel()
 
-    def validate(self) -> None:
-        self.source.validate()
-
     def with_failure_probabilities(
         self, p_a: WeightLike, p_b: WeightLike
     ) -> "ExperimentConfig":
         return ExperimentConfig(
             source=self.source,
-            detector_a=DetectorModel(as_fraction(p_a)),
-            detector_b=DetectorModel(as_fraction(p_b)),
+            detector_a=DetectorModel(p_a),
+            detector_b=DetectorModel(p_b),
         )
 
 
@@ -488,8 +457,6 @@ def builtin_distribution(
     if name == "single":
         if state is None:
             raise ConfigurationError('builtin "single" requires a pair state')
-        if isinstance(state, str):
-            state = PairState.parse(state)
         return SourceDistribution(((state, Fraction(1)),))
     raise ConfigurationError(
         f"unknown builtin distribution {name!r} (expected one of {', '.join(BUILTIN_NAMES)})"
@@ -506,29 +473,10 @@ CellKey = tuple[SwitchPosition, SwitchPosition, Outcome, Outcome]
 
 N_CELLS = 4 * 4 * 3 * 3
 
-_OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
-
-
-def outcome_index(o: Outcome) -> int:
-    return _OUTCOME_INDEX[o]
-
-
-def cell_index(
-    swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome
-) -> int:
-    return ((switch_digit(swa) * 4 + switch_digit(swb)) * 3 + outcome_index(oa)) * 3 + outcome_index(ob)
-
-
 # Codec order: switch_a digit, switch_b digit, outcome_a, outcome_b.
 _CELLS: tuple[CellKey, ...] = tuple(
     itertools.product(SWITCH_POSITIONS, SWITCH_POSITIONS, OUTCOMES, OUTCOMES)
 )
-
-
-def cell_at(index: int) -> CellKey:
-    if not 0 <= index < N_CELLS:
-        raise IndexError(f"cell index {index} out of range")
-    return _CELLS[index]
 
 
 def iter_cells() -> Iterator[CellKey]:
@@ -542,15 +490,10 @@ def encode_cell(
     return f"{switch_digit(swa)}{switch_digit(swb)}{oa.letter}{ob.letter}"
 
 
-def decode_cell(text: str) -> CellKey:
-    if len(text) != 4:
-        raise ConfigurationError(f"cell text must be 4 characters, got {text!r}")
-    return (
-        switch_from_digit(int(text[0])),
-        switch_from_digit(int(text[1])),
-        Outcome.from_letter(text[2]),
-        Outcome.from_letter(text[3]),
-    )
+# The index of each cell, keyed both by its CellKey and by its text.
+_CELL_INDEX: dict[Union[CellKey, str], int] = {
+    key: index for index, cell in enumerate(_CELLS) for key in (cell, encode_cell(*cell))
+}
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +622,11 @@ class CellWeights:
         """Weights of the cells keyed by text ("12GR") or CellKey; others 0."""
         cells = [0] * N_CELLS
         for key, value in weights.items():
-            cells[cell_index(*(decode_cell(key) if isinstance(key, str) else key))] += value
+            cells[_CELL_INDEX[key]] += value
         return cls(tuple(cells), sum(cells))
 
     def weight(self, swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome) -> int:
-        return self.weights[cell_index(swa, swb, oa, ob)]
+        return self.weights[_CELL_INDEX[swa, swb, oa, ob]]
 
 
 def merge(a: CellWeights, b: CellWeights) -> CellWeights:

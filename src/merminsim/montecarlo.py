@@ -248,7 +248,6 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     bitwise identical for any stream count because every trial owns its
     counters.
     """
-    plan.config.validate()
     if plan.n_trials == 0:
         return CellWeights.empty()
     tables = _sampler_tables(plan.config)

@@ -326,14 +326,16 @@ class TestRunFlagErrors:
         ("verify", ["--threshold", "0"], {}, "--threshold"),
         ("simulate", ["--seed", "-1"], {}, "--seed"),
         ("verify", ["--seed", str(1 << 64)], {}, "--seed"),
-        ("simulate", [], {"seed": 1 << 64}, "seed"),
+        ("simulate", [], {"seed": 1 << 64}, "cfg.json: seed"),
+        ("simulate", [], {"seed": None}, "cfg.json: seed: expected an integer"),
+        ("verify", [], {"n_trials": -1}, "cfg.json: n_trials"),
     ]
 
     @pytest.mark.parametrize(
         "command, extra, fields, named", CASES, ids=[case[-1] for case in CASES]
     )
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, extra, fields, named):
-        cfg = write_config(tmp_path, n_trials=1000, **fields)
+        cfg = write_config(tmp_path, **{"n_trials": 1000, **fields})
         argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *extra]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err

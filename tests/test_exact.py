@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,17 @@ from merminsim.model import (
     ALL_EIGHT_SETS,
     CellWeights,
     ConfigurationError,
+    DuplicateStateError,
+    EmptyDistributionError,
     ExperimentConfig,
     FAILURE,
     InstructionSet,
+    NegativeWeightError,
     Outcome,
     SETTINGS,
     Setting,
     TABLE1_PAIRS,
+    WeightSumMismatchError,
     builtin_distribution,
     iter_cells,
 )
@@ -107,11 +112,8 @@ class TestEnumerateJoint:
     def test_invalid_distribution_rejected(self):
         from merminsim.model import SourceDistribution
 
-        bad = ExperimentConfig(
-            source=SourceDistribution.from_entries([("GGR-GGR", "1/2")])
-        )
         with pytest.raises(ConfigurationError):
-            enumerate_joint(bad)
+            SourceDistribution([("GGR-GGR", "1/2")])
 
 
 class TestConditionalStats:
@@ -268,27 +270,29 @@ class TestDetectorInvariance:
 
 class TestSourceMemo:
     @pytest.mark.parametrize(
-        "entries",
+        "entries, error",
         [
-            [],
-            [("GGR-GGR", "1/2")],
-            [("GGR-GGR", "3/2"), ("GNR-GGR", "-1/2")],
-            [("GGR-GGR", "1/2"), ("GGR-GGR", "1/2")],
+            ([], EmptyDistributionError),
+            ([("GGR-GGR", "1/2")], WeightSumMismatchError),
+            ([("GGR-GGR", "3/2"), ("GNR-GGR", "-1/2")], NegativeWeightError),
+            ([("GGR-GGR", "1/2"), ("GGR-GGR", "1/2")], DuplicateStateError),
         ],
         ids=["empty", "sum", "negative", "duplicate"],
     )
-    def test_invalid_source_raises_the_same_error_every_time(self, entries):
+    def test_invalid_source_is_refused_when_built(self, tmp_path, capsys, entries, error):
+        from merminsim.cli import EXIT_CONFIG, main
         from merminsim.model import SourceDistribution
 
-        source = SourceDistribution.from_entries(entries)
-        config = ExperimentConfig(source=source)
-        errors = []
-        for check in (source.validate, source.validate, lambda: enumerate_joint(config),
-                      lambda: enumerate_joint(config), lambda: source.cell_masses):
-            with pytest.raises(ConfigurationError) as info:
-                check()
-            errors.append((type(info.value), str(info.value)))
-        assert len(set(errors)) == 1
+        with pytest.raises(ConfigurationError) as info:
+            SourceDistribution(entries)
+        assert type(info.value) is error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"source": {"entries": [{"state": s, "weight": w} for s, w in entries]}}
+        ))
+        argv = ["enumerate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert f"source: {error.__name__}: {info.value}" in capsys.readouterr().err
 
     def test_detector_settings_share_one_pass_per_source(self):
         config = config_for("table1_uniform")

@@ -30,7 +30,6 @@ ALL_PAIRS = tuple(
 
 def reference_joint(config):
     """Joint law by full enumeration over states and both switch laws."""
-    config.validate()
     entries = config.source.renormalized()
 
     def switch_law(p):

@@ -20,12 +20,12 @@ from merminsim.model import (
     ALL_INSTRUCTION_SETS,
     ExperimentConfig,
     N_CELLS,
+    OUTCOMES,
     Outcome,
     PairState,
     SETTINGS,
     SourceDistribution,
     builtin_distribution,
-    outcome_index,
 )
 from merminsim.montecarlo import (
     MAX_TRIALS,
@@ -68,9 +68,9 @@ def reference_run_range(lo, hi, seed, config):
     table."""
     entries = config.source.renormalized()
     cum = float_cumulative(config)
-    no_flash = outcome_index(Outcome.NO_FLASH)
+    no_flash = OUTCOMES.index(Outcome.NO_FLASH)
     table_a, table_b = (
-        np.array([[no_flash] + [outcome_index(side(s).outcome_at(x)) for x in SETTINGS]
+        np.array([[no_flash] + [OUTCOMES.index(side(s).outcome_at(x)) for x in SETTINGS]
                   for s, _ in entries])
         for side in (lambda s: s.alice, lambda s: s.bob)
     )
