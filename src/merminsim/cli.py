@@ -36,7 +36,6 @@ from .model import (
     encode_cell,
     iter_cells,
     parse_rational,
-    switch_digit,
 )
 from .montecarlo import MAX_TRIALS, RNG_SCHEME, SimulationPlan, run_trials
 from .stats import (
@@ -282,7 +281,7 @@ _CELL_COLUMNS = ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell"]
 def _cell_rows(values: Iterable[Any]) -> list[list[Any]]:
     """One CSV row per cell in codec order, ending in that cell's value."""
     return [
-        [switch_digit(swa), switch_digit(swb), oa.letter, ob.letter,
+        [swa.value, swb.value, oa.letter, ob.letter,
          encode_cell(swa, swb, oa, ob), value]
         for (swa, swb, oa, ob), value in zip(iter_cells(), values)
     ]

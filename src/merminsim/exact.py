@@ -127,8 +127,6 @@ class DetectorInvarianceReport:
     eta = eta_u * eta_f holds exactly per detector at every swept p.
     """
 
-    p_values: tuple[Fraction, ...]
-    baseline: CaseStats
     stats_by_p: tuple[CaseStats, ...]
     conditionals_invariant: bool
     coincidence_scaling_exact: bool
@@ -144,7 +142,7 @@ class DetectorInvarianceReport:
 
 
 def detector_invariance_check(
-    config: ExperimentConfig, p_values: Sequence[WeightLike]
+    config: ExperimentConfig, grid: Sequence[WeightLike]
 ) -> DetectorInvarianceReport:
     """Sweep both detectors' failure probabilities and report what moves.
 
@@ -153,7 +151,7 @@ def detector_invariance_check(
     the exact statement behind "blaming the detectors keeps the statistics
     of the detected sample intact".
     """
-    ps = tuple(as_fraction(p) for p in p_values)
+    ps = tuple(as_fraction(p) for p in grid)
     for p in ps:
         if p == 1:
             raise DegenerateConditioningError(
@@ -188,8 +186,6 @@ def detector_invariance_check(
     )
 
     return DetectorInvarianceReport(
-        p_values=ps,
-        baseline=baseline,
         stats_by_p=stats_by_p,
         conditionals_invariant=conditionals_invariant,
         coincidence_scaling_exact=coincidence_scaling_exact,

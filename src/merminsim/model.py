@@ -80,7 +80,6 @@ class Outcome(Enum):
 
 
 OUTCOMES = (Outcome.GREEN, Outcome.RED, Outcome.NO_FLASH)
-COLORS = (Outcome.GREEN, Outcome.RED)
 
 
 class Setting(Enum):
@@ -113,10 +112,6 @@ FAILURE = _FailurePosition.FAILURE
 SwitchPosition = Union[Setting, _FailurePosition]
 
 SWITCH_POSITIONS: tuple[SwitchPosition, ...] = (FAILURE,) + SETTINGS
-
-
-def switch_digit(sw: SwitchPosition) -> int:
-    return 0 if sw is FAILURE else sw.value
 
 
 class SetClass(Enum):
@@ -189,9 +184,6 @@ class PairState:
                 f"pair state text must look like XXX-YYY, got {text!r}"
             )
         return cls(InstructionSet.parse(parts[0]), InstructionSet.parse(parts[1]))
-
-    def swapped(self) -> "PairState":
-        return PairState(self.bob, self.alice)
 
     def encode(self) -> str:
         return f"{self.alice}-{self.bob}"
@@ -302,9 +294,9 @@ class SourceDistribution:
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
         side. The exact oracle and the Monte Carlo engine both read it."""
-        # Inline arithmetic over OUTCOMES.index, not _CELL_INDEX: hashing an
-        # Enum member runs in Python, which costs about 2 ms on 729 states in
-        # this, the one per-state pass of a source.
+        # Inline arithmetic over OUTCOMES.index, not a dict keyed by cell:
+        # hashing an Enum member runs in Python, which costs about 2 ms on 729
+        # states in this, the one per-state pass of a source.
         no_flash = OUTCOMES.index(Outcome.NO_FLASH)
         cells = []
         for state, _ in self.entries:
@@ -337,18 +329,10 @@ class SourceDistribution:
                 masses[cell] += mass
         return tuple(masses), total
 
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.entries), Fraction(0))
-
     def renormalized(self) -> tuple[tuple[PairState, Fraction], ...]:
         """Entries with weights divided by the exact total, summing to 1."""
-        total = self.total_weight()
+        total = sum((w for _, w in self.entries), Fraction(0))
         return tuple((state, weight / total) for state, weight in self.entries)
-
-    def swapped(self) -> "SourceDistribution":
-        return SourceDistribution(
-            tuple((state.swapped(), w) for state, w in self.entries)
-        )
 
 
 @dataclass(frozen=True)
@@ -487,13 +471,7 @@ def iter_cells() -> Iterator[CellKey]:
 def encode_cell(
     swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome
 ) -> str:
-    return f"{switch_digit(swa)}{switch_digit(swb)}{oa.letter}{ob.letter}"
-
-
-# The index of each cell, keyed both by its CellKey and by its text.
-_CELL_INDEX: dict[Union[CellKey, str], int] = {
-    key: index for index, cell in enumerate(_CELLS) for key in (cell, encode_cell(*cell))
-}
+    return f"{swa.value}{swb.value}{oa.letter}{ob.letter}"
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +594,6 @@ class CellWeights:
     @classmethod
     def empty(cls) -> "CellWeights":
         return cls((0,) * N_CELLS, 0)
-
-    @classmethod
-    def from_mapping(cls, weights: Mapping[Union[CellKey, str], int]) -> "CellWeights":
-        """Weights of the cells keyed by text ("12GR") or CellKey; others 0."""
-        cells = [0] * N_CELLS
-        for key, value in weights.items():
-            cells[_CELL_INDEX[key]] += value
-        return cls(tuple(cells), sum(cells))
-
-    def weight(self, swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome) -> int:
-        return self.weights[_CELL_INDEX[swa, swb, oa, ob]]
 
 
 def merge(a: CellWeights, b: CellWeights) -> CellWeights:

@@ -117,9 +117,6 @@ class ComparisonReport:
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def failures(self) -> tuple[ComparisonRow, ...]:
-        return tuple(row for row in self.rows if not row.passed)
-
 
 def _compare_one(
     name: str,

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from merminsim import cli
 from merminsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -245,6 +247,21 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
         assert "FAIL mc-vs-exact" in capsys.readouterr().out
+
+    def test_independence_p_value_at_alpha_fails(self, tmp_path, capsys, monkeypatch):
+        # A p-value equal to alpha is not above it.
+        real = cli.settings_independence_test
+        monkeypatch.setattr(
+            cli,
+            "settings_independence_test",
+            lambda tally: dataclasses.replace(real(tally), p_value=cli.INDEPENDENCE_ALPHA),
+        )
+        cfg = write_config(tmp_path)
+        code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        stdout = capsys.readouterr().out
+        assert "FAIL settings-independence" in stdout
+        assert "PASS mc-vs-exact" in stdout
+        assert code == EXIT_VERIFY
 
     def test_corrupt_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

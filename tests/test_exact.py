@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from merminsim import exact as exact_module
 from merminsim.exact import (
     ALL_SETTING_PAIRS,
     DegenerateConditioningError,
@@ -24,13 +26,17 @@ from merminsim.model import (
     InstructionSet,
     NegativeWeightError,
     Outcome,
+    PairState,
     SETTINGS,
     Setting,
+    SourceDistribution,
     TABLE1_PAIRS,
     WeightSumMismatchError,
     builtin_distribution,
     iter_cells,
 )
+
+from cells import cell_weight
 
 
 def config_for(name, state=None, p_a=0, p_b=0):
@@ -57,8 +63,8 @@ G, R, N = Outcome.GREEN, Outcome.RED, Outcome.NO_FLASH
 class TestEnumerateJoint:
     def test_single_ggr_identical_pair(self):
         t = enumerate_joint(config_for("single", "GGR-GGR"))
-        assert Fraction(t.weight(S1, S1, G, G), t.total) == Fraction(1, 9)
-        assert Fraction(t.weight(S1, S3, G, R), t.total) == Fraction(1, 9)
+        assert Fraction(cell_weight(t, S1, S1, G, G), t.total) == Fraction(1, 9)
+        assert Fraction(cell_weight(t, S1, S3, G, R), t.total) == Fraction(1, 9)
         noflash_mass = sum(
             w
             for (swa, swb, oa, ob), w in zip(iter_cells(), t.weights)
@@ -68,8 +74,8 @@ class TestEnumerateJoint:
 
     def test_single_gnr_ggr(self):
         t = enumerate_joint(config_for("single", "GNR-GGR"))
-        assert Fraction(t.weight(S2, S1, N, G), t.total) == Fraction(1, 9)
-        assert Fraction(t.weight(S1, S2, G, G), t.total) == Fraction(1, 9)
+        assert Fraction(cell_weight(t, S2, S1, N, G), t.total) == Fraction(1, 9)
+        assert Fraction(cell_weight(t, S1, S2, G, G), t.total) == Fraction(1, 9)
 
     def test_table1_noflash_mass_on_a(self):
         # Oracle: count N instructions over the roster's A-side columns;
@@ -97,7 +103,7 @@ class TestEnumerateJoint:
         t = enumerate_joint(config_for("table1_uniform"))
         for sa, sb in ALL_SETTING_PAIRS:
             mass = sum(
-                t.weight(sa, sb, oa, ob)
+                cell_weight(t, sa, sb, oa, ob)
                 for oa in (G, R, N)
                 for ob in (G, R, N)
             )
@@ -160,7 +166,11 @@ class TestConditionalStats:
 
     def test_symmetry_under_particle_exchange(self):
         base = config_for("table1_uniform")
-        swapped = ExperimentConfig(source=base.source.swapped())
+        swapped = ExperimentConfig(
+            source=SourceDistribution(
+                tuple((PairState(p.bob, p.alice), w) for p, w in base.source.entries)
+            )
+        )
         st1 = conditional_stats(enumerate_joint(base))
         st2 = conditional_stats(enumerate_joint(swapped))
         assert st1 == st2
@@ -258,6 +268,24 @@ class TestDetectorInvariance:
     def test_accepts_string_probabilities(self):
         report = detector_invariance_check(config_for("table1_uniform"), ["1/5", 0.5])
         assert report.passed
+
+    @pytest.mark.parametrize("field", ["eta_a", "eta_b"])
+    def test_broken_eta_product_fails(self, monkeypatch, field):
+        # One side's eta no longer equals eta_u * eta_f: only
+        # eta_multiplicative may notice, and it must.
+        real = exact_module.conditional_stats
+
+        def perturbed(table):
+            st = real(table)
+            return dataclasses.replace(st, **{field: getattr(st, field) + Fraction(1, 1000)})
+
+        monkeypatch.setattr(exact_module, "conditional_stats", perturbed)
+        report = detector_invariance_check(
+            config_for("table1_uniform"), [0, Fraction(1, 5), Fraction(1, 2)]
+        )
+        assert report.conditionals_invariant and report.coincidence_scaling_exact
+        assert not report.eta_multiplicative
+        assert not report.passed
 
     def test_p_equal_one_rejected(self):
         with pytest.raises(DegenerateConditioningError):

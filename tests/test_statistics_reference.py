@@ -18,9 +18,9 @@ from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
     ALL_SETTING_PAIRS,
     CASE_B_PAIRS,
-    COLORS,
     ExperimentConfig,
     FAILURE,
+    Outcome,
     SETTINGS,
 )
 from merminsim.montecarlo import SimulationPlan, run_trials
@@ -31,6 +31,8 @@ from merminsim.stats import (
     settings_independence_test,
 )
 from test_exact_reference import failure_probabilities, random_sources, reference_joint
+
+COLORS = (Outcome.GREEN, Outcome.RED)
 
 SCALARS = (
     "p_same_case_a",

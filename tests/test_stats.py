@@ -21,6 +21,8 @@ from merminsim.stats import (
     settings_independence_test,
 )
 
+from cells import cell_weights
+
 
 def exact_estimate(value):
     """A zero-variance estimate exactly equal to value."""
@@ -88,7 +90,14 @@ class TestCompare:
         assert row.z == pytest.approx(-8.33, abs=0.01)
         assert not row.passed
         assert not report.all_pass
-        assert report.failures() == (row,)
+        assert [r for r in report.rows if not r.passed] == [row]
+
+    def test_z_at_threshold_passes(self):
+        # z = (0.75 - 1/2) / 0.125 = 2 exactly, in binary floating point too.
+        exact, est = make_pair(Fraction(1, 2), Estimate(0.75, 0.125, 0.5, 1.0, 12, 16))
+        row = row_named(compare(exact, est, threshold=2.0), "p_same_case_b")
+        assert row.z == 2.0 and row.passed
+        assert not row_named(compare(exact, est, threshold=1.999), "p_same_case_b").passed
 
     def test_zero_variance_mismatch_fails(self):
         exact, est = make_pair(Fraction(1), exact_estimate(0.9))
@@ -130,7 +139,7 @@ def uniform_coincidence_tally(count_per_cell):
     for sa in Setting:
         for sb in Setting:
             cells[f"{sa.digit}{sb.digit}GG"] = count_per_cell
-    return CellWeights.from_mapping(cells)
+    return cell_weights(cells)
 
 
 class TestSettingsIndependence:
@@ -148,7 +157,7 @@ class TestSettingsIndependence:
             for sb in Setting
             if not (sa is Setting.S1 and sb is Setting.S1)
         }
-        tally = CellWeights.from_mapping(cells)
+        tally = cell_weights(cells)
         result = settings_independence_test(tally)
         # Oracle: expected = 9000/9 = 1000, so the statistic is
         # 1000^2/1000 + 8 * 125^2/1000 = 1125.
@@ -161,9 +170,9 @@ class TestSettingsIndependence:
             "21GG": 20, "22GG": 10, "23GG": 20,
             "31GG": 10, "32GG": 20, "33GG": 10,
         }
-        small = settings_independence_test(CellWeights.from_mapping(cells_small))
+        small = settings_independence_test(cell_weights(cells_small))
         tripled = settings_independence_test(
-            CellWeights.from_mapping({k: 3 * v for k, v in cells_small.items()})
+            cell_weights({k: 3 * v for k, v in cells_small.items()})
         )
         assert tripled.statistic == pytest.approx(3 * small.statistic)
         # Only the statistic-0 case is invariant under uniform scaling.
@@ -172,7 +181,7 @@ class TestSettingsIndependence:
         assert zero.statistic == zero_scaled.statistic == 0.0
 
     def test_failures_and_singles_excluded(self):
-        tally = CellWeights.from_mapping(
+        tally = cell_weights(
             {"11GG": 100, "01NG": 50, "10GN": 50, "12GN": 25, "00NN": 25}
         )
         result = settings_independence_test(tally)
@@ -182,7 +191,7 @@ class TestSettingsIndependence:
         with pytest.raises(NoCoincidencesError):
             settings_independence_test(CellWeights.empty())
         with pytest.raises(NoCoincidencesError):
-            settings_independence_test(CellWeights.from_mapping({"11NN": 40}))
+            settings_independence_test(cell_weights({"11NN": 40}))
 
     def test_simulated_table1_not_extreme(self):
         cfg = ExperimentConfig(source=builtin_distribution("table1_uniform"))
