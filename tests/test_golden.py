@@ -1,5 +1,9 @@
-"""Every CLI output on two configs, diffed against files captured before
-the statistics were declared over the cell codec.
+"""Every CLI output on three configs, diffed against captured files.
+
+table1_uniform and explicit_entries were captured before the statistics
+were declared over the cell codec; lossy_table1 (failure probabilities
+1/5 and 1/10) pins the failure-position cells, eta_f < 1 and the switch
+thresholds at p > 0.
 
 tests/golden/<config>/<command>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
@@ -15,7 +19,7 @@ from merminsim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-CONFIGS = ("table1_uniform", "explicit_entries")
+CONFIGS = ("table1_uniform", "explicit_entries", "lossy_table1")
 COMMANDS = {
     "enumerate": [],
     "simulate": ["--n", "20000", "--seed", "1"],
