@@ -19,12 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__
-from .exact import (
-    DegenerateConditioningError,
-    conditional_stats,
-    detector_invariance_check,
-    enumerate_joint,
-)
+from .exact import conditional_stats, detector_invariance_check, enumerate_joint
 from .model import (
     ConfigurationError,
     DetectorModel,
@@ -461,7 +456,7 @@ def cmd_verify(args) -> int:
         independence_json = {
             **asdict(independence),
             "observed": {
-                f"{sa.digit}{sb.digit}": count for (sa, sb), count in independence.observed.items()
+                stat.key: independence.observed[stat.pair] for stat in STATISTICS if stat.pair
             },
         }
     except NoCoincidencesError:
@@ -641,7 +636,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DegenerateConditioningError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -23,16 +23,12 @@ from .model import (
     ConfigurationError,
     ExperimentConfig,
     InstructionSet,
+    Outcome,
     STATISTICS,
-    SetClass,
     WeightLike,
     as_fraction,
     statistic_sums,
 )
-
-
-class DegenerateConditioningError(ValueError):
-    """A requested statistic conditions on an event of probability zero."""
 
 
 def _switch_weights(p: Fraction) -> tuple[int, int, int, int]:
@@ -81,7 +77,7 @@ def case_b_same_fraction(s: InstructionSet) -> Fraction:
     Only defined for sets without a no-flash entry; mixed cases belong to
     enumerate_joint.
     """
-    if s.classify() is SetClass.WITH_NO_FLASH:
+    if Outcome.NO_FLASH in s.outcomes:
         raise ValueError(
             f"{s} contains a no-flash instruction; case-b fraction is defined "
             "for flash-only sets"
@@ -144,7 +140,8 @@ class DetectorInvarianceReport:
 def detector_invariance_check(
     config: ExperimentConfig, grid: Sequence[WeightLike]
 ) -> DetectorInvarianceReport:
-    """Sweep both detectors' failure probabilities and report what moves.
+    """Sweep both detectors' failure probabilities over grid, whose every
+    point must lie in [0, 1), and report what moves.
 
     Detector-side loss must leave every conditional and the unfair
     efficiencies untouched, scaling only the coincidence rates; this is
@@ -153,10 +150,6 @@ def detector_invariance_check(
     """
     ps = tuple(as_fraction(p) for p in grid)
     for p in ps:
-        if p == 1:
-            raise DegenerateConditioningError(
-                "failure probability 1 leaves no detected events to condition on"
-            )
         if not 0 <= p < 1:
             raise ConfigurationError(f"failure probability {p} outside [0, 1)")
 

@@ -114,14 +114,6 @@ SwitchPosition = Union[Setting, _FailurePosition]
 SWITCH_POSITIONS: tuple[SwitchPosition, ...] = (FAILURE,) + SETTINGS
 
 
-class SetClass(Enum):
-    """Classification of an instruction set by its outcome pattern."""
-
-    HOMOGENEOUS = "homogeneous"
-    TWO_ONE = "two_one"
-    WITH_NO_FLASH = "with_no_flash"
-
-
 @dataclass(frozen=True)
 class InstructionSet:
     """Per-particle instructions: one outcome for each of the three settings.
@@ -151,13 +143,6 @@ class InstructionSet:
 
     def outcome_at(self, setting: Setting) -> Outcome:
         return self.outcomes[setting.value - 1]
-
-    def classify(self) -> SetClass:
-        if any(o is Outcome.NO_FLASH for o in self.outcomes):
-            return SetClass.WITH_NO_FLASH
-        if self.outcomes[0] is self.outcomes[1] is self.outcomes[2]:
-            return SetClass.HOMOGENEOUS
-        return SetClass.TWO_ONE
 
     def encode(self) -> str:
         return "".join(o.letter for o in self.outcomes)

@@ -110,7 +110,6 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    threshold: float
     rows: tuple[ComparisonRow, ...]
 
     @property
@@ -155,7 +154,7 @@ def compare(
         _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
         for stat in STATISTICS
     )
-    return ComparisonReport(threshold, tuple(row for row in rows if row is not None))
+    return ComparisonReport(tuple(row for row in rows if row is not None))
 
 
 @dataclass(frozen=True)

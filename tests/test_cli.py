@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merminsim import cli
 from merminsim.cli import (
@@ -346,6 +349,8 @@ class TestRunFlagErrors:
         ("simulate", [], {"seed": 1 << 64}, "cfg.json: seed"),
         ("simulate", [], {"seed": None}, "cfg.json: seed: expected an integer"),
         ("verify", [], {"n_trials": -1}, "cfg.json: n_trials"),
+        ("simulate", [], {"seed": True}, "cfg.json: seed: expected an integer, got True"),
+        ("verify", [], {"n_trials": False}, "cfg.json: n_trials: expected an integer, got False"),
     ]
 
     @pytest.mark.parametrize(
@@ -476,3 +481,79 @@ class TestExitCodes:
         elif case == "unattainable-threshold":
             extra = ["--threshold", "1e-9"]
         assert main([command, "--config", str(cfg), "--out-dir", str(out), *extra]) == code
+
+
+# The error contract as a property: JSON documents over the loader's field
+# names and junk, with exact and inexact numbers, bad texts and nesting,
+# run under enumerate, simulate and scan. Every run must end in a
+# documented exit code, never in a traceback.
+KEYS = ("source", "detector_a", "detector_b", "seed", "n_trials", "builtin", "state",
+        "entries", "weight", "failure_probability", "n_trial", "")
+TEXTS = ("table1_uniform", "two_one_uniform", "single", "GGR-GGR", "GNR-GGR", "NNN-NNN",
+         "GGX-GGR", "GGR", "GGR-GGR-GGR", "0.1", "1/3", "-1/2", "1/0", "3/2", "1e-5",
+         "1e999999999", "nan", "")
+LITERALS = ("null", "true", "false", "NaN", "Infinity", "-Infinity", "-0", "0.5", "1e400",
+            "1e999999999", "1e-999999999", str(1 << 64), "9" * 5000)
+# Values that pass the loader, so that some documents reach the engine.
+GOOD = {
+    "source": ('{"builtin": "table1_uniform"}', '{"builtin": "single", "state": "GNR-GGR"}',
+               '{"entries": [{"state": "GGR-GGR", "weight": "1/3"}, '
+               '{"state": "RRG-NRG", "weight": 0.6666666666666666666}]}'),
+    "detector_a": ('{"failure_probability": "1/5"}', '{"failure_probability": 0.1}'),
+    "detector_b": ('{}', '{"failure_probability": 0}'),
+    "seed": ("0", "7", str((1 << 64) - 1)),
+    "n_trials": ("0", "100"),
+}
+GRIDS = ("0,1/3,0.99", "0", "1", "0.5,0.5", "", ",", "-0", "1e-999999999", "nan")
+
+
+def json_texts():
+    leaves = st.one_of(
+        st.sampled_from(LITERALS),
+        st.integers(-2, 1 << 65).map(str),
+        st.sampled_from(TEXTS).map(json.dumps),
+        st.text(max_size=8).map(json.dumps),
+    )
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+            st.lists(st.tuples(st.sampled_from(KEYS), children), max_size=4).map(
+                lambda kvs: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in kvs) + "}"
+            ),
+        )
+
+    return st.recursive(leaves, containers, max_leaves=12)
+
+
+def documents():
+    fields = {key: st.one_of(st.sampled_from(good), json_texts()) for key, good in GOOD.items()}
+    optional = {key: value for key, value in fields.items() if key != "source"}
+    structured = st.fixed_dictionaries({"source": fields["source"]}, optional=optional).map(
+        lambda doc: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in doc.items()) + "}"
+    )
+    return st.one_of(json_texts(), structured)
+
+
+def argvs():
+    simulate = st.builds(
+        lambda n, streams: ["simulate", "--n", str(n), "--streams", str(streams)],
+        st.integers(0, 1000),
+        st.integers(1, 3),
+    )
+    scan = st.builds(
+        lambda parameter, grid: ["scan", "--parameter", parameter, f"--grid={grid}"],
+        st.sampled_from(("p_a", "p_b", "p_both")),
+        st.one_of(st.sampled_from(GRIDS), st.text(max_size=8)),
+    )
+    return st.one_of(st.just(["enumerate"]), simulate, scan)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=documents(), argv=argvs())
+def test_any_input_ends_in_a_documented_exit_code(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(doc, encoding="utf-8")
+        code = main([argv[0], "--config", str(cfg), "--out-dir", str(Path(tmp) / "out"), *argv[1:]])
+    assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY)

@@ -8,7 +8,6 @@ import pytest
 from merminsim import exact as exact_module
 from merminsim.exact import (
     ALL_SETTING_PAIRS,
-    DegenerateConditioningError,
     case_b_same_fraction,
     conditional_stats,
     detector_invariance_check,
@@ -17,6 +16,7 @@ from merminsim.exact import (
 )
 from merminsim.model import (
     ALL_EIGHT_SETS,
+    ALL_INSTRUCTION_SETS,
     CellWeights,
     ConfigurationError,
     DuplicateStateError,
@@ -218,8 +218,11 @@ class TestCaseBSameFraction:
             assert case_b_same_fraction(s) == brute_case_b_fraction(s.encode())
 
     def test_noflash_set_rejected(self):
-        with pytest.raises(ValueError, match="no-flash"):
-            case_b_same_fraction(InstructionSet.parse("GNR"))
+        with_no_flash = [s for s in ALL_INSTRUCTION_SETS if s not in ALL_EIGHT_SETS]
+        assert len(with_no_flash) == 19
+        for s in with_no_flash:
+            with pytest.raises(ValueError, match="no-flash"):
+                case_b_same_fraction(s)
 
     def test_agrees_with_enumeration_path(self):
         # Cross-validation of two independent code paths.
@@ -288,7 +291,7 @@ class TestDetectorInvariance:
         assert not report.passed
 
     def test_p_equal_one_rejected(self):
-        with pytest.raises(DegenerateConditioningError):
+        with pytest.raises(ConfigurationError, match="outside"):
             detector_invariance_check(config_for("table1_uniform"), [0, 1])
 
     def test_p_out_of_range_rejected(self):

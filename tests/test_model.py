@@ -17,7 +17,6 @@ from merminsim.model import (
     Outcome,
     PairState,
     SETTINGS,
-    SetClass,
     Setting,
     SourceDistribution,
     TABLE1_PAIRS,
@@ -50,31 +49,24 @@ class TestOutcomeFor:
                 assert s.outcome_at(k).is_flash
 
 
-class TestClassify:
-    def test_examples(self):
-        assert GGR.classify() is SetClass.TWO_ONE
-        assert InstructionSet.parse("GGG").classify() is SetClass.HOMOGENEOUS
-        assert GNR.classify() is SetClass.WITH_NO_FLASH
-
+class TestInstructionSets:
     def test_partition_of_all_27_sets(self):
-        # Oracle: enumerate the 3^3 outcome maps directly and count patterns.
-        counts = {SetClass.HOMOGENEOUS: 0, SetClass.TWO_ONE: 0, SetClass.WITH_NO_FLASH: 0}
+        # Oracle: enumerate the 3^3 outcome maps directly and sort them by
+        # pattern; the set constants must agree with that partition.
+        homogeneous, two_one, with_no_flash = [], [], []
         for letters in itertools.product("GRN", repeat=3):
+            s = InstructionSet.parse("".join(letters))
             if "N" in letters:
-                expected = SetClass.WITH_NO_FLASH
+                with_no_flash.append(s)
             elif letters[0] == letters[1] == letters[2]:
-                expected = SetClass.HOMOGENEOUS
+                homogeneous.append(s)
             else:
-                expected = SetClass.TWO_ONE
-            got = InstructionSet.parse("".join(letters)).classify()
-            assert got is expected
-            counts[got] += 1
-        assert counts == {
-            SetClass.HOMOGENEOUS: 2,
-            SetClass.TWO_ONE: 6,
-            SetClass.WITH_NO_FLASH: 19,
-        }
+                two_one.append(s)
+        assert (len(homogeneous), len(two_one), len(with_no_flash)) == (2, 6, 19)
+        assert set(TWO_ONE_SETS) == set(two_one)
+        assert set(ALL_EIGHT_SETS) == set(homogeneous + two_one)
         assert len(ALL_INSTRUCTION_SETS) == 27
+        assert set(ALL_INSTRUCTION_SETS) == set(homogeneous + two_one + with_no_flash)
 
 
 class TestBuiltinDistributions:
