@@ -8,13 +8,8 @@ from .model import (
     CellWeights,
     ConfigurationError,
     DetectorModel,
-    DistributionError,
-    DuplicateStateError,
-    EmptyDistributionError,
     ExperimentConfig,
-    NegativeWeightError,
     SourceDistribution,
-    WeightSumMismatchError,
     builtin_distribution,
     merge,
 )

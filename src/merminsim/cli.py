@@ -26,7 +26,6 @@ from .model import (
     ExperimentConfig,
     STATISTICS,
     SourceDistribution,
-    as_fraction,
     builtin_distribution,
     encode_cell,
     iter_cells,
@@ -60,18 +59,11 @@ MAX_SEED = 1 << 64
 
 
 def _as_int(value: Any, name: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
-
-
-def _require_str(value: Any, name: str) -> None:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{name}: expected a string, got {value!r}")
 
 
 def _check_fields(spec: dict, known: tuple[str, ...], where: str) -> None:
@@ -83,6 +75,9 @@ def _check_fields(spec: dict, known: tuple[str, ...], where: str) -> None:
 
 
 def _build_source(spec: Any) -> SourceDistribution:
+    """The source a config's source object gives. Only the JSON structure
+    is checked here; the model checks the values, and the field path of
+    each of its faults gets its source prefix here."""
     if not isinstance(spec, dict):
         raise ConfigurationError("source: expected an object")
     _check_fields(spec, ("builtin", "state", "entries"), "source")
@@ -91,30 +86,28 @@ def _build_source(spec: Any) -> SourceDistribution:
     if "builtin" in spec and "entries" in spec:
         raise ConfigurationError("source.entries: not allowed beside source.builtin")
     if "builtin" in spec:
-        _require_str(spec["builtin"], "source.builtin")
-        if spec.get("state") is not None:
-            _require_str(spec["state"], "source.state")
-        return builtin_distribution(spec["builtin"], spec.get("state"))
-    if "entries" in spec:
-        entries = spec["entries"]
-        if not isinstance(entries, list):
-            raise ConfigurationError("source.entries: expected a list")
-        built = []
-        for i, entry in enumerate(entries):
-            if isinstance(entry, dict):
-                _check_fields(entry, ("state", "weight"), f"source.entries[{i}]")
-            if not isinstance(entry, dict) or "state" not in entry or "weight" not in entry:
-                raise ConfigurationError(
-                    f"source.entries[{i}]: expected an object with state and weight"
-                )
-            _require_str(entry["state"], f"source.entries[{i}].state")
-            try:
-                weight = as_fraction(entry["weight"])
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"source.entries[{i}].weight: {exc}") from None
-            built.append((entry["state"], weight))
-        return SourceDistribution(built)
-    raise ConfigurationError("source: needs either a builtin name or an entries list")
+        # Beside a state the builtin is "single", so only the state can be at fault.
+        where = "source.state" if "state" in spec else "source.builtin"
+        try:
+            return builtin_distribution(spec["builtin"], spec.get("state"))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+    if "entries" not in spec:
+        raise ConfigurationError("source: needs either a builtin name or an entries list")
+    entries = spec["entries"]
+    if not isinstance(entries, list):
+        raise ConfigurationError("source.entries: expected a list")
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            _check_fields(entry, ("state", "weight"), f"source.entries[{i}]")
+        if not isinstance(entry, dict) or "state" not in entry or "weight" not in entry:
+            raise ConfigurationError(
+                f"source.entries[{i}]: expected an object with state and weight"
+            )
+    try:
+        return SourceDistribution([(entry["state"], entry["weight"]) for entry in entries])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"source.{exc}") from None
 
 
 def _build_detector(spec: Any, name: str) -> DetectorModel:
@@ -166,37 +159,28 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
     "num/den" strings. Returns the config and the raw document, which
     carries optional seed / n_trials defaults and feeds the run manifest.
     """
-    # ValueError covers bad UTF-8 or JSON and integers past the digit limit;
-    # RecursionError, here and in the walk, covers arrays nested too deep.
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-    try:
+        # ValueError covers bad UTF-8 or JSON and integers past the digit
+        # limit; RecursionError, here and in the walk, covers arrays nested
+        # too deep.
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"invalid JSON: {exc}") from None
         doc = _exact_decimals(doc, "")
-    except (ConfigurationError, RecursionError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: top level must be an object")
-    try:
+        if not isinstance(doc, dict):
+            raise ConfigurationError("top level must be an object")
         _check_fields(doc, ("source", "detector_a", "detector_b", "seed", "n_trials"), "")
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    if "source" not in doc:
-        raise ConfigurationError(f"{path}: missing source")
-    try:
-        source = _build_source(doc["source"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: source: {type(exc).__name__}: {exc}") from None
-    try:
+        if "source" not in doc:
+            raise ConfigurationError("missing source")
         config = ExperimentConfig(
-            source=source,
+            source=_build_source(doc["source"]),
             detector_a=_build_detector(doc.get("detector_a"), "detector_a"),
             detector_b=_build_detector(doc.get("detector_b"), "detector_b"),
         )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from None
+    except (ConfigurationError, RecursionError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return config, doc
 
 

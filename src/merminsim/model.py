@@ -24,27 +24,8 @@ from typing import Generic, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class ConfigurationError(ValueError):
-    """An experiment description is invalid (source, detector, or name)."""
-
-
-class DistributionError(ConfigurationError):
-    """A source distribution violates one of its invariants."""
-
-
-class EmptyDistributionError(DistributionError):
-    pass
-
-
-class NegativeWeightError(DistributionError):
-    pass
-
-
-class WeightSumMismatchError(DistributionError):
-    pass
-
-
-class DuplicateStateError(DistributionError):
-    pass
+    """An input is invalid: a source, a detector, a config field or a flag.
+    The one error type of every bad input."""
 
 
 # Absolute slack allowed on the weight sum of a source distribution. The
@@ -177,6 +158,14 @@ class PairState:
         return self.encode()
 
 
+def _pair_state(value: Union[PairState, str]) -> PairState:
+    if isinstance(value, PairState):
+        return value
+    if isinstance(value, str):
+        return PairState.parse(value)
+    raise ConfigurationError(f"expected a pair state, got {value!r}")
+
+
 WeightLike = Union[Fraction, int, float, str]
 
 
@@ -227,40 +216,41 @@ def as_fraction(value: WeightLike) -> Fraction:
 class SourceDistribution:
     """Weighted list of pair states emitted by the source.
 
-    Building one checks it: states may be given as text ("GNR-GGR") and
-    weights as anything as_fraction reads, and a list that is empty, has a
-    negative weight, repeats a state or does not sum to 1 (within
-    WEIGHT_SUM_TOLERANCE) raises the DistributionError naming the fault.
+    Building one checks it, in one pass over the entries: states may be
+    given as text ("GNR-GGR") and weights as anything as_fraction reads. A
+    ConfigurationError names the field at fault: entries[i].state for a bad
+    or repeated state, entries[i].weight for a bad or negative weight, and
+    entries for a list that is empty or does not sum to 1 (within
+    WEIGHT_SUM_TOLERANCE).
     """
 
     entries: tuple[tuple[PairState, Fraction], ...]
 
     def __post_init__(self) -> None:
         entries = []
-        for index, (state, weight) in enumerate(self.entries):
-            if isinstance(state, str):
-                state = PairState.parse(state)
-            elif not isinstance(state, PairState):
-                raise ConfigurationError(
-                    f"entry {index}: expected a pair state, got {state!r}"
-                )
-            entries.append((state, as_fraction(weight)))
-        if not entries:
-            raise EmptyDistributionError("source distribution has no entries")
         seen: set[PairState] = set()
         total = Fraction(0)
-        for index, (state, weight) in enumerate(entries):
-            if weight < 0:
-                raise NegativeWeightError(
-                    f"entry {index} ({state}) has negative weight {weight}"
-                )
-            if state in seen:
-                raise DuplicateStateError(f"entry {index} duplicates state {state}")
+        for index, (state, weight) in enumerate(self.entries):
+            field = "state"
+            try:
+                state = _pair_state(state)
+                field = "weight"
+                weight = as_fraction(weight)
+                if weight < 0:
+                    raise ConfigurationError(f"has negative weight {weight}")
+                field = "state"
+                if state in seen:
+                    raise ConfigurationError(f"duplicates state {state}")
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
             seen.add(state)
             total += weight
+            entries.append((state, weight))
+        if not entries:
+            raise ConfigurationError("entries: has no entries")
         if abs(total - 1) > WEIGHT_SUM_TOLERANCE:
-            raise WeightSumMismatchError(
-                f"weights sum to {total} (~{float(total):.12g}), expected 1"
+            raise ConfigurationError(
+                f"entries: weights sum to {total} (~{float(total):.12g}), expected 1"
             )
         object.__setattr__(self, "entries", tuple(entries))
 
@@ -426,7 +416,7 @@ def builtin_distribution(
     if name == "single":
         if state is None:
             raise ConfigurationError('builtin "single" requires a pair state')
-        return SourceDistribution(((state, Fraction(1)),))
+        return SourceDistribution(((_pair_state(state), Fraction(1)),))
     raise ConfigurationError(
         f"unknown builtin distribution {name!r} (expected one of {', '.join(BUILTIN_NAMES)})"
     )

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import tempfile
 from fractions import Fraction
@@ -113,7 +115,7 @@ class TestEnumerate:
         code = main(["enumerate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "WeightSumMismatch" in err and "bad.json" in err
+        assert err.startswith(f"config error: {cfg}: source.entries: weights sum to 1/2 ")
 
     def test_corrupt_json_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -393,6 +395,22 @@ class TestConfigFieldErrors:
          "detector_a.failure_probability: duplicate field"),
         ('{"source": {"builtin": "single:GNR-GGR"}}',
          "unknown builtin distribution 'single:GNR-GGR'"),
+        ('{"source": {"builtin": "nope"}}', "source.builtin: unknown builtin"),
+        ('{"source": {"builtin": "single", "state": "GGX-GGG"}}',
+         "source.state: unknown outcome letter 'X'"),
+        ('{"source": {"entries": [{"state": "GGX-GGG", "weight": 1}]}}',
+         "source.entries[0].state: unknown outcome letter 'X'"),
+        ('{"source": {"entries": [{"state": "GG-GGG", "weight": 1}]}}',
+         "source.entries[0].state: instruction set text must be 3 letters"),
+        ('{"source": {"entries": [{"state": "GGGGGG", "weight": 1}]}}',
+         "source.entries[0].state: pair state text must look like XXX-YYY"),
+        ('{"source": {"entries": []}}', "source.entries: has no entries"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "1/2"}]}}',
+         "source.entries: weights sum to 1/2"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "3/2"}, '
+         '{"state": "GNR-GGR", "weight": "-1/2"}]}}', "source.entries[1].weight: has negative"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "1/2"}, '
+         '{"state": "GGR-GGR", "weight": "1/2"}]}}', "source.entries[1].state: duplicates"),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 
@@ -406,7 +424,7 @@ class TestConfigFieldErrors:
         argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
         assert main(argv + (self.SCAN if command == "scan" else [])) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and named in err
+        assert err.startswith(f"config error: {cfg}: ") and named in err
         assert not (tmp_path / "out").exists()
 
     def test_huge_grid_exponent_exits_2_naming_the_flag(self, tmp_path, capsys):
@@ -486,7 +504,8 @@ class TestExitCodes:
 # The error contract as a property: JSON documents over the loader's field
 # names and junk, with exact and inexact numbers, bad texts and nesting,
 # run under enumerate, simulate and scan. Every run must end in a
-# documented exit code, never in a traceback.
+# documented exit code, never in a traceback, and a configuration error in
+# one diagnostic line that names no exception class.
 KEYS = ("source", "detector_a", "detector_b", "seed", "n_trials", "builtin", "state",
         "entries", "weight", "failure_probability", "n_trial", "")
 TEXTS = ("table1_uniform", "two_one_uniform", "single", "GGR-GGR", "GNR-GGR", "NNN-NNN",
@@ -552,8 +571,13 @@ def argvs():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=documents(), argv=argvs())
 def test_any_input_ends_in_a_documented_exit_code(doc, argv):
-    with tempfile.TemporaryDirectory() as tmp:
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(doc, encoding="utf-8")
         code = main([argv[0], "--config", str(cfg), "--out-dir", str(Path(tmp) / "out"), *argv[1:]])
     assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY)
+    if code == EXIT_CONFIG:
+        err = stderr.getvalue()
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Error: " not in err

@@ -1,13 +1,20 @@
-"""The README's Library snippet must run against the current API, and the
-package exports exactly the names the README documents."""
+"""The README's command lines and Library snippet must run against the
+current CLI and API, and the package exports exactly the names the README
+documents."""
 
 import re
+import shlex
 import types
 from pathlib import Path
 
-import merminsim
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import merminsim
+from merminsim.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+COMMANDS = re.findall(r"^merminsim (.*)$", README.read_text(encoding="utf-8"), re.MULTILINE)
 
 PUBLIC = {
     "ExperimentConfig",
@@ -17,11 +24,6 @@ PUBLIC = {
     "CellWeights",
     "merge",
     "ConfigurationError",
-    "DistributionError",
-    "EmptyDistributionError",
-    "NegativeWeightError",
-    "WeightSumMismatchError",
-    "DuplicateStateError",
     "enumerate_joint",
     "conditional_stats",
     "min_case_b_no_noflash",
@@ -31,6 +33,19 @@ PUBLIC = {
     "estimate_stats",
     "compare",
 }
+
+
+def test_readme_shows_one_line_per_command():
+    assert [line.split()[0] for line in COMMANDS] == ["enumerate", "simulate", "verify", "scan"]
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[line.split()[0] for line in COMMANDS])
+def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
+    argv = shlex.split(line)
+    argv[argv.index("--out-dir") + 1] = str(tmp_path)
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_library_snippet_runs():
