@@ -1,9 +1,12 @@
-"""Every CLI output on three configs, diffed against captured files.
+"""Every CLI output on the six configs, diffed against captured files.
 
 table1_uniform and explicit_entries were captured before the statistics
 were declared over the cell codec; lossy_table1 (failure probabilities
 1/5 and 1/10) pins the failure-position cells, eta_f < 1 and the switch
-thresholds at p > 0.
+thresholds at p > 0. two_one_uniform, all_eight_uniform and
+single_gnr_ggr were captured before the cell codec became digits and
+letters; single_gnr_ggr fails its settings-independence check, so its
+verify exits 3.
 
 tests/golden/<config>/<command>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
@@ -19,7 +22,14 @@ from merminsim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-CONFIGS = ("table1_uniform", "explicit_entries", "lossy_table1")
+CONFIGS = (
+    "table1_uniform",
+    "explicit_entries",
+    "lossy_table1",
+    "two_one_uniform",
+    "all_eight_uniform",
+    "single_gnr_ggr",
+)
 COMMANDS = {
     "enumerate": [],
     "simulate": ["--n", "20000", "--seed", "1"],
