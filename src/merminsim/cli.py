@@ -21,14 +21,13 @@ from typing import Any, Callable, Iterable, Sequence, Union
 from . import __version__
 from .exact import conditional_stats, detector_invariance_check, enumerate_joint
 from .model import (
+    CELLS,
     ConfigurationError,
     DetectorModel,
     ExperimentConfig,
     STATISTICS,
     SourceDistribution,
     builtin_distribution,
-    encode_cell,
-    iter_cells,
     parse_rational,
 )
 from .montecarlo import MAX_TRIALS, RNG_SCHEME, SimulationPlan, run_trials
@@ -66,11 +65,19 @@ def _as_int(value: Any, name: str) -> int:
     raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
 
 
+def _field_path(where: str, key: str) -> str:
+    """The path of field key of the object at where; a key that is not
+    printable is quoted as JSON, so its diagnostic stays on one line."""
+    if not key.isprintable():
+        key = json.dumps(key)
+    return f"{where}.{key}" if where else key
+
+
 def _check_fields(spec: dict, known: tuple[str, ...], where: str) -> None:
     """Refuse any field the loader would not read, naming its path."""
     for key in spec:
         if key not in known:
-            path = f"{where}.{key}" if where else key
+            path = _field_path(where, key)
             raise ConfigurationError(f"{path}: unknown field (known: {', '.join(known)})")
 
 
@@ -142,7 +149,7 @@ def _exact_decimals(obj: Any, where: str) -> Any:
     if isinstance(obj, _Fields):
         fields = {}
         for key, value in obj:
-            path = f"{where}.{key}" if where else key
+            path = _field_path(where, key)
             if key in fields:
                 raise ConfigurationError(f"{path}: duplicate field")
             fields[key] = _exact_decimals(value, path)
@@ -229,7 +236,7 @@ def _stats_json(stats, field_json: Callable[[Any], dict]) -> dict:
     out: dict = {}
     for stat in STATISTICS:
         value = field_json(stat.read(stats))
-        if stat.pair is None:
+        if stat.key is None:
             out[stat.name] = value
         else:
             out.setdefault(stat.name, {})[stat.key] = value
@@ -259,11 +266,7 @@ _CELL_COLUMNS = ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell"]
 
 def _cell_rows(values: Iterable[Any]) -> list[list[Any]]:
     """One CSV row per cell in codec order, ending in that cell's value."""
-    return [
-        [swa.value, swb.value, oa.letter, ob.letter,
-         encode_cell(swa, swb, oa, ob), value]
-        for (swa, swb, oa, ob), value in zip(iter_cells(), values)
-    ]
+    return [[*cell, "".join(map(str, cell)), value] for cell, value in zip(CELLS, values)]
 
 
 def _csv_num(value: Union[float, Fraction, None]) -> str:
@@ -437,12 +440,7 @@ def cmd_verify(args) -> int:
                 f"p = {independence.p_value:.4g} (alpha {INDEPENDENCE_ALPHA})",
             )
         )
-        independence_json = {
-            **asdict(independence),
-            "observed": {
-                stat.key: independence.observed[stat.pair] for stat in STATISTICS if stat.pair
-            },
-        }
+        independence_json = asdict(independence)
     except NoCoincidencesError:
         checks.append(("settings-independence", False, "no coincidences in tally"))
 

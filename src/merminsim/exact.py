@@ -16,14 +16,13 @@ from typing import Mapping, Sequence, Union
 
 from .model import (
     ALL_EIGHT_SETS,
-    ALL_SETTING_PAIRS,
     CASE_B_PAIRS,
     CaseStats,
     CellWeights,
     ConfigurationError,
     ExperimentConfig,
     InstructionSet,
-    Outcome,
+    NO_FLASH,
     STATISTICS,
     WeightLike,
     as_fraction,
@@ -77,12 +76,12 @@ def case_b_same_fraction(s: InstructionSet) -> Fraction:
     Only defined for sets without a no-flash entry; mixed cases belong to
     enumerate_joint.
     """
-    if Outcome.NO_FLASH in s.outcomes:
+    if NO_FLASH in s.outcomes:
         raise ValueError(
             f"{s} contains a no-flash instruction; case-b fraction is defined "
             "for flash-only sets"
         )
-    same = sum(1 for sa, sb in CASE_B_PAIRS if s.outcome_at(sa) is s.outcome_at(sb))
+    same = sum(1 for sa, sb in CASE_B_PAIRS if s.outcome_at(sa) == s.outcome_at(sb))
     return Fraction(same, len(CASE_B_PAIRS))
 
 
@@ -169,9 +168,9 @@ def detector_invariance_check(
         for st in stats_by_p
     )
     coincidence_scaling_exact = all(
-        st.coincidence_rate[pair] == (1 - p) * (1 - p) * baseline.coincidence_rate[pair]
+        rate == (1 - p) * (1 - p) * baseline.coincidence_rate[key]
         for p, st in zip(ps, stats_by_p)
-        for pair in ALL_SETTING_PAIRS
+        for key, rate in st.coincidence_rate.items()
     )
     eta_multiplicative = all(
         st.eta_a == st.eta_u_a * st.eta_f_a and st.eta_b == st.eta_u_b * st.eta_f_b

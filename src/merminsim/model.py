@@ -7,6 +7,11 @@ lamp for each switch position; an instruction may also be "do not flash".
 Detector-side unreliability is kept separate from the particle: it is a
 fourth switch position (digit 0) that yields no flash whatever arrives,
 so the same instruction-set types serve every model variant.
+
+The model speaks the reports' spelling: a switch position is its digit
+(FAILURE = 0, SETTINGS = 1, 2, 3), an outcome is one letter of OUTCOMES
+(G green, R red, N no flash), and a setting pair's key is its two digits,
+as in coincidence_rate[12].
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Generic, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Generic, Mapping, Sequence, TypeVar, Union
 
 
 class ConfigurationError(ValueError):
@@ -34,102 +38,47 @@ class ConfigurationError(ValueError):
 WEIGHT_SUM_TOLERANCE = Fraction(1, 10**12)
 
 
-class Outcome(Enum):
-    """Lamp behaviour of one detector on one trial. NoFlash is a real
-    outcome, never a missing value."""
+# Outcome letters in codec order; N is a real outcome, never a missing value.
+OUTCOMES = "GRN"
+NO_FLASH = "N"
 
-    GREEN = "G"
-    RED = "R"
-    NO_FLASH = "N"
-
-    @property
-    def letter(self) -> str:
-        return self.value
-
-    @property
-    def is_flash(self) -> bool:
-        return self is not Outcome.NO_FLASH
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "Outcome":
-        try:
-            return cls(letter)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown outcome letter {letter!r} (expected G, R or N)"
-            ) from None
-
-
-OUTCOMES = (Outcome.GREEN, Outcome.RED, Outcome.NO_FLASH)
-
-
-class Setting(Enum):
-    """One of the three measurement positions of a detector switch.
-
-    The failure position 0 is deliberately not a Setting; see FAILURE.
-    """
-
-    S1 = 1
-    S2 = 2
-    S3 = 3
-
-    @property
-    def digit(self) -> int:
-        return self.value
-
-
-SETTINGS = (Setting.S1, Setting.S2, Setting.S3)
-
-
-class _FailurePosition(Enum):
-    """Singleton marker for switch position 0 (apparatus failed to select
-    a measurement setting; the detector cannot flash)."""
-
-    FAILURE = 0
-
-
-FAILURE = _FailurePosition.FAILURE
-
-SwitchPosition = Union[Setting, _FailurePosition]
-
-SWITCH_POSITIONS: tuple[SwitchPosition, ...] = (FAILURE,) + SETTINGS
+# Switch positions are digits: the three measurement settings, and the
+# failure position 0 (apparatus failed to select a setting; the detector
+# cannot flash), which is deliberately not a setting.
+SETTINGS = (1, 2, 3)
+FAILURE = 0
 
 
 @dataclass(frozen=True)
 class InstructionSet:
-    """Per-particle instructions: one outcome for each of the three settings.
-
-    The canonical text form is three letters over {G,R,N} ordered by
-    setting, e.g. "GGR" flashes green at settings 1 and 2, red at 3.
+    """Per-particle instructions: one outcome for each of the three settings,
+    as three letters over {G,R,N} ordered by setting, e.g. "GGR" flashes
+    green at settings 1 and 2, red at 3.
     """
 
-    outcomes: tuple[Outcome, Outcome, Outcome]
+    outcomes: str
 
     def __post_init__(self) -> None:
-        outcomes = tuple(self.outcomes)
-        if len(outcomes) != 3 or not all(isinstance(o, Outcome) for o in outcomes):
+        if not isinstance(self.outcomes, str) or len(self.outcomes) != 3:
             raise ConfigurationError(
-                f"instruction set needs exactly three outcomes, got {self.outcomes!r}"
+                f"instruction set text must be 3 letters, got {self.outcomes!r}"
             )
-        object.__setattr__(self, "outcomes", outcomes)
+        for letter in self.outcomes:
+            if letter not in OUTCOMES:
+                raise ConfigurationError(
+                    f"unknown outcome letter {letter!r} (expected G, R or N)"
+                )
 
     @classmethod
     def parse(cls, text: str) -> "InstructionSet":
-        if len(text) != 3:
-            raise ConfigurationError(
-                f"instruction set text must be 3 letters, got {text!r}"
-            )
-        # Each valid text maps to its prebuilt set; from_letter names a bad letter.
-        return _SETS_BY_TEXT.get(text) or cls(tuple(map(Outcome.from_letter, text)))
+        # Each valid text maps to its prebuilt set; the constructor names a fault.
+        return _SETS_BY_TEXT.get(text) or cls(text)
 
-    def outcome_at(self, setting: Setting) -> Outcome:
-        return self.outcomes[setting.value - 1]
-
-    def encode(self) -> str:
-        return "".join(o.letter for o in self.outcomes)
+    def outcome_at(self, setting: int) -> str:
+        return self.outcomes[setting - 1]
 
     def __str__(self) -> str:
-        return self.encode()
+        return self.outcomes
 
 
 @dataclass(frozen=True)
@@ -151,11 +100,8 @@ class PairState:
             )
         return cls(InstructionSet.parse(parts[0]), InstructionSet.parse(parts[1]))
 
-    def encode(self) -> str:
-        return f"{self.alice}-{self.bob}"
-
     def __str__(self) -> str:
-        return self.encode()
+        return f"{self.alice}-{self.bob}"
 
 
 def _pair_state(value: Union[PairState, str]) -> PairState:
@@ -269,14 +215,10 @@ class SourceDistribution:
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
         side. The exact oracle and the Monte Carlo engine both read it."""
-        # Inline arithmetic over OUTCOMES.index, not a dict keyed by cell:
-        # hashing an Enum member runs in Python, which costs about 2 ms on 729
-        # states in this, the one per-state pass of a source.
-        no_flash = OUTCOMES.index(Outcome.NO_FLASH)
         cells = []
         for state, _ in self.entries:
-            a = (no_flash, *map(OUTCOMES.index, state.alice.outcomes))
-            b = (no_flash, *map(OUTCOMES.index, state.bob.outcomes))
+            a = [*map(OUTCOMES.index, NO_FLASH + state.alice.outcomes)]
+            b = [*map(OUTCOMES.index, NO_FLASH + state.bob.outcomes)]
             cells.append(
                 tuple(
                     [
@@ -360,9 +302,9 @@ def _pairs(*texts: str) -> tuple[PairState, ...]:
 
 
 ALL_INSTRUCTION_SETS = tuple(
-    InstructionSet(combo) for combo in itertools.product(OUTCOMES, repeat=3)
+    InstructionSet("".join(combo)) for combo in itertools.product(OUTCOMES, repeat=3)
 )
-_SETS_BY_TEXT = {s.encode(): s for s in ALL_INSTRUCTION_SETS}
+_SETS_BY_TEXT = {s.outcomes: s for s in ALL_INSTRUCTION_SETS}
 
 # The six no-N sets where one colour appears once and the other twice.
 TWO_ONE_SETS = _sets("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")
@@ -424,29 +366,14 @@ def builtin_distribution(
 
 # ---------------------------------------------------------------------------
 # Cell codec shared by the exact analyzer, the tally engine and the reports.
-# A cell is (switch_a, switch_b, outcome_a, outcome_b); its text form is the
-# digit-digit-letter-letter quadruple like "21GR", with digit 0 for failure.
+# A cell is (switch_a, switch_b, outcome_a, outcome_b), two digits and two
+# letters; its text is the four joined, like "21GR", with digit 0 for failure.
 # ---------------------------------------------------------------------------
-
-CellKey = tuple[SwitchPosition, SwitchPosition, Outcome, Outcome]
 
 N_CELLS = 4 * 4 * 3 * 3
 
 # Codec order: switch_a digit, switch_b digit, outcome_a, outcome_b.
-_CELLS: tuple[CellKey, ...] = tuple(
-    itertools.product(SWITCH_POSITIONS, SWITCH_POSITIONS, OUTCOMES, OUTCOMES)
-)
-
-
-def iter_cells() -> Iterator[CellKey]:
-    """All 144 cells in index order."""
-    return iter(_CELLS)
-
-
-def encode_cell(
-    swa: SwitchPosition, swb: SwitchPosition, oa: Outcome, ob: Outcome
-) -> str:
-    return f"{swa.value}{swb.value}{oa.letter}{ob.letter}"
+CELLS = tuple(itertools.product(range(4), range(4), OUTCOMES, OUTCOMES))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +382,12 @@ def encode_cell(
 # CLI reports all read this declaration.
 # ---------------------------------------------------------------------------
 
-SettingPair = tuple[Setting, Setting]
+SettingPair = tuple[int, int]
 
 CASE_A_PAIRS: tuple[SettingPair, ...] = tuple((s, s) for s in SETTINGS)
 
 CASE_B_PAIRS: tuple[SettingPair, ...] = tuple(
-    (a, b) for a in SETTINGS for b in SETTINGS if a is not b
+    (a, b) for a in SETTINGS for b in SETTINGS if a != b
 )
 
 ALL_SETTING_PAIRS: tuple[SettingPair, ...] = tuple(
@@ -474,48 +401,43 @@ class Statistic:
     cells), over any nonnegative weights of the 144 cells: probabilities
     or trial counts. Each mask is the tuple of its cell indices.
 
-    A coincidence rate carries its setting pair; its report label is
-    name[digits], e.g. coincidence_rate[12].
+    A coincidence rate carries the key of its setting pair, its two
+    digits; its report label is name[key], e.g. coincidence_rate[12].
     """
 
     name: str
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
     scale: int = 1
-    pair: Union[SettingPair, None] = None
-
-    @property
-    def key(self) -> str:
-        return f"{self.pair[0].digit}{self.pair[1].digit}"
+    key: Union[str, None] = None
 
     @property
     def label(self) -> str:
-        return self.name if self.pair is None else f"{self.name}[{self.key}]"
+        return self.name if self.key is None else f"{self.name}[{self.key}]"
 
     def read(self, stats):
         """This statistic's field of a CaseStats."""
         value = getattr(stats, self.name)
-        return value if self.pair is None else value[self.pair]
+        return value if self.key is None else value[self.key]
 
 
 def _mask(test) -> tuple[int, ...]:
-    return tuple(i for i, cell in enumerate(iter_cells()) if test(*cell))
+    return tuple(i for i, cell in enumerate(CELLS) if test(*cell))
 
 
 def _both_flash(pairs: tuple[SettingPair, ...], same_color: bool = False) -> tuple[int, ...]:
     return _mask(
         lambda swa, swb, oa, ob: (swa, swb) in pairs
-        and oa.is_flash
-        and ob.is_flash
-        and (oa is ob or not same_color)
+        and NO_FLASH not in (oa, ob)
+        and (oa == ob or not same_color)
     )
 
 
 _ALL = _mask(lambda swa, swb, oa, ob: True)
-_FLASH_A = _mask(lambda swa, swb, oa, ob: oa.is_flash)
-_FLASH_B = _mask(lambda swa, swb, oa, ob: ob.is_flash)
-_SET_A = _mask(lambda swa, swb, oa, ob: swa is not FAILURE)
-_SET_B = _mask(lambda swa, swb, oa, ob: swb is not FAILURE)
+_FLASH_A = _mask(lambda swa, swb, oa, ob: oa != NO_FLASH)
+_FLASH_B = _mask(lambda swa, swb, oa, ob: ob != NO_FLASH)
+_SET_A = _mask(lambda swa, swb, oa, ob: swa != FAILURE)
+_SET_B = _mask(lambda swa, swb, oa, ob: swb != FAILURE)
 
 # p_same_case_a / p_same_case_b: same colour among double flashes at equal /
 # different settings. eta = eta_u * eta_f per detector: eta is the flash
@@ -532,13 +454,14 @@ STATISTICS: tuple[Statistic, ...] = (
     Statistic("eta_f_a", _SET_A, _ALL),
     Statistic("eta_f_b", _SET_B, _ALL),
 ) + tuple(
-    Statistic("coincidence_rate", _both_flash((pair,)), _ALL, scale=9, pair=pair)
-    for pair in ALL_SETTING_PAIRS
+    Statistic("coincidence_rate", _both_flash(((a, b),)), _ALL, scale=9, key=f"{a}{b}")
+    for a, b in ALL_SETTING_PAIRS
 )
 
 # Cells pairing a failed switch with a flash: no trial can land there.
 _IMPOSSIBLE = _mask(
-    lambda swa, swb, oa, ob: (swa is FAILURE and oa.is_flash) or (swb is FAILURE and ob.is_flash)
+    lambda swa, swb, oa, ob: (swa == FAILURE and oa != NO_FLASH)
+    or (swb == FAILURE and ob != NO_FLASH)
 )
 
 
@@ -613,12 +536,12 @@ class CaseStats(Generic[T]):
     eta_u_b: T
     eta_f_a: T
     eta_f_b: T
-    coincidence_rate: Mapping[SettingPair, T]
+    coincidence_rate: Mapping[str, T]
 
     @classmethod
     def from_values(cls, values: Sequence[T]) -> "CaseStats[T]":
         """The record of one value per statistic in declaration order;
-        coincidence rates map by setting pair."""
-        scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.pair is None}
-        rates = {s.pair: v for s, v in zip(STATISTICS, values) if s.pair is not None}
+        coincidence rates map by the key of their setting pair, e.g. "12"."""
+        scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.key is None}
+        rates = {s.key: v for s, v in zip(STATISTICS, values) if s.key is not None}
         return cls(**scalars, coincidence_rate=MappingProxyType(rates))

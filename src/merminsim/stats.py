@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .model import STATISTICS, CaseStats, CellWeights, SettingPair, statistic_sums
+from .model import STATISTICS, CaseStats, CellWeights, statistic_sums
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 Z_95 = 1.959963984540054
@@ -148,8 +148,8 @@ def compare(
     equal (the only way to pass at zero variance). Fields undefined on
     both sides are skipped; one-sided definition is a failure.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     rows = (
         _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
         for stat in STATISTICS
@@ -160,12 +160,13 @@ def compare(
 @dataclass(frozen=True)
 class IndependenceTestResult:
     """Pearson chi-square of the nine coincidence counts against the
-    uniform-settings null (equal expected counts, dof = 8)."""
+    uniform-settings null (equal expected counts, dof = 8). observed is
+    keyed by setting pair digits, e.g. "12"."""
 
     statistic: float
     degrees_of_freedom: int
     p_value: float
-    observed: Mapping[SettingPair, int]
+    observed: Mapping[str, int]
     expected: float
 
 
@@ -179,9 +180,7 @@ def settings_independence_test(tally: CellWeights) -> IndependenceTestResult:
     data, leaving 8 degrees of freedom.
     """
     sums = statistic_sums(tally.weights)
-    observed = {
-        stat.pair: num for stat, (num, _) in zip(STATISTICS, sums) if stat.pair is not None
-    }
+    observed = {stat.key: num for stat, (num, _) in zip(STATISTICS, sums) if stat.key is not None}
     total = sum(observed.values())
     if total == 0:
         raise NoCoincidencesError("tally has no double-flash event")

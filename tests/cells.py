@@ -1,11 +1,10 @@
 """Cell weights for tests, keyed by cell: built from cell texts such as
 "12GG", and read one cell at a time. Indices come from the codec order of
-iter_cells()."""
+CELLS."""
 
-from merminsim.model import N_CELLS, CellWeights, encode_cell, iter_cells
+from merminsim.model import CELLS, N_CELLS, CellWeights
 
-CELLS = tuple(iter_cells())
-INDEX_BY_TEXT = {encode_cell(*cell): index for index, cell in enumerate(CELLS)}
+INDEX_BY_TEXT = {"".join(map(str, cell)): index for index, cell in enumerate(CELLS)}
 
 
 def cell_weights(counts):

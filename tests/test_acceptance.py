@@ -8,7 +8,6 @@ import mpmath
 import pytest
 
 from merminsim.exact import (
-    ALL_SETTING_PAIRS,
     case_b_same_fraction,
     conditional_stats,
     detector_invariance_check,
@@ -17,8 +16,9 @@ from merminsim.exact import (
 )
 from merminsim.model import (
     ALL_EIGHT_SETS,
+    ALL_SETTING_PAIRS,
     ExperimentConfig,
-    Setting,
+    SETTINGS,
     builtin_distribution,
 )
 from merminsim.montecarlo import SimulationPlan, run_trials
@@ -70,8 +70,8 @@ def test_criterion_1_exact_oracle_table1():
     assert stats.p_same_case_b == Fraction(1, 4)
     assert stats.eta_a == Fraction(5, 6)
     assert stats.eta_b == Fraction(5, 6)
-    for pair in ALL_SETTING_PAIRS:
-        assert stats.coincidence_rate[pair] == Fraction(2, 3)
+    for sa, sb in ALL_SETTING_PAIRS:
+        assert stats.coincidence_rate[f"{sa}{sb}"] == Fraction(2, 3)
     assert elapsed < 0.010
 
     print(
@@ -89,7 +89,7 @@ def test_criterion_2_conundrum_baselines():
 
     result = min_case_b_no_noflash()
     assert result.minimum == Fraction(1, 3)
-    support = {s.encode() for s in result.support}
+    support = {str(s) for s in result.support}
     assert "RRR" not in support and "GGG" not in support
     assert support == {"RRG", "RGR", "RGG", "GRR", "GRG", "GGR"}
 
@@ -169,10 +169,10 @@ def test_criterion_6_settings_independence():
         p_values[seed] = result.p_value
 
     cells = {
-        f"{sa.digit}{sb.digit}GG": 1125
-        for sa in Setting
-        for sb in Setting
-        if not (sa is Setting.S1 and sb is Setting.S1)
+        f"{sa}{sb}GG": 1125
+        for sa in SETTINGS
+        for sb in SETTINGS
+        if not (sa == 1 and sb == 1)
     }
     biased = settings_independence_test(cell_weights(cells))
     assert biased.p_value < 1e-6
@@ -190,7 +190,7 @@ def test_criterion_7_oracle_cross_validation():
         enumerated = conditional_stats(
             enumerate_joint(config_for("single", f"{s}-{s}"))
         ).p_same_case_b
-        assert direct == enumerated, s.encode()
+        assert direct == enumerated, str(s)
 
     print(
         "\nPASS criterion 7: case_b_same_fraction matches the enumeration "

@@ -411,6 +411,9 @@ class TestConfigFieldErrors:
          '{"state": "GNR-GGR", "weight": "-1/2"}]}}', "source.entries[1].weight: has negative"),
         ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "1/2"}, '
          '{"state": "GGR-GGR", "weight": "1/2"}]}}', "source.entries[1].state: duplicates"),
+        ('{"source": {"builtin": "table1_uniform"}, "se\\ned": 1}', '"se\\ned": unknown field'),
+        ('{"source": {"builtin": "table1_uniform"}, "se\\ned": 1, "se\\ned": 2}',
+         '"se\\ned": duplicate field'),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 
@@ -507,7 +510,7 @@ class TestExitCodes:
 # documented exit code, never in a traceback, and a configuration error in
 # one diagnostic line that names no exception class.
 KEYS = ("source", "detector_a", "detector_b", "seed", "n_trials", "builtin", "state",
-        "entries", "weight", "failure_probability", "n_trial", "")
+        "entries", "weight", "failure_probability", "n_trial", "", "se\ned")
 TEXTS = ("table1_uniform", "two_one_uniform", "single", "GGR-GGR", "GNR-GGR", "NNN-NNN",
          "GGX-GGR", "GGR", "GGR-GGR-GGR", "0.1", "1/3", "-1/2", "1/0", "3/2", "1e-5",
          "1e999999999", "nan", "")

@@ -8,7 +8,6 @@ import pytest
 
 from merminsim import exact as exact_module
 from merminsim.exact import (
-    ALL_SETTING_PAIRS,
     case_b_same_fraction,
     conditional_stats,
     detector_invariance_check,
@@ -18,19 +17,19 @@ from merminsim.exact import (
 from merminsim.model import (
     ALL_EIGHT_SETS,
     ALL_INSTRUCTION_SETS,
+    ALL_SETTING_PAIRS,
+    CELLS,
     CellWeights,
     ConfigurationError,
     ExperimentConfig,
     FAILURE,
     InstructionSet,
-    Outcome,
+    OUTCOMES,
     PairState,
     SETTINGS,
-    Setting,
     SourceDistribution,
     TABLE1_PAIRS,
     builtin_distribution,
-    iter_cells,
 )
 
 from cells import cell_weight
@@ -53,8 +52,8 @@ def brute_case_b_fraction(text):
     return Fraction(same, 6)
 
 
-S1, S2, S3 = Setting.S1, Setting.S2, Setting.S3
-G, R, N = Outcome.GREEN, Outcome.RED, Outcome.NO_FLASH
+S1, S2, S3 = SETTINGS
+G, R, N = OUTCOMES
 
 
 class TestEnumerateJoint:
@@ -64,8 +63,8 @@ class TestEnumerateJoint:
         assert Fraction(cell_weight(t, S1, S3, G, R), t.total) == Fraction(1, 9)
         noflash_mass = sum(
             w
-            for (swa, swb, oa, ob), w in zip(iter_cells(), t.weights)
-            if oa is N or ob is N or swa is FAILURE or swb is FAILURE
+            for (swa, swb, oa, ob), w in zip(CELLS, t.weights)
+            if oa == N or ob == N or swa == FAILURE or swb == FAILURE
         )
         assert noflash_mass == 0
 
@@ -81,13 +80,13 @@ class TestEnumerateJoint:
             1
             for pair in TABLE1_PAIRS
             for s in SETTINGS
-            if pair.alice.outcome_at(s) is N
+            if pair.alice.outcome_at(s) == N
         )
         expected = Fraction(n_count, len(TABLE1_PAIRS) * len(SETTINGS))
         assert expected == Fraction(1, 6)
 
         t = enumerate_joint(config_for("table1_uniform"))
-        mass = sum(w for (_, _, oa, _), w in zip(iter_cells(), t.weights) if oa is N)
+        mass = sum(w for (_, _, oa, _), w in zip(CELLS, t.weights) if oa == N)
         assert Fraction(mass, t.total) == expected
 
     @pytest.mark.parametrize("name", ["table1_uniform", "two_one_uniform", "all_eight_uniform"])
@@ -108,8 +107,8 @@ class TestEnumerateJoint:
 
     def test_failure_flash_cells_are_zero(self):
         t = enumerate_joint(config_for("table1_uniform", p_a=Fraction(1, 3), p_b=Fraction(1, 2)))
-        for (swa, swb, oa, ob), w in zip(iter_cells(), t.weights):
-            if (swa is FAILURE and oa is not N) or (swb is FAILURE and ob is not N):
+        for (swa, swb, oa, ob), w in zip(CELLS, t.weights):
+            if (swa == FAILURE and oa != N) or (swb == FAILURE and ob != N):
                 assert w == 0
 
     def test_invalid_distribution_rejected(self):
@@ -137,11 +136,11 @@ class TestConditionalStats:
             kept = sum(
                 1
                 for pair in TABLE1_PAIRS
-                if pair.alice.outcome_at(sa) is not N and pair.bob.outcome_at(sb) is not N
+                if pair.alice.outcome_at(sa) != N and pair.bob.outcome_at(sb) != N
             )
             assert kept == 8
-            assert st.coincidence_rate[(sa, sb)] == Fraction(kept, len(TABLE1_PAIRS))
-            assert st.coincidence_rate[(sa, sb)] == Fraction(2, 3)
+            assert st.coincidence_rate[f"{sa}{sb}"] == Fraction(kept, len(TABLE1_PAIRS))
+            assert st.coincidence_rate[f"{sa}{sb}"] == Fraction(2, 3)
 
     def test_two_one_uniform_case_b(self):
         st = stats_for("two_one_uniform")
@@ -152,7 +151,7 @@ class TestConditionalStats:
         # Oracle: brute-force the mixture over the eight identical pairs.
         same = total = 0
         for s in ALL_EIGHT_SETS:
-            text = s.encode()
+            text = str(s)
             for i, j in itertools.permutations(range(3), 2):
                 total += 1
                 same += text[i] == text[j]
@@ -212,7 +211,7 @@ class TestCaseBSameFraction:
 
     def test_all_eight_against_oracle(self):
         for s in ALL_EIGHT_SETS:
-            assert case_b_same_fraction(s) == brute_case_b_fraction(s.encode())
+            assert case_b_same_fraction(s) == brute_case_b_fraction(str(s))
 
     def test_noflash_set_rejected(self):
         with_no_flash = [s for s in ALL_INSTRUCTION_SETS if s not in ALL_EIGHT_SETS]
@@ -235,7 +234,7 @@ class TestMinCaseB:
 
     def test_support_excludes_homogeneous_sets(self):
         result = min_case_b_no_noflash()
-        names = {s.encode() for s in result.support}
+        names = {str(s) for s in result.support}
         assert names == {"RRG", "RGR", "RGG", "GRR", "GRG", "GGR"}
         assert "RRR" not in names and "GGG" not in names
 

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from merminsim.exact import conditional_stats, detector_invariance_check, enumerate_joint
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
+    CELLS,
     ExperimentConfig,
     FAILURE,
-    Outcome,
+    NO_FLASH,
     PairState,
     SETTINGS,
     SourceDistribution,
-    iter_cells,
 )
 
 ALL_PAIRS = tuple(
@@ -38,12 +38,12 @@ def reference_joint(config):
 
     law_a = switch_law(config.detector_a.failure_probability)
     law_b = switch_law(config.detector_b.failure_probability)
-    prob = {key: Fraction(0) for key in iter_cells()}
+    prob = {key: Fraction(0) for key in CELLS}
     for state, weight in entries:
         for swa, qa in law_a:
-            oa = Outcome.NO_FLASH if swa is FAILURE else state.alice.outcome_at(swa)
+            oa = NO_FLASH if swa == FAILURE else state.alice.outcome_at(swa)
             for swb, qb in law_b:
-                ob = Outcome.NO_FLASH if swb is FAILURE else state.bob.outcome_at(swb)
+                ob = NO_FLASH if swb == FAILURE else state.bob.outcome_at(swb)
                 prob[(swa, swb, oa, ob)] += weight * qa * qb
     return prob
 
@@ -78,13 +78,13 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
     table = enumerate_joint(config)
 
     cells = [Fraction(w, table.total) for w in table.weights]
-    assert list(zip(iter_cells(), cells)) == list(reference_joint(config).items())
+    assert list(zip(CELLS, cells)) == list(reference_joint(config).items())
     assert all(type(w) is int for w in table.weights) and type(table.total) is int
     assert sum(table.weights) == table.total
     assert all(
         w == 0
-        for (swa, swb, oa, ob), w in zip(iter_cells(), table.weights)
-        if (swa is FAILURE and oa.is_flash) or (swb is FAILURE and ob.is_flash)
+        for (swa, swb, oa, ob), w in zip(CELLS, table.weights)
+        if (swa == FAILURE and oa != NO_FLASH) or (swb == FAILURE and ob != NO_FLASH)
     )
 
     stats = conditional_stats(table)

@@ -11,9 +11,8 @@ from merminsim.model import (
     ExperimentConfig,
     FAILURE,
     N_CELLS,
-    Outcome,
+    OUTCOMES,
     SETTINGS,
-    Setting,
     builtin_distribution,
     merge,
 )
@@ -23,8 +22,8 @@ from merminsim.stats import _proportion, compare, estimate_stats, wilson_interva
 from cells import cell_weight, cell_weights
 
 
-S1, S2, S3 = Setting.S1, Setting.S2, Setting.S3
-G, R, N = Outcome.GREEN, Outcome.RED, Outcome.NO_FLASH
+S1, S2, S3 = SETTINGS
+G, R, N = OUTCOMES
 
 I64_MAX = (1 << 63) - 1
 

@@ -20,8 +20,8 @@ from merminsim.model import (
     ALL_INSTRUCTION_SETS,
     ExperimentConfig,
     N_CELLS,
+    NO_FLASH,
     OUTCOMES,
-    Outcome,
     PairState,
     SETTINGS,
     SourceDistribution,
@@ -68,7 +68,7 @@ def reference_run_range(lo, hi, seed, config):
     table."""
     entries = config.source.renormalized()
     cum = float_cumulative(config)
-    no_flash = OUTCOMES.index(Outcome.NO_FLASH)
+    no_flash = OUTCOMES.index(NO_FLASH)
     table_a, table_b = (
         np.array([[no_flash] + [OUTCOMES.index(side(s).outcome_at(x)) for x in SETTINGS]
                   for s, _ in entries])

@@ -1,5 +1,6 @@
 """The README's command lines and Library snippet must run against the
-current CLI and API, and the package exports exactly the names the README
+current CLI and API, the CSV reports they write must carry the header rows
+the README documents, and the package exports exactly the names the README
 documents."""
 
 import re
@@ -15,6 +16,29 @@ from merminsim.cli import EXIT_OK, main
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 COMMANDS = re.findall(r"^merminsim (.*)$", README.read_text(encoding="utf-8"), re.MULTILINE)
+
+
+# A "Report file columns" line: one or two report files, then their header.
+REPORT_COLUMNS = re.compile(r"^((?:`\w+\.csv`(?: and )?)+):\s*`([^`]*)`", re.MULTILINE)
+
+
+def documented_headers():
+    """The header row of each CSV report, as the README's Report file
+    columns lines give it; a last column a|b is a in the first file named
+    and b in the second."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Report file columns\n", 1)[1].split("\n#", 1)[0]
+    headers = {}
+    for files, header in REPORT_COLUMNS.findall(section):
+        *columns, last = header.split(",")
+        names = re.findall(r"`(\w+\.csv)`", files)
+        assert len(last.split("|")) == len(names), header
+        for name, column in zip(names, last.split("|")):
+            headers[name] = [*columns, column]
+    return headers
+
+
+HEADERS = documented_headers()
 
 PUBLIC = {
     "ExperimentConfig",
@@ -46,6 +70,8 @@ def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(ROOT)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
+    for path in tmp_path.glob("*.csv"):
+        assert path.read_text(encoding="utf-8").splitlines()[0].split(",") == HEADERS[path.name]
 
 
 def test_library_snippet_runs():

@@ -20,7 +20,7 @@ from merminsim.model import (
     CASE_B_PAIRS,
     ExperimentConfig,
     FAILURE,
-    Outcome,
+    NO_FLASH,
     SETTINGS,
 )
 from merminsim.montecarlo import SimulationPlan, run_trials
@@ -32,7 +32,7 @@ from merminsim.stats import (
 )
 from test_exact_reference import failure_probabilities, random_sources, reference_joint
 
-COLORS = (Outcome.GREEN, Outcome.RED)
+COLORS = ("G", "R")
 
 SCALARS = (
     "p_same_case_a",
@@ -59,10 +59,10 @@ def reference_conditional_stats(prob):
     both_a = sum((both_flash_mass(s, s) for s in SETTINGS), Fraction(0))
     same_b = sum((same_color_mass(sa, sb) for sa, sb in CASE_B_PAIRS), Fraction(0))
     both_b = sum((both_flash_mass(sa, sb) for sa, sb in CASE_B_PAIRS), Fraction(0))
-    eta_a = sum((p for (_, _, oa, _), p in prob.items() if oa.is_flash), Fraction(0))
-    eta_b = sum((p for (_, _, _, ob), p in prob.items() if ob.is_flash), Fraction(0))
-    eta_f_a = 1 - sum((p for (swa, _, _, _), p in prob.items() if swa is FAILURE), Fraction(0))
-    eta_f_b = 1 - sum((p for (_, swb, _, _), p in prob.items() if swb is FAILURE), Fraction(0))
+    eta_a = sum((p for (_, _, oa, _), p in prob.items() if oa != NO_FLASH), Fraction(0))
+    eta_b = sum((p for (_, _, _, ob), p in prob.items() if ob != NO_FLASH), Fraction(0))
+    eta_f_a = 1 - sum((p for (swa, _, _, _), p in prob.items() if swa == FAILURE), Fraction(0))
+    eta_f_b = 1 - sum((p for (_, swb, _, _), p in prob.items() if swb == FAILURE), Fraction(0))
     return {
         "p_same_case_a": same_a / both_a if both_a else None,
         "p_same_case_b": same_b / both_b if both_b else None,
@@ -73,7 +73,7 @@ def reference_conditional_stats(prob):
         "eta_f_a": eta_f_a,
         "eta_f_b": eta_f_b,
         "coincidence_rate": {
-            (sa, sb): 9 * both_flash_mass(sa, sb) for sa, sb in ALL_SETTING_PAIRS
+            f"{sa}{sb}": 9 * both_flash_mass(sa, sb) for sa, sb in ALL_SETTING_PAIRS
         },
     }
 
@@ -89,18 +89,18 @@ def reference_estimates(tally):
     ok_b = n - int(grid[:, 0, :, :].sum())
     same_a = both_a = 0
     for s in SETTINGS:
-        d = s.value
+        d = s
         both_a += int(grid[d, d, :color_hi, :color_hi].sum())
         same_a += int(grid[d, d, 0, 0] + grid[d, d, 1, 1])
     same_b = both_b = 0
     coincidence = {}
     for sa in SETTINGS:
         for sb in SETTINGS:
-            pair_both = int(grid[sa.value, sb.value, :color_hi, :color_hi].sum())
-            coincidence[(sa, sb)] = _proportion(pair_both, n, scale=9.0)
-            if sa is not sb:
+            pair_both = int(grid[sa, sb, :color_hi, :color_hi].sum())
+            coincidence[f"{sa}{sb}"] = _proportion(pair_both, n, scale=9.0)
+            if sa != sb:
                 both_b += pair_both
-                same_b += int(grid[sa.value, sb.value, 0, 0] + grid[sa.value, sb.value, 1, 1])
+                same_b += int(grid[sa, sb, 0, 0] + grid[sa, sb, 1, 1])
     return {
         "p_same_case_a": _proportion(same_a, both_a),
         "p_same_case_b": _proportion(same_b, both_b),
@@ -119,7 +119,7 @@ def reference_observed(tally):
     grid = np.array(tally.weights).reshape(4, 4, 3, 3)
     color_hi = len(COLORS)
     return {
-        (sa, sb): int(grid[sa.value, sb.value, :color_hi, :color_hi].sum())
+        f"{sa}{sb}": int(grid[sa, sb, :color_hi, :color_hi].sum())
         for sa in SETTINGS
         for sb in SETTINGS
     }

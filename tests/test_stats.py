@@ -9,7 +9,7 @@ from merminsim.model import (
     CaseStats,
     CellWeights,
     ExperimentConfig,
-    Setting,
+    SETTINGS,
     builtin_distribution,
 )
 from merminsim.montecarlo import SimulationPlan, run_trials
@@ -45,7 +45,7 @@ def make_pair(exact_case_b, est_case_b):
         eta_u_b=Fraction(1),
         eta_f_a=Fraction(1),
         eta_f_b=Fraction(1),
-        coincidence_rate=MappingProxyType({pair: zero for pair in ALL_SETTING_PAIRS}),
+        coincidence_rate=MappingProxyType({f"{a}{b}": zero for a, b in ALL_SETTING_PAIRS}),
     )
     one = exact_estimate(1.0)
     est = CaseStats(
@@ -57,7 +57,7 @@ def make_pair(exact_case_b, est_case_b):
         eta_u_b=one,
         eta_f_a=one,
         eta_f_b=one,
-        coincidence_rate={pair: exact_estimate(0.0) for pair in ALL_SETTING_PAIRS},
+        coincidence_rate={f"{a}{b}": exact_estimate(0.0) for a, b in ALL_SETTING_PAIRS},
     )
     return exact, est
 
@@ -129,6 +129,13 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(exact, est, threshold=0)
 
+    def test_nan_threshold_is_refused(self):
+        # nan <= 0 is false, so a bare sign test would let every row judge
+        # abs(z) <= nan, which fails whenever z is finite and nonzero.
+        exact, est = make_pair(Fraction(1), exact_estimate(1.0))
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            compare(exact, est, threshold=float("nan"))
+
     def test_covers_all_seventeen_fields(self):
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
         assert len(compare(exact, est).rows) == 8 + 9
@@ -136,9 +143,9 @@ class TestCompare:
 
 def uniform_coincidence_tally(count_per_cell):
     cells = {}
-    for sa in Setting:
-        for sb in Setting:
-            cells[f"{sa.digit}{sb.digit}GG"] = count_per_cell
+    for sa in SETTINGS:
+        for sb in SETTINGS:
+            cells[f"{sa}{sb}GG"] = count_per_cell
     return cell_weights(cells)
 
 
@@ -152,10 +159,10 @@ class TestSettingsIndependence:
 
     def test_zeroed_cell_is_extreme(self):
         cells = {
-            f"{sa.digit}{sb.digit}GG": 1125
-            for sa in Setting
-            for sb in Setting
-            if not (sa is Setting.S1 and sb is Setting.S1)
+            f"{sa}{sb}GG": 1125
+            for sa in SETTINGS
+            for sb in SETTINGS
+            if not (sa == 1 and sb == 1)
         }
         tally = cell_weights(cells)
         result = settings_independence_test(tally)
