@@ -6,7 +6,10 @@ were declared over the cell codec; lossy_table1 (failure probabilities
 thresholds at p > 0. two_one_uniform, all_eight_uniform and
 single_gnr_ggr were captured before the cell codec became digits and
 letters; single_gnr_ggr fails its settings-independence check, so its
-verify exits 3.
+verify exits 3. mixed_weights (27 entries, p_a = 1/6 and p_b = 0.05) was
+captured before the source was built in one integer pass: its weights mix
+"num/den" strings over different denominators, JSON decimals, decimal and
+exponent strings and a zero, and its verify exits 3 too.
 
 tests/golden/<config>/<command>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
@@ -29,6 +32,7 @@ CONFIGS = (
     "two_one_uniform",
     "all_eight_uniform",
     "single_gnr_ggr",
+    "mixed_weights",
 )
 COMMANDS = {
     "enumerate": [],
