@@ -65,11 +65,15 @@ def _as_int(value: Any, name: str) -> int:
     raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
 
 
+def _quoted(name: str) -> str:
+    """A key or file name for a diagnostic: quoted as JSON when it is not
+    printable, so the diagnostic stays on one line."""
+    return name if name.isprintable() else json.dumps(name)
+
+
 def _field_path(where: str, key: str) -> str:
-    """The path of field key of the object at where; a key that is not
-    printable is quoted as JSON, so its diagnostic stays on one line."""
-    if not key.isprintable():
-        key = json.dumps(key)
+    """The path of field key of the object at where, the key _quoted."""
+    key = _quoted(key)
     return f"{where}.{key}" if where else key
 
 
@@ -137,26 +141,46 @@ class _Fields(list):
     """A JSON object as its (key, value) pairs, repeated keys included."""
 
 
-def _exact_decimals(obj: Any, where: str) -> Any:
+# What _exact_decimals walks: objects, lists and decimal literals.
+_WALKED = (list, _DecimalLiteral)
+
+
+def _path(where: Union[tuple, None]) -> str:
+    """The field path of where, a chain of (parent, key or list index)
+    pairs from the top level; built only for a diagnostic."""
+    steps = []
+    while where is not None:
+        where, step = where
+        steps.append(step)
+    path = ""
+    for step in reversed(steps):
+        path = f"{path}[{step}]" if isinstance(step, int) else _field_path(path, step)
+    return path
+
+
+def _exact_decimals(obj: Any, where: Union[tuple, None] = None) -> Any:
     """The document with each object a dict and each decimal literal parsed
-    to an exact Fraction; a literal that cannot be parsed, or a field that
-    appears twice in one object, is reported by its field path."""
+    to an exact Fraction; other leaves are returned as they are. A literal
+    that cannot be parsed, or a field that appears twice in one object, is
+    reported by its field path; where is obj's place, as _path reads it."""
     if isinstance(obj, _DecimalLiteral):
         try:
             return parse_rational(obj)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
+            raise ConfigurationError(f"{_path(where)}: {exc}") from None
     if isinstance(obj, _Fields):
         fields = {}
         for key, value in obj:
-            path = _field_path(where, key)
             if key in fields:
-                raise ConfigurationError(f"{path}: duplicate field")
-            fields[key] = _exact_decimals(value, path)
+                raise ConfigurationError(f"{_path((where, key))}: duplicate field")
+            if isinstance(value, _WALKED):
+                value = _exact_decimals(value, (where, key))
+            fields[key] = value
         return fields
-    if isinstance(obj, list):
-        return [_exact_decimals(value, f"{where}[{i}]") for i, value in enumerate(obj)]
-    return obj
+    return [
+        _exact_decimals(value, (where, i)) if isinstance(value, _WALKED) else value
+        for i, value in enumerate(obj)
+    ]
 
 
 def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
@@ -175,7 +199,7 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
             doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
         except (ValueError, RecursionError) as exc:
             raise ConfigurationError(f"invalid JSON: {exc}") from None
-        doc = _exact_decimals(doc, "")
+        doc = _exact_decimals(doc) if isinstance(doc, _WALKED) else doc
         if not isinstance(doc, dict):
             raise ConfigurationError("top level must be an object")
         _check_fields(doc, ("source", "detector_a", "detector_b", "seed", "n_trials"), "")
@@ -187,7 +211,7 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
             detector_b=_build_detector(doc.get("detector_b"), "detector_b"),
         )
     except (ConfigurationError, RecursionError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ConfigurationError(f"{_quoted(str(path))}: {exc}") from None
     return config, doc
 
 
@@ -333,12 +357,12 @@ def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
     if args.n is not None:
         n, n_name = args.n, "--n"
     else:
-        n_name = f"{args.config}: n_trials"
+        n_name = f"{_quoted(args.config)}: n_trials"
         n = _as_int(doc.get("n_trials", DEFAULT_N_TRIALS), n_name)
     if args.seed is not None:
         seed, seed_name = args.seed, "--seed"
     else:
-        seed_name = f"{args.config}: seed"
+        seed_name = f"{_quoted(args.config)}: seed"
         seed = _as_int(doc.get("seed", DEFAULT_SEED), seed_name)
     if not 0 <= n < MAX_TRIALS:
         raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {n}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -126,15 +127,19 @@ def parse_rational(text: str) -> Fraction:
     digit limit Python puts on int() strings (4300 by default) is refused
     before parsing: "1e999999999" would otherwise run for hours.
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    exponent = _EXPONENT.search(text)
-    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-        raise ConfigurationError(
-            f"decimal exponent of {text!r} is beyond {limit}, the int digit limit"
-        )
+    num, _, den = text.partition("/")
+    # Plain "digits/digits" text is two ints, read as Fraction reads them.
+    plain = num.isdecimal() and den.isdecimal()
+    if not plain:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        exponent = _EXPONENT.search(text)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ConfigurationError(
+                f"decimal exponent of {text!r} is beyond {limit}, the int digit limit"
+            )
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse {text!r} as a rational") from None
 
@@ -167,47 +172,50 @@ class SourceDistribution:
     ConfigurationError names the field at fault: entries[i].state for a bad
     or repeated state, entries[i].weight for a bad or negative weight, and
     entries for a list that is empty or does not sum to 1 (within
-    WEIGHT_SUM_TOLERANCE).
+    WEIGHT_SUM_TOLERANCE). Building it also computes state_masses, the
+    integer masses the sum is checked on.
     """
 
     entries: tuple[tuple[PairState, Fraction], ...]
 
     def __post_init__(self) -> None:
         entries = []
-        seen: set[PairState] = set()
-        total = Fraction(0)
+        seen: set[tuple[str, str]] = set()
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
                 state = _pair_state(state)
                 field = "weight"
                 weight = as_fraction(weight)
-                if weight < 0:
+                if weight.numerator < 0:
                     raise ConfigurationError(f"has negative weight {weight}")
                 field = "state"
-                if state in seen:
+                texts = (state.alice.outcomes, state.bob.outcomes)
+                if texts in seen:
                     raise ConfigurationError(f"duplicates state {state}")
             except ConfigurationError as exc:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
-            seen.add(state)
-            total += weight
+            seen.add(texts)
             entries.append((state, weight))
         if not entries:
             raise ConfigurationError("entries: has no entries")
-        if abs(total - 1) > WEIGHT_SUM_TOLERANCE:
+        denominator = math.lcm(*(w.denominator for _, w in entries))
+        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
+        total = sum(masses)
+        weight_sum = Fraction(total, denominator)
+        if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:
             raise ConfigurationError(
-                f"entries: weights sum to {total} (~{float(total):.12g}), expected 1"
+                f"entries: weights sum to {weight_sum} (~{float(weight_sum):.12g}), expected 1"
             )
         object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "_state_masses", (masses, total))
 
-    @functools.cached_property
+    @property
     def state_masses(self) -> tuple[tuple[int, ...], int]:
         """Each entry's weight as an integer mass over the common
         denominator of the weights, and the total mass: entry i has
-        probability masses[i] / total. Computed once per source."""
-        denominator = math.lcm(*(w.denominator for _, w in self.entries))
-        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in self.entries)
-        return masses, sum(masses)
+        probability masses[i] / total. Computed when the source is built."""
+        return self._state_masses
 
     @functools.cached_property
     def state_cells(self) -> tuple[tuple[int, ...], ...]:
@@ -215,20 +223,11 @@ class SourceDistribution:
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
         side. The exact oracle and the Monte Carlo engine both read it."""
-        cells = []
-        for state, _ in self.entries:
-            a = [*map(OUTCOMES.index, NO_FLASH + state.alice.outcomes)]
-            b = [*map(OUTCOMES.index, NO_FLASH + state.bob.outcomes)]
-            cells.append(
-                tuple(
-                    [
-                        ((digit_a * 4 + digit_b) * 3 + a[digit_a]) * 3 + b[digit_b]
-                        for digit_a in range(4)
-                        for digit_b in range(4)
-                    ]
-                )
-            )
-        return tuple(cells)
+        return tuple(
+            tuple(map(operator.add, _CELL_SHARES_A[state.alice.outcomes],
+                      _CELL_SHARES_B[state.bob.outcomes]))
+            for state, _ in self.entries
+        )
 
     @functools.cached_property
     def cell_masses(self) -> tuple[tuple[int, ...], int]:
@@ -305,6 +304,19 @@ ALL_INSTRUCTION_SETS = tuple(
     InstructionSet("".join(combo)) for combo in itertools.product(OUTCOMES, repeat=3)
 )
 _SETS_BY_TEXT = {s.outcomes: s for s in ALL_INSTRUCTION_SETS}
+
+# The cell of switch digits (a, b) and outcomes (x, y) is
+# ((a * 4 + b) * 3 + x) * 3 + y: 36a + 3x from side A plus 9b + y from
+# side B. Each instruction set text maps to its side's 16 shares, at
+# index a * 4 + b, with digit 0 reading N.
+_CELL_SHARES_A = {
+    s: tuple(36 * a + 3 * OUTCOMES.index((NO_FLASH + s)[a]) for a in range(4) for _ in range(4))
+    for s in _SETS_BY_TEXT
+}
+_CELL_SHARES_B = {
+    s: tuple(9 * b + OUTCOMES.index((NO_FLASH + s)[b]) for _ in range(4) for b in range(4))
+    for s in _SETS_BY_TEXT
+}
 
 # The six no-N sets where one colour appears once and the other twice.
 TWO_ONE_SETS = _sets("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")

@@ -440,6 +440,27 @@ class TestConfigFieldErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnprintableConfigPath:
+    # (command, config fields, text the diagnostic must name after the
+    # path); a config path holding a newline is quoted as JSON, so the
+    # diagnostic stays on one stderr line.
+    CASES = [
+        ("enumerate", {"source": {"builtin": "nope"}}, "source.builtin: unknown builtin"),
+        ("simulate", {"seed": "x"}, "seed: expected an integer, got 'x'"),
+    ]
+
+    @pytest.mark.parametrize("command, fields, named", CASES, ids=[case[0] for case in CASES])
+    def test_diagnostic_stays_on_one_line(self, tmp_path, capsys, command, fields, named):
+        (tmp_path / "nl").mkdir()
+        cfg = write_config(tmp_path, name="nl/a\nb.json", **fields)
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {json.dumps(str(cfg))}: {named}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestAtomicReports:
     def test_failed_write_keeps_the_earlier_report(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from merminsim.model import (
     ALL_EIGHT_SETS,
@@ -19,6 +20,7 @@ from merminsim.model import (
     TWO_ONE_SETS,
     as_fraction,
     builtin_distribution,
+    parse_rational,
 )
 
 
@@ -216,6 +218,33 @@ class TestDetectorAndConfig:
         assert swept.source is cfg.source
 
 
+# Digit runs with underscores and leading zeros, some in non-ASCII digits:
+# Arabic-Indic and fullwidth digits are decimal, superscript two is not.
+_DIGIT_RUNS = st.one_of(
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.text(st.sampled_from("00123456789_\u0661\uff15\u00b2"), max_size=5),
+)
+_SPACE = st.sampled_from(["", "", "", " ", "\t", "\n", "\u3000"])
+
+
+@st.composite
+def _rational_texts(draw):
+    """num/den and decimal texts, each possibly malformed."""
+    if draw(st.booleans()):
+        return draw(_DIGIT_RUNS) + "/" + draw(_DIGIT_RUNS)
+    sign = draw(st.sampled_from(["", "", "", "-", "+", "+-"]))
+    body = draw(_DIGIT_RUNS)
+    if draw(st.booleans()):
+        body += draw(st.sampled_from(["/", " /", "/ "])) + draw(_DIGIT_RUNS)
+    else:
+        if draw(st.booleans()):
+            body += "." + draw(_DIGIT_RUNS)
+        if draw(st.booleans()):
+            exponent = draw(st.integers(-30, 30))
+            body += draw(st.sampled_from(["e", "E", "e+"])) + str(exponent)
+    return draw(_SPACE) + sign + body + draw(_SPACE)
+
+
 class TestParseRational:
     @pytest.mark.parametrize(
         "text, expected",
@@ -231,6 +260,16 @@ class TestParseRational:
     def test_exponent_past_the_digit_limit_is_refused(self, text):
         with pytest.raises(ConfigurationError, match="exponent"):
             as_fraction(text)
+
+    @given(text=_rational_texts())
+    def test_agrees_with_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ConfigurationError, match="cannot parse"):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected
 
     def test_non_state_entry_is_refused(self):
         with pytest.raises(ConfigurationError, match=r"^entries\[1\]\.state: expected a pair state"):
