@@ -144,6 +144,9 @@ class _Fields(list):
 # What _exact_decimals walks: objects, lists and decimal literals.
 _WALKED = (list, _DecimalLiteral)
 
+# Objects and lists nest at most this deep; the top level is level 1.
+_MAX_DEPTH = 64
+
 
 def _path(where: Union[tuple, None]) -> str:
     """The field path of where, a chain of (parent, key or list index)
@@ -158,27 +161,30 @@ def _path(where: Union[tuple, None]) -> str:
     return path
 
 
-def _exact_decimals(obj: Any, where: Union[tuple, None] = None) -> Any:
+def _exact_decimals(obj: Any, where: Union[tuple, None] = None, depth: int = 1) -> Any:
     """The document with each object a dict and each decimal literal parsed
     to an exact Fraction; other leaves are returned as they are. A literal
-    that cannot be parsed, or a field that appears twice in one object, is
-    reported by its field path; where is obj's place, as _path reads it."""
+    that cannot be parsed, a field that appears twice in one object, or an
+    object or list at a depth past _MAX_DEPTH is reported by its field
+    path; where is obj's place, as _path reads it, and depth its level."""
     if isinstance(obj, _DecimalLiteral):
         try:
             return parse_rational(obj)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{_path(where)}: {exc}") from None
+    if depth > _MAX_DEPTH:
+        raise ConfigurationError(f"{_path(where)}: nested deeper than {_MAX_DEPTH} levels")
     if isinstance(obj, _Fields):
         fields = {}
         for key, value in obj:
             if key in fields:
                 raise ConfigurationError(f"{_path((where, key))}: duplicate field")
             if isinstance(value, _WALKED):
-                value = _exact_decimals(value, (where, key))
+                value = _exact_decimals(value, (where, key), depth + 1)
             fields[key] = value
         return fields
     return [
-        _exact_decimals(value, (where, i)) if isinstance(value, _WALKED) else value
+        _exact_decimals(value, (where, i), depth + 1) if isinstance(value, _WALKED) else value
         for i, value in enumerate(obj)
     ]
 
@@ -192,13 +198,15 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
     """
     try:
         # ValueError covers bad UTF-8 or JSON and integers past the digit
-        # limit; RecursionError, here and in the walk, covers arrays nested
-        # too deep.
+        # limit. The parser recurses once per level, so it runs out of stack
+        # only far past _MAX_DEPTH, before the walk can name a path.
         try:
             text = Path(path).read_text(encoding="utf-8")
             doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             raise ConfigurationError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigurationError(f"nested deeper than {_MAX_DEPTH} levels") from None
         doc = _exact_decimals(doc) if isinstance(doc, _WALKED) else doc
         if not isinstance(doc, dict):
             raise ConfigurationError("top level must be an object")
@@ -210,7 +218,7 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
             detector_a=_build_detector(doc.get("detector_a"), "detector_a"),
             detector_b=_build_detector(doc.get("detector_b"), "detector_b"),
         )
-    except (ConfigurationError, RecursionError) as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{_quoted(str(path))}: {exc}") from None
     return config, doc
 

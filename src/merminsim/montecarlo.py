@@ -6,18 +6,20 @@ counter. Trial i therefore owns its randomness regardless of scheduling,
 so any partition of the trial range into streams produces bitwise
 identical tallies, and tallies merge as a commutative monoid.
 
-A draw is the top 53 bits k of a lane's hash and stands for u = k * 2^-53.
-The state draw compares k with the exact integer form of each float64
-comparison on u, so it is what comparing u in floating point gives. Each
-side's switch digit cuts one draw at exact rational boundaries.
+A draw is the top 53 bits k = z >> 11 of a lane's hash z and stands for
+u = k * 2^-53. The state draw compares k with the exact integer form of
+each float64 comparison on u, so it is what comparing u in floating point
+gives: one gather from a guide over the top bits of z, and a search for
+the under 1/64 of draws whose bucket a threshold splits. Each side's
+switch digit cuts z at exact rational boundaries (k >= t is z > 2^11 t - 1).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -40,18 +42,17 @@ MAX_TRIALS = 1 << 60
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
 _ONE = 1 << 53
 
-# Trials per pass. The per-pass buffers (about 3 MB) stay in the CPU
-# caches, and each numpy call is long enough that worker threads do not
-# stall on the interpreter lock (with 1 << 14, two streams run slower
-# than one on two cores).
+# Trials per pass. The per-pass buffers (28 bytes a trial, about 1.8 MB)
+# stay in the CPU caches, and each numpy call is long enough that worker
+# threads do not stall on the interpreter lock (with 1 << 14, two streams
+# run slower than one on two cores).
 _CHUNK = 1 << 16
 
-# Guide buckets per pair state, rounded up to a power of two. With 8, a
-# bucket holds under one threshold on average, so the in-bucket search
-# takes the same number of rounds for nearly every source of a given size
-# (two for 399 of 400 random-weight 729-state sources, where 2 buckets
-# per state gave one source in twelve a third round and ~10% more time).
-_BUCKETS_PER_STATE = 8
+# Guide buckets per pair state, rounded up to a power of two. Each of the
+# K - 1 inner thresholds splits at most one bucket, so at most K - 1 of the
+# 64 K or more equal-width buckets are split and under 1/64 of draws, for
+# any weights, need the search after the gather.
+_BUCKETS_PER_STATE = 64
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -86,21 +87,19 @@ def _switch_thresholds(p) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """One config's draws as integer thresholds on k.
+    """One config's draws as integer thresholds on k = z >> 11.
 
-    The state is the number of inner cumulative thresholds <= k, found by
-    a guide table over the top bits of k (bucket = k >> bucket_shift holds
-    the state of its least k) and then search_steps rounds of branchless
-    binary search. There are at least 8K buckets; search_steps is at
-    most ceil(log2 K) and is 1 when no bucket holds two thresholds.
-    switch_a and switch_b are _switch_thresholds. cells maps (state,
-    switch_a * 4 + switch_b) to the cell code: the source's state_cells.
+    The state is the number of inner cumulative thresholds <= k. guide
+    holds, for each of the _BUCKETS_PER_STATE * K or more buckets
+    z >> (bucket_shift + 11), 16 * state if no inner threshold splits it,
+    else -1; draws in a split bucket are searched in thresholds. switch_a
+    and switch_b are _switch_thresholds. cells maps (state, switch_a * 4 +
+    switch_b) to the cell code: the source's state_cells.
     """
 
     thresholds: np.ndarray
     guide: np.ndarray
     bucket_shift: int
-    search_steps: int
     switch_a: tuple[int, ...]
     switch_b: tuple[int, ...]
     cells: np.ndarray
@@ -123,58 +122,53 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
         cum.append(_ceil_k(*(acc / total).as_integer_ratio()))
     if cum[-1] != _ONE:
         raise ValueError(f"source weights sum to {acc}/{total}, not 1")
-    inner = cum[:-1]
+    inner = np.array(cum[:-1], dtype=np.uint64)
 
     bucket_bits = (_BUCKETS_PER_STATE * len(masses) - 1).bit_length()
-    shift = 53 - bucket_bits
-    inner_k = np.array(inner, dtype=np.uint64)
-    starts = np.arange(1 << bucket_bits, dtype=np.uint64) << np.uint64(shift)
-    guide = np.searchsorted(inner_k, starts, side="right")
-    ends = np.searchsorted(inner_k, starts + np.uint64((1 << shift) - 1), side="right")
-    steps = int((ends - guide).max()).bit_length()
+    buckets, shift = 1 << bucket_bits, 53 - bucket_bits
+    # lo[b] and hi[b] count the inner thresholds <= the least and greatest k
+    # of bucket b: t counts in lo from bucket ceil(t / 2^shift) on, in hi from
+    # floor(t / 2^shift) on, and a t of 2^53 (zero weights last) in neither.
+    ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
+    floor_b = (inner >> np.uint64(shift)).astype(np.intp)
+    lo = np.cumsum(np.bincount(ceil_b, minlength=buckets + 1)[:buckets])
+    hi = np.cumsum(np.bincount(floor_b, minlength=buckets + 1)[:buckets])
+    # int16 takes a quarter of intp's cache room and holds 16 * 728 + 15 (729 states at most).
+    guide = (16 * lo).astype(np.int16)
+    guide[lo != hi] = -1
 
     return _Sampler(
-        thresholds=np.array(inner + [_ONE] * (1 << steps), dtype=np.uint64),
+        thresholds=inner,
         guide=guide,
         bucket_shift=shift,
-        search_steps=steps,
         switch_a=_switch_thresholds(config.detector_a.failure_probability),
         switch_b=_switch_thresholds(config.detector_b.failure_probability),
         cells=np.array(config.source.state_cells),
     )
 
 
-def _draw_state(k, tables: _Sampler, st, t, h, sc) -> np.ndarray:
-    """State index of each draw in k: the number of inner thresholds <= k.
-
-    st receives the result; t, h and sc are scratch buffers the size of k
-    (uint64, bool and intp).
-    """
-    u64 = np.uint64
-    np.right_shift(k, u64(tables.bucket_shift), out=t)
+def _draw_state(z, tables: _Sampler, st, t, h) -> np.ndarray:
+    """16 * the state of each hash in z, the number of inner thresholds
+    <= z >> 11, into st (int16); t (uint64) and h (bool) are scratch."""
+    np.right_shift(z, np.uint64(tables.bucket_shift + 11), out=t)
     # Indices are in range by construction; "wrap" skips the bounds check.
     np.take(tables.guide, t.view(np.intp), out=st, mode="wrap")
-    for round_ in reversed(range(tables.search_steps)):
-        step = 1 << round_
-        probe = st if step == 1 else np.add(st, step - 1, out=sc)
-        np.take(tables.thresholds, probe, out=t, mode="wrap")
-        np.less_equal(t, k, out=h)
-        np.add(st, h if step == 1 else np.multiply(h, np.intp(step), out=sc), out=st)
+    split = np.flatnonzero(np.less(st, 0, out=h))
+    st[split] = np.searchsorted(tables.thresholds, z[split] >> np.uint64(11), side="right") * 16
     return st
 
 
-def _switch_digits(k, thresholds, sw, h) -> np.ndarray:
-    """Switch digit #{j : k >= thresholds[j]} of each draw in k, into sw
-    (uint8); h is a bool scratch buffer the size of k."""
-    t0, t1, t2 = map(np.uint64, thresholds)
-    np.greater_equal(k, t1, out=h)
-    if t0:
-        np.greater_equal(k, t0, out=sw.view(bool))
-        np.add(sw, h, out=sw)
-    else:  # p = 0: every k meets t0 = 0, so it is not compared
-        np.add(h, 1, out=sw, dtype=np.uint8)
-    np.greater_equal(k, t2, out=h)
-    np.add(sw, h, out=sw)
+def _add_switch_digits(z, thresholds, sw, h) -> np.ndarray:
+    """Add the switch digit #{j : z >> 11 >= thresholds[j]} of each hash
+    in z to sw (uint8), through the bool scratch buffer h. k >= t is
+    z > (t << 11) - 1: t = 0 counts for every z and t = 2^53 for none.
+    h is added as uint8: a bool + uint8 add casts, at a third the speed."""
+    for t in thresholds:
+        if t:
+            np.greater(z, np.uint64((t << 11) - 1), out=h)
+            np.add(sw, h.view(np.uint8), out=sw)
+        else:
+            np.add(sw, 1, out=sw)
     return sw
 
 
@@ -193,23 +187,20 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
     size = min(_CHUNK, hi)
     u64 = np.uint64
     stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    base, k, tmp = (np.empty(size, dtype=u64) for _ in range(3))
-    state, scratch = (np.empty(size, dtype=np.intp) for _ in range(2))
-    hit = np.empty(size, dtype=bool)
-    sw_a, sw_b = (np.empty(size, dtype=np.uint8) for _ in range(2))
+    z_buf, tmp, state = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
+    hit, digits = np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8)
     hist = np.zeros(tables.cells.size, dtype=np.int64)
 
     def draw(lane, m):
-        """k = mix64((8 i + lane + 1) * GAMMA + seed) >> 11 per trial i."""
-        z, t = k[:m], tmp[:m]
-        np.add(base[:m], u64(((lane + 1) * _GAMMA + seed) & _MASK64), out=z)
+        """z = mix64(counter + (8 i + lane) GAMMA) per trial start + i."""
+        z, t = z_buf[:m], tmp[:m]
+        np.add(stride[:m], u64((counter + lane * _GAMMA) & _MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, u64(shift), out=t)
             np.bitwise_xor(z, t, out=z)
             np.multiply(z, u64(mult), out=z)
         np.right_shift(z, u64(31), out=t)
         np.bitwise_xor(z, t, out=z)
-        np.right_shift(z, u64(11), out=z)
         return z
 
     while True:
@@ -218,16 +209,17 @@ def _run_chunks(starts, lock, hi: int, seed: int, tables: _Sampler) -> np.ndarra
         if start is None:
             break
         m = min(_CHUNK, hi - start)
-        h = hit[:m]
-        np.add(stride[:m], u64(start * _LANES * _GAMMA & _MASK64), out=base[:m])
-        pair = _switch_digits(draw(_SIDE_A_LANE, m), tables.switch_a, sw_a[:m], h)
-        np.left_shift(pair, 2, out=pair)
-        np.add(pair, _switch_digits(draw(_SIDE_B_LANE, m), tables.switch_b, sw_b[:m], h), out=pair)
+        h, pair = hit[:m], digits[:m]
+        counter = (start * _LANES + 1) * _GAMMA + seed
+        pair.fill(0)
+        _add_switch_digits(draw(_SIDE_A_LANE, m), tables.switch_a, pair, h)
+        # 4 * digit_a in uint8 adds, which numpy vectorizes and a uint8 << does not.
+        np.add(pair, pair, out=pair)
+        np.add(pair, pair, out=pair)
+        _add_switch_digits(draw(_SIDE_B_LANE, m), tables.switch_b, pair, h)
         # Count (state, switch_a, switch_b) triples; cells folds the
         # histogram into the cell codec once, after the last chunk.
-        z = draw(_STATE_LANE, m)
-        st = _draw_state(z, tables, state[:m], tmp[:m], h, scratch[:m])
-        np.left_shift(st, 4, out=st)
+        st = _draw_state(draw(_STATE_LANE, m), tables, state[:m], tmp[:m], h)
         np.add(st, pair, out=st)
         hist += np.bincount(st, minlength=hist.size)
 
@@ -253,19 +245,26 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     tables = _sampler_tables(plan.config)
     seed = plan.seed & _MASK64
 
-    starts = iter(range(0, plan.n_trials, _CHUNK))
+    partials, errors = [], []
+    # After a worker's error the others take no further chunk.
+    starts = takewhile(lambda _: not errors, range(0, plan.n_trials, _CHUNK))
     lock = threading.Lock()
-    chunks = -(-plan.n_trials // _CHUNK)
-    workers = min(plan.n_streams, os.cpu_count() or 1, chunks)
+    workers = min(plan.n_streams, os.cpu_count() or 1, -(-plan.n_trials // _CHUNK))
 
-    def work(_):
-        return _run_chunks(starts, lock, plan.n_trials, seed, tables)
+    def work():
+        try:
+            partials.append(_run_chunks(starts, lock, plan.n_trials, seed, tables))
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(work, range(workers)))
-
-    counts = np.zeros(N_CELLS, dtype=np.int64)
-    for partial in partials:
-        counts += partial
-    return CellWeights(tuple(counts.tolist()), plan.n_trials)
+    # The caller is the first worker.
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return CellWeights(tuple(sum(partials).tolist()), plan.n_trials)
 

@@ -379,8 +379,16 @@ class TestConfigFieldErrors:
         ('{"source": {"entries": [{"state": "GGR-GGR", "weight": "1e999999999"}]}}',
          "source.entries[0].weight"),
         ('{"source": {"builtin": "table1_uniform"}, "n_trials": 1e-999999999}', "n_trials"),
-        ('{"source": ' + "[" * 900 + "]" * 900 + "}", "recursion depth"),
-        ('{"source": ' + "[" * 5000 + "]" * 5000 + "}", "recursion depth"),
+        # The loader's nesting limit is 64 levels, the top-level object
+        # being level 1: the 64th list inside source is the first too deep.
+        ('{"source": ' + "[" * 64 + "]" * 64 + "}",
+         "source" + "[0]" * 63 + ": nested deeper than 64 levels"),
+        ('{"source": ' + "[" * 900 + "]" * 900 + "}",
+         "source" + "[0]" * 63 + ": nested deeper than 64 levels"),
+        ('{"source": {"entries": [' + '{"a": ' * 62 + "1" + "}" * 62 + "]}}",
+         "source.entries[0]" + ".a" * 61 + ": nested deeper than 64 levels"),
+        ('{"source": ' + "[" * 5000 + "]" * 5000 + "}", ": nested deeper than 64 levels"),
+        ('{"source": ' + "[" * 63 + "]" * 63 + "}", "source: expected an object"),
         ('{"source": {"builtin": "table1_uniform"}, "n_trial": 5}', "n_trial: unknown field"),
         ('{"source": {"builtin": "table1_uniform"}, "detector_a": {"failure_probabilty": 0.5}}',
          "detector_a.failure_probabilty: unknown field"),

@@ -1,5 +1,9 @@
 import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,13 +97,58 @@ class TestRunTrials:
     def test_threads_sharing_chunks_count_every_trial_once(self, streams, monkeypatch):
         base = run_trials(plan_for("table1_uniform", 30_500, seed=17, p_a=Fraction(1, 5)))
         # Small chunks and a CPU count above the stream count, so every
-        # stream gets a worker and each worker takes many chunks.
+        # stream gets a worker and each worker takes many chunks; a short
+        # switch interval interleaves the workers' chunk takes and appends.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        split = run_trials(
-            plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
-        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = run_trials(
+                plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
+            )
+        finally:
+            sys.setswitchinterval(interval)
         assert base == split
+
+    def test_worker_exception_surfaces_from_run_trials(self, monkeypatch):
+        # Small chunks and a CPU count above the stream count, so the run
+        # starts worker threads; only those raise, and the caller, the
+        # first worker, then stops taking chunks.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        run_chunks = montecarlo._run_chunks
+        taken = []
+
+        def counted(starts):
+            for start in starts:
+                taken.append(start)
+                yield start
+
+        def failing(starts, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return run_chunks(counted(starts), *args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_trials(plan_for("table1_uniform", 5_000_000, seed=13, streams=3))
+        assert len(taken) < 5000
+
+    def test_import_loads_no_executor_or_logging(self):
+        code = (
+            "import sys, merminsim.montecarlo; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == "[]\n"
 
     def test_conservation_and_failure_cells(self):
         tally = run_trials(

@@ -1,14 +1,14 @@
 """The integer-threshold engine against a reference sampler written from
 the definitions.
 
-Every draw is a 53-bit integer k standing for u = k 2^-53; the engine
-compares k with integer thresholds. The reference draws the state as a
-float searchsorted of u over the cumulative weights, and each side's
-switch digit as an exact rational partition of k. These tests pin that
-the two give the same tallies, draw for draw.
+Every draw is a 53-bit integer k = z >> 11 of a 64-bit hash z, standing
+for u = k 2^-53; the engine compares z with integer thresholds on k. The
+reference draws the state as a float searchsorted of u over the
+cumulative weights, and each side's switch digit as an exact rational
+partition of k. These tests pin that the two give the same tallies, draw
+for draw.
 """
 
-import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,11 +29,12 @@ from merminsim.model import (
 )
 from merminsim.montecarlo import (
     MAX_TRIALS,
+    _BUCKETS_PER_STATE,
     _CHUNK,
+    _add_switch_digits,
     _draw_state,
     _run_range,
     _sampler_tables,
-    _switch_digits,
 )
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -136,6 +137,13 @@ def edges(points):
     return np.array(sorted(k for k in ks if 0 <= k < ONE), dtype=U64)
 
 
+def hashes(k):
+    """The least and the greatest hash z whose draw z >> 11 is k, for each
+    draw in k: (k, z) with every draw listed twice."""
+    z = np.concatenate([k << U64(11), (k << U64(11)) | U64(0x7FF)])
+    return np.concatenate([k, k]), z
+
+
 SOURCES = {
     "table1": builtin_distribution("table1_uniform"),
     "dense": DENSE,
@@ -165,22 +173,23 @@ def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk,
 def test_state_draw_at_every_threshold_and_bucket_edge(name):
     config = ExperimentConfig(source=SOURCES[name])
     tables = _sampler_tables(config)
-    inner = tables.thresholds[tables.thresholds < U64(ONE)]
+    inner = [int(t) for t in tables.thresholds]
     assert len(inner) == len(config.source.renormalized()) - 1
-    buckets = [b << tables.bucket_shift for b in range(len(tables.guide))]
-    k = edges([int(t) for t in inner] + buckets)
-    size = len(k)
+    width = 1 << tables.bucket_shift
+    buckets = [b * width for b in range(len(tables.guide))]
+    split = [b * width for b in np.flatnonzero(tables.guide < 0).tolist()]
+    k, z = hashes(edges(inner + buckets + [b + width - 1 for b in split]))
+    size = len(z)
     got = _draw_state(
-        k,
+        z,
         tables,
-        np.empty(size, dtype=np.intp),
+        np.empty(size, dtype=np.int16),
         np.empty(size, dtype=U64),
         np.empty(size, dtype=bool),
-        np.empty(size, dtype=np.intp),
     )
     u = k.astype(np.float64) * 2.0**-53
     expected = np.searchsorted(float_cumulative(config), u, side="right")
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got, 16 * expected)
 
 
 @pytest.mark.parametrize(
@@ -193,9 +202,10 @@ def test_switch_digits_at_every_threshold_edge(p):
     config = ExperimentConfig(source=SOURCES["table1"]).with_failure_probabilities(p, 1 - p)
     tables = _sampler_tables(config)
     for prob, thresholds in ((p, tables.switch_a), (1 - p, tables.switch_b)):
-        k = edges(thresholds)
-        got = _switch_digits(
-            k, thresholds, np.empty(len(k), dtype=np.uint8), np.empty(len(k), dtype=bool)
+        # 0 and 2^53 - 1 bring in the least and the greatest hash, 0 and 2^64 - 1.
+        k, z = hashes(edges([*thresholds, 0, ONE - 1]))
+        got = _add_switch_digits(
+            z, thresholds, np.zeros(len(z), dtype=np.uint8), np.empty(len(z), dtype=bool)
         )
         assert np.array_equal(got, exact_digits(k, prob))
         # t_j is the least draw whose digit exceeds j.
@@ -204,27 +214,23 @@ def test_switch_digits_at_every_threshold_edge(p):
             assert t == 0 or exact_digits(np.array([t - 1], dtype=U64), prob)[0] <= j
 
 
-def test_in_bucket_search_is_logarithmic():
-    assert _sampler_tables(ExperimentConfig(source=SKEWED)).search_steps <= (
-        math.ceil(math.log2(729)) + 1
-    )
-    assert _sampler_tables(ExperimentConfig(source=SOURCES["table1"])).search_steps == 1
+@pytest.mark.parametrize("t, digit", [(0, 1), (ONE, 0)])
+def test_threshold_0_always_counts_and_2_53_never(t, digit):
+    z = np.array([0, 1, 0x7FF, 0x800, 2**63, 2**64 - 1], dtype=U64)
+    sw = np.full(len(z), 5, dtype=np.uint8)
+    _add_switch_digits(z, (t,), sw, np.empty(len(z), dtype=bool))
+    assert sw.tolist() == [5 + digit] * len(z)
 
 
-def test_search_rounds_do_not_vary_between_random_weight_sources():
-    # The cost of a state draw follows the round count; with too few guide
-    # buckets some 729-state sources of random weights need an extra round.
-    rounds = {
-        _sampler_tables(
-            ExperimentConfig(
-                source=weighted_source(
-                    ALL_PAIRS, np.random.default_rng(seed).integers(1, 101, 729)
-                )
-            )
-        ).search_steps
-        for seed in range(24)
-    }
-    assert rounds == {2}
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(source=st.one_of(random_sources(), st.just(SKEWED)))
+def test_at_most_k_minus_1_buckets_are_split(source):
+    # A split bucket costs a search after the gather; each of the K - 1
+    # inner thresholds lies inside at most one bucket.
+    states = len(source.state_masses[0])
+    tables = _sampler_tables(ExperimentConfig(source=source))
+    assert len(tables.guide) >= _BUCKETS_PER_STATE * states
+    assert np.count_nonzero(tables.guide < 0) <= states - 1
 
 
 def test_scheme_2_differs_from_scheme_1_at_p_0_on_one_draw():
