@@ -1,4 +1,4 @@
-"""Every CLI output on the six configs, diffed against captured files.
+"""Every CLI output on the eight configs, diffed against captured files.
 
 table1_uniform and explicit_entries were captured before the statistics
 were declared over the cell codec; lossy_table1 (failure probabilities
@@ -10,6 +10,10 @@ verify exits 3. mixed_weights (27 entries, p_a = 1/6 and p_b = 0.05) was
 captured before the source was built in one integer pass: its weights mix
 "num/den" strings over different denominators, JSON decimals, decimal and
 exponent strings and a zero, and its verify exits 3 too.
+dense_all_states (all 27 x 27 pair states, integer weights over one
+denominator, p_a = 1/5 and p_b = 1/10, like the benchmark's dense source)
+was captured before a pair state became its text and the cell masses
+were grouped by side A's instruction set.
 
 tests/golden/<config>/<command>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
@@ -33,6 +37,7 @@ CONFIGS = (
     "all_eight_uniform",
     "single_gnr_ggr",
     "mixed_weights",
+    "dense_all_states",
 )
 COMMANDS = {
     "enumerate": [],
