@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -109,12 +110,13 @@ def _build_source(spec: Any) -> SourceDistribution:
     if not isinstance(entries, list):
         raise ConfigurationError("source.entries: expected a list")
     for i, entry in enumerate(entries):
+        # An entry holding just its state and weight is well formed; the
+        # field path is built only for the diagnostic of any other.
+        if isinstance(entry, dict) and len(entry) == 2 and "state" in entry and "weight" in entry:
+            continue
         if isinstance(entry, dict):
             _check_fields(entry, ("state", "weight"), f"source.entries[{i}]")
-        if not isinstance(entry, dict) or "state" not in entry or "weight" not in entry:
-            raise ConfigurationError(
-                f"source.entries[{i}]: expected an object with state and weight"
-            )
+        raise ConfigurationError(f"source.entries[{i}]: expected an object with state and weight")
     try:
         return SourceDistribution([(entry["state"], entry["weight"]) for entry in entries])
     except ConfigurationError as exc:
@@ -564,8 +566,11 @@ def cmd_scan(args) -> int:
         else:
             swept = config.with_failure_probabilities(p, p)
         stats = conditional_stats(enumerate_joint(swept))
-        mean_rate = sum(stats.coincidence_rate.values(), Fraction(0)) / len(
-            stats.coincidence_rate
+        # The mean of the nine rates as one Fraction over their common denominator.
+        rates = stats.coincidence_rate.values()
+        den = math.lcm(*(rate.denominator for rate in rates))
+        mean_rate = Fraction(
+            sum(rate.numerator * (den // rate.denominator) for rate in rates), den * len(rates)
         )
         row = [
             _csv_num(p),

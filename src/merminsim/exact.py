@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .model import (
     ALL_EIGHT_SETS,
@@ -21,7 +20,6 @@ from .model import (
     CellWeights,
     ConfigurationError,
     ExperimentConfig,
-    InstructionSet,
     NO_FLASH,
     STATISTICS,
     WeightLike,
@@ -51,10 +49,10 @@ def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     masses, total = config.source.cell_masses
     p_a = config.detector_a.failure_probability
     p_b = config.detector_b.failure_probability
-    # Cell index // 9 is digit_a * 4 + digit_b.
     pair_law = [qa * qb for qa in _switch_weights(p_a) for qb in _switch_weights(p_b)]
+    # The 9 cells from 9k share digit pair k = digit_a * 4 + digit_b.
     return CellWeights(
-        tuple(mass * pair_law[index // 9] for index, mass in enumerate(masses)),
+        tuple([m * q for k, q in enumerate(pair_law) for m in masses[9 * k : 9 * k + 9]]),
         total * 9 * p_a.denominator * p_b.denominator,
     )
 
@@ -69,27 +67,26 @@ def conditional_stats(table: CellWeights) -> CaseStats[Union[Fraction, None]]:
     return CaseStats.from_values(values)
 
 
-def case_b_same_fraction(s: InstructionSet) -> Fraction:
+def case_b_same_fraction(s: str) -> Fraction:
     """Fraction of the six different-setting pairs giving equal colours
-    when both particles carry instruction set s.
+    when both particles carry instruction set s, e.g. "GGR".
 
     Only defined for sets without a no-flash entry; mixed cases belong to
     enumerate_joint.
     """
-    if NO_FLASH in s.outcomes:
+    if NO_FLASH in s:
         raise ValueError(
             f"{s} contains a no-flash instruction; case-b fraction is defined "
             "for flash-only sets"
         )
-    same = sum(1 for sa, sb in CASE_B_PAIRS if s.outcome_at(sa) == s.outcome_at(sb))
+    same = sum(1 for sa, sb in CASE_B_PAIRS if s[sa - 1] == s[sb - 1])
     return Fraction(same, len(CASE_B_PAIRS))
 
 
 @dataclass(frozen=True)
 class MinCaseBResult:
     minimum: Fraction
-    support: tuple[InstructionSet, ...]
-    vertex_values: Mapping[InstructionSet, Fraction]
+    support: tuple[str, ...]
 
 
 def min_case_b_no_noflash() -> MinCaseBResult:
@@ -100,14 +97,9 @@ def min_case_b_no_noflash() -> MinCaseBResult:
     sets and keep those achieving the smallest value (the six two-one
     sets, at exactly 1/3; the two homogeneous sets sit at 1).
     """
-    vertex_values = {s: case_b_same_fraction(s) for s in ALL_EIGHT_SETS}
-    minimum = min(vertex_values.values())
-    support = tuple(s for s in ALL_EIGHT_SETS if vertex_values[s] == minimum)
-    return MinCaseBResult(
-        minimum=minimum,
-        support=support,
-        vertex_values=MappingProxyType(vertex_values),
-    )
+    values = {s: case_b_same_fraction(s) for s in ALL_EIGHT_SETS}
+    minimum = min(values.values())
+    return MinCaseBResult(minimum, tuple(s for s in ALL_EIGHT_SETS if values[s] == minimum))
 
 
 @dataclass(frozen=True)

@@ -49,68 +49,53 @@ NO_FLASH = "N"
 SETTINGS = (1, 2, 3)
 FAILURE = 0
 
+# An instruction set is its text: one outcome letter per setting, ordered
+# by setting, e.g. "GGR" flashes green at settings 1 and 2, red at 3. A
+# pair state is its text "XXX-YYY", detector A's instruction set first,
+# e.g. "GNR-GGR".
+ALL_INSTRUCTION_SETS = tuple("".join(s) for s in itertools.product(OUTCOMES, repeat=3))
+_PAIR_STATES = frozenset(f"{a}-{b}" for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS)
 
-@dataclass(frozen=True)
-class InstructionSet:
-    """Per-particle instructions: one outcome for each of the three settings,
-    as three letters over {G,R,N} ordered by setting, e.g. "GGR" flashes
-    green at settings 1 and 2, red at 3.
-    """
+# The cell of switch digits (a, b) and outcomes (x, y) is
+# ((a * 4 + b) * 3 + x) * 3 + y: 36a + 3x from side A plus 9b + y from
+# side B. Each instruction set text maps to its side's 4 parts, one per
+# digit, with digit 0 reading N.
+_SIDE_A = {
+    s: tuple(36 * a + 3 * OUTCOMES.index((NO_FLASH + s)[a]) for a in range(4))
+    for s in ALL_INSTRUCTION_SETS
+}
+_SIDE_B = {
+    s: tuple(9 * b + OUTCOMES.index((NO_FLASH + s)[b]) for b in range(4))
+    for s in ALL_INSTRUCTION_SETS
+}
+# Side B's parts lie below this span, so side A's offset plus a span of
+# side-B bins stays inside one switch_a digit's 36 cells.
+_B_SPAN = 9 * 3 + 3
+# Each side's part of the 16 cells of a state, at index a * 4 + b.
+_CELL_SHARES_A = {s: tuple(x for x in parts for _ in range(4)) for s, parts in _SIDE_A.items()}
+_CELL_SHARES_B = {s: parts * 4 for s, parts in _SIDE_B.items()}
 
-    outcomes: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.outcomes, str) or len(self.outcomes) != 3:
-            raise ConfigurationError(
-                f"instruction set text must be 3 letters, got {self.outcomes!r}"
-            )
-        for letter in self.outcomes:
+def _state_text(value: object) -> str:
+    """value if it is a pair state's text; otherwise a ConfigurationError
+    names the first fault: not text, not two parts joined by "-", a part
+    that is not 3 letters, or a letter outside G, R and N."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"expected a pair state, got {value!r}")
+    if value in _PAIR_STATES:
+        return value
+    parts = value.split("-")
+    if len(parts) != 2:
+        raise ConfigurationError(f"pair state text must look like XXX-YYY, got {value!r}")
+    for text in parts:
+        if len(text) != 3:
+            raise ConfigurationError(f"instruction set text must be 3 letters, got {text!r}")
+        for letter in text:
             if letter not in OUTCOMES:
                 raise ConfigurationError(
                     f"unknown outcome letter {letter!r} (expected G, R or N)"
                 )
-
-    @classmethod
-    def parse(cls, text: str) -> "InstructionSet":
-        # Each valid text maps to its prebuilt set; the constructor names a fault.
-        return _SETS_BY_TEXT.get(text) or cls(text)
-
-    def outcome_at(self, setting: int) -> str:
-        return self.outcomes[setting - 1]
-
-    def __str__(self) -> str:
-        return self.outcomes
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Hidden state of one emitted pair: the two instruction sets.
-
-    Text form "XXX-YYY" puts detector A's particle first, e.g. "GNR-GGR".
-    """
-
-    alice: InstructionSet
-    bob: InstructionSet
-
-    @classmethod
-    def parse(cls, text: str) -> "PairState":
-        parts = text.split("-")
-        if len(parts) != 2:
-            raise ConfigurationError(
-                f"pair state text must look like XXX-YYY, got {text!r}"
-            )
-        return cls(InstructionSet.parse(parts[0]), InstructionSet.parse(parts[1]))
-
-    def __str__(self) -> str:
-        return f"{self.alice}-{self.bob}"
-
-
-def _pair_state(value: Union[PairState, str]) -> PairState:
-    if isinstance(value, PairState):
-        return value
-    if isinstance(value, str):
-        return PairState.parse(value)
-    raise ConfigurationError(f"expected a pair state, got {value!r}")
+    return value
 
 
 WeightLike = Union[Fraction, int, float, str]
@@ -165,10 +150,11 @@ def as_fraction(value: WeightLike) -> Fraction:
 
 @dataclass(frozen=True)
 class SourceDistribution:
-    """Weighted list of pair states emitted by the source.
+    """Weighted list of pair states emitted by the source: each entry is a
+    state's text and its weight, e.g. ("GNR-GGR", Fraction(1, 12)).
 
-    Building one checks it, in one pass over the entries: states may be
-    given as text ("GNR-GGR") and weights as anything as_fraction reads. A
+    Building one checks it, in one pass over the entries: weights may be
+    given as anything as_fraction reads, and are kept as Fractions. A
     ConfigurationError names the field at fault: entries[i].state for a bad
     or repeated state, entries[i].weight for a bad or negative weight, and
     entries for a list that is empty or does not sum to 1 (within
@@ -176,26 +162,25 @@ class SourceDistribution:
     integer masses the sum is checked on.
     """
 
-    entries: tuple[tuple[PairState, Fraction], ...]
+    entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self) -> None:
         entries = []
-        seen: set[tuple[str, str]] = set()
+        seen: set[str] = set()
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
-                state = _pair_state(state)
+                state = _state_text(state)
                 field = "weight"
                 weight = as_fraction(weight)
                 if weight.numerator < 0:
                     raise ConfigurationError(f"has negative weight {weight}")
                 field = "state"
-                texts = (state.alice.outcomes, state.bob.outcomes)
-                if texts in seen:
+                if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")
             except ConfigurationError as exc:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
-            seen.add(texts)
+            seen.add(state)
             entries.append((state, weight))
         if not entries:
             raise ConfigurationError("entries: has no entries")
@@ -222,10 +207,9 @@ class SourceDistribution:
         """Per entry, the cell of each of the 16 (switch_a, switch_b) digit
         pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
         give there, with digit 0, the failure position, reading N on either
-        side. The exact oracle and the Monte Carlo engine both read it."""
+        side. The Monte Carlo engine's draw-to-cell table."""
         return tuple(
-            tuple(map(operator.add, _CELL_SHARES_A[state.alice.outcomes],
-                      _CELL_SHARES_B[state.bob.outcomes]))
+            tuple(map(operator.add, _CELL_SHARES_A[state[:3]], _CELL_SHARES_B[state[4:]]))
             for state, _ in self.entries
         )
 
@@ -234,18 +218,32 @@ class SourceDistribution:
         """Integer mass of each of the 144 cells, in codec order, and the
         total mass of state_masses.
 
-        A state's mass lands once in each of its 16 state_cells. A cell's
-        probability is then mass / total times the probabilities of its two
-        switch positions, whatever the detectors.
+        A state's mass lands once in each of its 16 cells, the cells of
+        state_cells. A cell's probability is then mass / total times the
+        probabilities of its two switch positions, whatever the detectors.
+        The masses are grouped by side A's instruction set: each state adds
+        its mass to the group's bins at its 4 side-B parts, then each group
+        adds its bins at its 4 side-A offsets.
         """
         state_masses, total = self.state_masses
+        groups: dict[str, list[int]] = {}
+        for (state, _), mass in zip(self.entries, state_masses):
+            bins = groups.get(state[:3])
+            if bins is None:
+                bins = groups[state[:3]] = [0] * _B_SPAN
+            b0, b1, b2, b3 = _SIDE_B[state[4:]]
+            bins[b0] += mass
+            bins[b1] += mass
+            bins[b2] += mass
+            bins[b3] += mass
         masses = [0] * N_CELLS
-        for mass, cells in zip(state_masses, self.state_cells):
-            for cell in cells:
-                masses[cell] += mass
+        for alice, bins in groups.items():
+            for offset in _SIDE_A[alice]:
+                end = offset + _B_SPAN
+                masses[offset:end] = map(operator.add, masses[offset:end], bins)
         return tuple(masses), total
 
-    def renormalized(self) -> tuple[tuple[PairState, Fraction], ...]:
+    def renormalized(self) -> tuple[tuple[str, Fraction], ...]:
         """Entries with weights divided by the exact total, summing to 1."""
         total = sum((w for _, w in self.entries), Fraction(0))
         return tuple((state, weight / total) for state, weight in self.entries)
@@ -292,43 +290,17 @@ class ExperimentConfig:
         )
 
 
-def _sets(*texts: str) -> tuple[InstructionSet, ...]:
-    return tuple(InstructionSet.parse(t) for t in texts)
-
-
-def _pairs(*texts: str) -> tuple[PairState, ...]:
-    return tuple(PairState.parse(t) for t in texts)
-
-
-ALL_INSTRUCTION_SETS = tuple(
-    InstructionSet("".join(combo)) for combo in itertools.product(OUTCOMES, repeat=3)
-)
-_SETS_BY_TEXT = {s.outcomes: s for s in ALL_INSTRUCTION_SETS}
-
-# The cell of switch digits (a, b) and outcomes (x, y) is
-# ((a * 4 + b) * 3 + x) * 3 + y: 36a + 3x from side A plus 9b + y from
-# side B. Each instruction set text maps to its side's 16 shares, at
-# index a * 4 + b, with digit 0 reading N.
-_CELL_SHARES_A = {
-    s: tuple(36 * a + 3 * OUTCOMES.index((NO_FLASH + s)[a]) for a in range(4) for _ in range(4))
-    for s in _SETS_BY_TEXT
-}
-_CELL_SHARES_B = {
-    s: tuple(9 * b + OUTCOMES.index((NO_FLASH + s)[b]) for _ in range(4) for b in range(4))
-    for s in _SETS_BY_TEXT
-}
-
 # The six no-N sets where one colour appears once and the other twice.
-TWO_ONE_SETS = _sets("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")
+TWO_ONE_SETS = ("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")
 
 # All eight instruction sets without a no-flash entry.
-ALL_EIGHT_SETS = _sets("RRR", "RRG", "RGR", "RGG", "GRR", "GRG", "GGR", "GGG")
+ALL_EIGHT_SETS = ("RRR", "RRG", "RGR", "RGG", "GRR", "GRG", "GGR", "GGG")
 
 # The twelve-state roster that keeps case-a correlation perfect while
 # bringing the detected case-b same-colour rate down to 1/4: each two-one
 # set is paired with a copy whose doubled colour is replaced by N on one
 # side, the last six rows being the first six after particle exchange.
-TABLE1_PAIRS = _pairs(
+TABLE1_PAIRS = (
     "NRG-GRG",
     "NGR-RGR",
     "RNG-RRG",
@@ -346,12 +318,10 @@ TABLE1_PAIRS = _pairs(
 BUILTIN_NAMES = ("table1_uniform", "two_one_uniform", "all_eight_uniform", "single")
 
 
-def builtin_distribution(
-    name: str, state: Union[PairState, str, None] = None
-) -> SourceDistribution:
+def builtin_distribution(name: str, state: object = None) -> SourceDistribution:
     """One of the named source distributions.
 
-    "single" takes the pair state as a second argument; the other
+    "single" takes the pair state's text as a second argument; the other
     builtins take no argument.
     """
     if name == "table1_uniform":
@@ -359,18 +329,14 @@ def builtin_distribution(
         return SourceDistribution(tuple((p, weight) for p in TABLE1_PAIRS))
     if name == "two_one_uniform":
         weight = Fraction(1, 6)
-        return SourceDistribution(
-            tuple((PairState(s, s), weight) for s in TWO_ONE_SETS)
-        )
+        return SourceDistribution(tuple((f"{s}-{s}", weight) for s in TWO_ONE_SETS))
     if name == "all_eight_uniform":
         weight = Fraction(1, 8)
-        return SourceDistribution(
-            tuple((PairState(s, s), weight) for s in ALL_EIGHT_SETS)
-        )
+        return SourceDistribution(tuple((f"{s}-{s}", weight) for s in ALL_EIGHT_SETS))
     if name == "single":
         if state is None:
             raise ConfigurationError('builtin "single" requires a pair state')
-        return SourceDistribution(((_pair_state(state), Fraction(1)),))
+        return SourceDistribution(((_state_text(state), Fraction(1)),))
     raise ConfigurationError(
         f"unknown builtin distribution {name!r} (expected one of {', '.join(BUILTIN_NAMES)})"
     )
@@ -475,6 +441,9 @@ _IMPOSSIBLE = _mask(
     lambda swa, swb, oa, ob: (swa == FAILURE and oa != NO_FLASH)
     or (swb == FAILURE and ob != NO_FLASH)
 )
+# Masks are read in one gather each; every mask holds 2 or more cells, so
+# each gather returns a tuple, never a bare weight.
+_read_impossible = operator.itemgetter(*_IMPOSSIBLE)
 
 
 @dataclass(frozen=True)
@@ -497,7 +466,7 @@ class CellWeights:
             raise ValueError("cell weights must be non-negative")
         if sum(weights) != self.total:
             raise ValueError(f"cell weights sum to {sum(weights)}, not to the total {self.total}")
-        if any([weights[i] for i in _IMPOSSIBLE]):
+        if any(_read_impossible(weights)):
             raise ValueError("a failed switch cannot coincide with a flash")
         object.__setattr__(self, "weights", weights)
 
@@ -512,13 +481,16 @@ def merge(a: CellWeights, b: CellWeights) -> CellWeights:
 
 
 _MASKS = tuple(dict.fromkeys(m for s in STATISTICS for m in (s.numerator, s.denominator)))
+_MASK_READS = tuple(operator.itemgetter(*mask) for mask in _MASKS)
+# Per statistic, the places of its numerator and denominator in _MASKS.
+_SUM_PLACES = tuple((_MASKS.index(s.numerator), _MASKS.index(s.denominator)) for s in STATISTICS)
 
 
 def statistic_sums(weights: Sequence[int]) -> list[tuple[int, int]]:
     """(numerator, denominator) weight sums of every statistic, in
     declaration order, from the 144 cell weights in codec order."""
-    sums = {mask: sum([weights[i] for i in mask]) for mask in _MASKS}
-    return [(sums[s.numerator], sums[s.denominator]) for s in STATISTICS]
+    sums = [sum(read(weights)) for read in _MASK_READS]
+    return [(sums[num], sums[den]) for num, den in _SUM_PLACES]
 
 
 T = TypeVar("T")

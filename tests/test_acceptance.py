@@ -190,7 +190,7 @@ def test_criterion_7_oracle_cross_validation():
         enumerated = conditional_stats(
             enumerate_joint(config_for("single", f"{s}-{s}"))
         ).p_same_case_b
-        assert direct == enumerated, str(s)
+        assert direct == enumerated, s
 
     print(
         "\nPASS criterion 7: case_b_same_fraction matches the enumeration "

@@ -4,11 +4,14 @@ enumerate_joint reads each cell off the source's integer cell masses; the
 reference below spreads every renormalized weight over both switch laws,
 one Fraction product at a time. The two must agree cell for cell, and
 the exact properties the oracle promises must hold on random sources.
+The cell masses, grouped by side A's instruction set, must also equal the
+per-state loop over state_cells that they replace.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from merminsim.exact import conditional_stats, detector_invariance_check, enumerate_joint
@@ -17,15 +20,14 @@ from merminsim.model import (
     CELLS,
     ExperimentConfig,
     FAILURE,
+    N_CELLS,
     NO_FLASH,
-    PairState,
     SETTINGS,
     SourceDistribution,
+    builtin_distribution,
 )
 
-ALL_PAIRS = tuple(
-    PairState(a, b) for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS
-)
+ALL_PAIRS = tuple(f"{a}-{b}" for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS)
 
 
 def reference_joint(config):
@@ -40,10 +42,11 @@ def reference_joint(config):
     law_b = switch_law(config.detector_b.failure_probability)
     prob = {key: Fraction(0) for key in CELLS}
     for state, weight in entries:
+        alice, bob = state.split("-")
         for swa, qa in law_a:
-            oa = NO_FLASH if swa == FAILURE else state.alice.outcome_at(swa)
+            oa = NO_FLASH if swa == FAILURE else alice[swa - 1]
             for swb, qb in law_b:
-                ob = NO_FLASH if swb == FAILURE else state.bob.outcome_at(swb)
+                ob = NO_FLASH if swb == FAILURE else bob[swb - 1]
                 prob[(swa, swb, oa, ob)] += weight * qa * qb
     return prob
 
@@ -99,3 +102,44 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
 
     sweep = [p for p in (p_a, p_b) if p < 1]
     assert detector_invariance_check(config, sweep).passed
+
+
+def per_state_cell_masses(source):
+    """The cell masses by the loop the grouped pass replaced: each state's
+    mass added once into each of its 16 state_cells."""
+    state_masses, total = source.state_masses
+    masses = [0] * N_CELLS
+    for mass, cells in zip(state_masses, source.state_cells):
+        for cell in cells:
+            masses[cell] += mass
+    return tuple(masses), total
+
+
+@st.composite
+def sparse_sources(draw):
+    """1 to 729 distinct pair states whose integer weights are 0 about
+    half the time (one is kept positive), renormalized exactly."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    picks = rng.sample(ALL_PAIRS, draw(st.integers(1, len(ALL_PAIRS))))
+    top = draw(st.sampled_from([100, 10**30]))
+    weights = [rng.randrange(top) * rng.randrange(2) for _ in picks]
+    weights[rng.randrange(len(picks))] += 1
+    return SourceDistribution(
+        tuple((s, Fraction(w, sum(weights))) for s, w in zip(picks, weights))
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(source=st.one_of(random_sources(), sparse_sources()))
+def test_grouped_cell_masses_match_per_state_loop(source):
+    assert source.cell_masses == per_state_cell_masses(source)
+
+
+@pytest.mark.parametrize(
+    "name,state",
+    [("table1_uniform", None), ("two_one_uniform", None), ("all_eight_uniform", None),
+     ("single", "GNR-GGR")],
+)
+def test_builtin_cell_masses_match_per_state_loop(name, state):
+    source = builtin_distribution(name, state)
+    assert source.cell_masses == per_state_cell_masses(source)

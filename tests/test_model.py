@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from merminsim.model import (
     ALL_EIGHT_SETS,
@@ -10,38 +10,44 @@ from merminsim.model import (
     CELLS,
     ConfigurationError,
     DetectorModel,
-    InstructionSet,
     N_CELLS,
     NO_FLASH,
-    PairState,
     SETTINGS,
+    STATISTICS,
     SourceDistribution,
     TABLE1_PAIRS,
     TWO_ONE_SETS,
+    _IMPOSSIBLE,
+    _MASKS,
     as_fraction,
     builtin_distribution,
     parse_rational,
+    statistic_sums,
 )
 
 
-GGR = InstructionSet.parse("GGR")
-GNR = InstructionSet.parse("GNR")
+def outcome_at(text, setting):
+    """The outcome instruction set text gives at a setting, as the model
+    reads it: side A's letter of the cell a source of text-text puts at
+    switch digits (setting, setting)."""
+    cells = builtin_distribution("single", f"{text}-{text}").state_cells[0]
+    return CELLS[cells[setting * 4 + setting]][2]
 
 
 class TestOutcomeFor:
     def test_ggr_setting_3_is_red(self):
-        assert GGR.outcome_at(3) == "R"
+        assert outcome_at("GGR", 3) == "R"
 
     def test_homogeneous_rrr(self):
-        assert InstructionSet.parse("RRR").outcome_at(2) == "R"
+        assert outcome_at("RRR", 2) == "R"
 
     def test_gnr_setting_2_is_noflash(self):
-        assert GNR.outcome_at(2) == NO_FLASH
+        assert outcome_at("GNR", 2) == NO_FLASH
 
     def test_flash_only_sets_never_yield_noflash(self):
         for s in ALL_EIGHT_SETS:
             for k in SETTINGS:
-                assert s.outcome_at(k) != NO_FLASH
+                assert outcome_at(s, k) != NO_FLASH
 
 
 class TestInstructionSets:
@@ -50,7 +56,7 @@ class TestInstructionSets:
         # pattern; the set constants must agree with that partition.
         homogeneous, two_one, with_no_flash = [], [], []
         for letters in itertools.product("GRN", repeat=3):
-            s = InstructionSet.parse("".join(letters))
+            s = "".join(letters)
             if "N" in letters:
                 with_no_flash.append(s)
             elif letters[0] == letters[1] == letters[2]:
@@ -69,14 +75,14 @@ class TestBuiltinDistributions:
         d = builtin_distribution("table1_uniform")
         assert len(d.entries) == 12
         assert all(w == Fraction(1, 12) for _, w in d.entries)
-        assert d.entries[0][0] == PairState.parse("NRG-GRG")
+        assert d.entries[0][0] == "NRG-GRG"
 
     def test_two_one_uniform(self):
         d = builtin_distribution("two_one_uniform")
         assert len(d.entries) == 6
         assert all(w == Fraction(1, 6) for _, w in d.entries)
-        assert all(state.alice == state.bob for state, _ in d.entries)
-        assert tuple(state.alice for state, _ in d.entries) == TWO_ONE_SETS
+        assert all(state[:3] == state[4:] for state, _ in d.entries)
+        assert tuple(state[:3] for state, _ in d.entries) == TWO_ONE_SETS
 
     def test_all_eight_uniform(self):
         d = builtin_distribution("all_eight_uniform")
@@ -85,7 +91,7 @@ class TestBuiltinDistributions:
 
     def test_single(self):
         d = builtin_distribution("single", "GNR-GGR")
-        assert d.entries == ((PairState.parse("GNR-GGR"), Fraction(1)),)
+        assert d.entries == (("GNR-GGR", Fraction(1)),)
         with pytest.raises(ConfigurationError, match="unknown builtin"):
             builtin_distribution("single:GNR-GGR")
 
@@ -141,36 +147,35 @@ class TestTable1Balance:
     def test_columns_balanced_per_side(self):
         # Each switch column sees N exactly twice and G/R five times each,
         # identically for both particles of the roster.
-        for side in ("alice", "bob"):
+        for side in (0, 1):
             for setting in SETTINGS:
-                letters = [
-                    getattr(pair, side).outcome_at(setting)
-                    for pair in TABLE1_PAIRS
-                ]
+                letters = [pair.split("-")[side][setting - 1] for pair in TABLE1_PAIRS]
                 assert letters.count("N") == 2
                 assert letters.count("G") == 5
                 assert letters.count("R") == 5
 
     def test_last_six_rows_are_first_six_swapped(self):
-        assert TABLE1_PAIRS[6:] == tuple(PairState(p.bob, p.alice) for p in TABLE1_PAIRS[:6])
+        assert TABLE1_PAIRS[6:] == tuple(f"{p[4:]}-{p[:3]}" for p in TABLE1_PAIRS[:6])
 
 
 class TestEncodings:
     def test_instruction_set_round_trip(self):
         for letters in itertools.product("GRN", repeat=3):
             text = "".join(letters)
-            assert str(InstructionSet.parse(text)) == text
+            assert SourceDistribution([(f"{text}-GGR", 1)]).entries[0][0] == f"{text}-GGR"
 
     def test_pair_state_round_trip(self):
-        assert str(PairState.parse("GNR-GGR")) == "GNR-GGR"
+        assert builtin_distribution("single", "GNR-GGR").entries[0][0] == "GNR-GGR"
 
     def test_bad_texts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            InstructionSet.parse("GG")
-        with pytest.raises(ConfigurationError):
-            InstructionSet.parse("GGX")
-        with pytest.raises(ConfigurationError):
-            PairState.parse("GGRGGR")
+        with pytest.raises(ConfigurationError, match="^instruction set text must be 3 letters"):
+            builtin_distribution("single", "GG-GGR")
+        with pytest.raises(ConfigurationError, match="^unknown outcome letter 'X'"):
+            builtin_distribution("single", "GGR-GGX")
+        with pytest.raises(ConfigurationError, match="^pair state text must look like XXX-YYY"):
+            builtin_distribution("single", "GGRGGR")
+        with pytest.raises(ConfigurationError, match="^expected a pair state, got 7$"):
+            builtin_distribution("single", 7)
 
     def test_cell_codec_round_trip(self):
         cells = list(CELLS)
@@ -182,6 +187,30 @@ class TestEncodings:
             assert index == ((d_a * 4 + d_b) * 3 + o_a) * 3 + o_b
         assert texts[cells.index((2, 1, "G", "R"))] == "21GR"
         assert texts[cells.index((0, 1, "N", "G"))] == "01NG"
+
+
+class TestStatisticSums:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 10**30)),
+            min_size=N_CELLS,
+            max_size=N_CELLS,
+        )
+    )
+    def test_matches_per_index_sums(self, weights):
+        expected = [
+            (sum(weights[i] for i in s.numerator), sum(weights[i] for i in s.denominator))
+            for s in STATISTICS
+        ]
+        assert statistic_sums(weights) == expected
+        assert statistic_sums(tuple(weights)) == expected
+
+    def test_every_mask_holds_two_or_more_cells(self):
+        # The sums read each mask through operator.itemgetter, which returns
+        # the bare item, not a tuple, when given a single index.
+        for mask in (*_MASKS, _IMPOSSIBLE):
+            assert len(mask) >= 2
 
 
 class TestFractions:

@@ -22,7 +22,6 @@ from merminsim.model import (
     N_CELLS,
     NO_FLASH,
     OUTCOMES,
-    PairState,
     SETTINGS,
     SourceDistribution,
     builtin_distribution,
@@ -71,9 +70,9 @@ def reference_run_range(lo, hi, seed, config):
     cum = float_cumulative(config)
     no_flash = OUTCOMES.index(NO_FLASH)
     table_a, table_b = (
-        np.array([[no_flash] + [OUTCOMES.index(side(s).outcome_at(x)) for x in SETTINGS]
+        np.array([[no_flash] + [OUTCOMES.index(s.split("-")[side][x - 1]) for x in SETTINGS]
                   for s, _ in entries])
-        for side in (lambda s: s.alice, lambda s: s.bob)
+        for side in (0, 1)
     )
     trial = np.arange(lo, hi, dtype=U64)
 
@@ -90,9 +89,7 @@ def reference_run_range(lo, hi, seed, config):
     return np.bincount(cell, minlength=N_CELLS)
 
 
-ALL_PAIRS = tuple(
-    PairState(a, b) for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS
-)
+ALL_PAIRS = tuple(f"{a}-{b}" for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS)
 
 # Every threshold but the first lands in the last guide bucket.
 SKEWED = SourceDistribution(
