@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merminsim import cli
+from merminsim import __version__, cli
 from merminsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -613,3 +613,134 @@ def test_any_input_ends_in_a_documented_exit_code(doc, argv):
         err = stderr.getvalue()
         assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Error: " not in err
+
+
+# What each command's parser prints, at a terminal width of 80 columns.
+USAGE = {
+    "merminsim": "usage: merminsim [-h] [--version] {enumerate,simulate,verify,scan} ...\n",
+    "enumerate": "usage: merminsim enumerate [-h] --config CONFIG [--out-dir OUT_DIR]\n",
+    "simulate": (
+        "usage: merminsim simulate [-h] --config CONFIG [--out-dir OUT_DIR] [--n N]\n"
+        "                          [--seed SEED] [--streams STREAMS]\n"
+    ),
+    "verify": (
+        "usage: merminsim verify [-h] --config CONFIG [--out-dir OUT_DIR] [--n N]\n"
+        "                        [--seed SEED] [--streams STREAMS]\n"
+        "                        [--threshold THRESHOLD]\n"
+    ),
+    "scan": (
+        "usage: merminsim scan [-h] --config CONFIG [--out-dir OUT_DIR] --parameter\n"
+        "                      {p_a,p_b,p_both} --grid GRID\n"
+    ),
+}
+HELP = {
+    "merminsim": USAGE["merminsim"] + (
+        "\n"
+        "Exact analysis and Monte Carlo simulation of a three-setting, two-lamp\n"
+        "correlation device with detector-failure and no-flash-instruction variants.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {enumerate,simulate,verify,scan}\n"
+        "    enumerate           exact statistics by enumeration\n"
+        "    simulate            Monte Carlo run with estimates and CIs\n"
+        "    verify              exact + simulation cross checks\n"
+        "    scan                exact statistics over a failure-probability grid\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n"
+    ),
+    "enumerate": USAGE["enumerate"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --config CONFIG    JSON experiment description\n"
+        "  --out-dir OUT_DIR  directory for report files\n"
+    ),
+    "simulate": USAGE["simulate"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --config CONFIG    JSON experiment description\n"
+        "  --out-dir OUT_DIR  directory for report files\n"
+        "  --n N              number of trials\n"
+        "  --seed SEED        64-bit RNG seed\n"
+        "  --streams STREAMS  parallel stream count\n"
+    ),
+    "verify": USAGE["verify"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       JSON experiment description\n"
+        "  --out-dir OUT_DIR     directory for report files\n"
+        "  --n N                 number of trials\n"
+        "  --seed SEED           64-bit RNG seed\n"
+        "  --streams STREAMS     parallel stream count\n"
+        "  --threshold THRESHOLD\n"
+        "                        |z| pass threshold for field comparisons\n"
+    ),
+    "scan": USAGE["scan"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       JSON experiment description\n"
+        "  --out-dir OUT_DIR     directory for report files\n"
+        "  --parameter {p_a,p_b,p_both}\n"
+        "                        which detector failure probability to sweep\n"
+        "  --grid GRID           comma-separated probabilities in [0, 1), e.g.\n"
+        "                        0,0.25,0.5 or 0,1/4,1/2\n"
+    ),
+}
+
+
+def _error(prog, message):
+    return USAGE[prog.rpartition(" ")[2]] + f"{prog}: error: {message}\n"
+
+
+class TestParseTime:
+    # (argv, exit code, stdout, stderr): what argparse does before any
+    # command runs. No row reads a config file but the --conf one, which
+    # names a missing file.
+    CASES = [
+        (["--version"], 0, f"merminsim {__version__}\n", ""),
+        (["--help"], 0, HELP["merminsim"], ""),
+        ([], 2, "", _error("merminsim", "the following arguments are required: command")),
+        (["scna"], 2, "", _error(
+            "merminsim",
+            "argument command: invalid choice: 'scna' "
+            "(choose from 'enumerate', 'simulate', 'verify', 'scan')",
+        )),
+        *[([command, "--help"], 0, HELP[command], "") for command in TestExitCodes.COMMANDS],
+        *[
+            ([command], 2, "", _error(
+                f"merminsim {command}",
+                "the following arguments are required: --config"
+                + (", --parameter, --grid" if command == "scan" else ""),
+            ))
+            for command in TestExitCodes.COMMANDS
+        ],
+        (["scan", "--config", "cfg.json", "--parameter", "p_x", "--grid", "0"], 2, "", _error(
+            "merminsim scan",
+            "argument --parameter: invalid choice: 'p_x' (choose from 'p_a', 'p_b', 'p_both')",
+        )),
+        (["simulate", "--config", "cfg.json", "--n", "x"], 2, "",
+         _error("merminsim simulate", "argument --n: invalid int value: 'x'")),
+        (["verify", "--config", "cfg.json", "--threshold", "x"], 2, "",
+         _error("merminsim verify", "argument --threshold: invalid float value: 'x'")),
+        (["enumerate", "--conf", "missing.json"], EXIT_IO, "",
+         "i/o error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["scan", "--config", "cfg.json", "--parameter", "p_a", "--grid", "0", "--bogus"], 2, "",
+         _error("merminsim", "unrecognized arguments: --bogus")),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr", CASES, ids=[" ".join(case[0]) or "-" for case in CASES]
+    )
+    def test_exit_code_and_output(self, tmp_path, monkeypatch, capsys, argv, code, stdout, stderr):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, *capsys.readouterr()) == (code, stdout, stderr)
