@@ -139,12 +139,11 @@ class _DecimalLiteral(str):
     """A JSON decimal literal, kept as text until its field is known."""
 
 
-class _Fields(list):
-    """A JSON object as its (key, value) pairs, repeated keys included."""
-
-
-# What _exact_decimals walks: objects, lists and decimal literals.
-_WALKED = (list, _DecimalLiteral)
+# json.loads gives each object as the tuple of its (key, value) pairs,
+# repeated keys included; no other JSON value is a tuple. The types
+# _exact_decimals walks: objects, lists and decimal literals. json.loads
+# makes no subclass of them, so a value's type is looked up as it is.
+_WALKED = frozenset((tuple, list, _DecimalLiteral))
 
 # Objects and lists nest at most this deep; the top level is level 1.
 _MAX_DEPTH = 64
@@ -176,17 +175,17 @@ def _exact_decimals(obj: Any, where: Union[tuple, None] = None, depth: int = 1) 
             raise ConfigurationError(f"{_path(where)}: {exc}") from None
     if depth > _MAX_DEPTH:
         raise ConfigurationError(f"{_path(where)}: nested deeper than {_MAX_DEPTH} levels")
-    if isinstance(obj, _Fields):
+    if isinstance(obj, tuple):
         fields = {}
         for key, value in obj:
             if key in fields:
                 raise ConfigurationError(f"{_path((where, key))}: duplicate field")
-            if isinstance(value, _WALKED):
+            if type(value) in _WALKED:
                 value = _exact_decimals(value, (where, key), depth + 1)
             fields[key] = value
         return fields
     return [
-        _exact_decimals(value, (where, i), depth + 1) if isinstance(value, _WALKED) else value
+        _exact_decimals(value, (where, i), depth + 1) if type(value) in _WALKED else value
         for i, value in enumerate(obj)
     ]
 
@@ -204,12 +203,12 @@ def load_config(path: Union[str, Path]) -> tuple[ExperimentConfig, dict]:
         # only far past _MAX_DEPTH, before the walk can name a path.
         try:
             text = Path(path).read_text(encoding="utf-8")
-            doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=_Fields)
+            doc = json.loads(text, parse_float=_DecimalLiteral, object_pairs_hook=tuple)
         except ValueError as exc:
             raise ConfigurationError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ConfigurationError(f"nested deeper than {_MAX_DEPTH} levels") from None
-        doc = _exact_decimals(doc) if isinstance(doc, _WALKED) else doc
+        doc = _exact_decimals(doc) if type(doc) in _WALKED else doc
         if not isinstance(doc, dict):
             raise ConfigurationError("top level must be an object")
         _check_fields(doc, ("source", "detector_a", "detector_b", "seed", "n_trials"), "")
@@ -324,7 +323,7 @@ def _write_reports(reports: dict[Path, Any]) -> None:
                     writer.writerow(content[0])
                     writer.writerows(content[1])
                 else:
-                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write(json.dumps(content, indent=2, sort_keys=True))
                     fh.write("\n")
         for path, tmp in temps.items():
             os.replace(tmp, path)
@@ -443,8 +442,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     config, doc = load_config(args.config)
     n, seed = _resolve_run_params(args, doc)
-    if not args.threshold > 0:
-        raise ConfigurationError(f"--threshold must be positive, got {args.threshold}")
+    # An infinite threshold (or 1e309, which float reads as inf) passes any tally.
+    if not 0 < args.threshold < math.inf:
+        raise ConfigurationError(f"--threshold must be positive and finite, got {args.threshold}")
 
     exact = conditional_stats(enumerate_joint(config))
     tally = run_trials(SimulationPlan(config, n_trials=n, seed=seed, n_streams=args.streams))
@@ -595,7 +595,59 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each option of a command is its flag and add_argument's keywords.
+_COMMON = (
+    ("--config", {"required": True, "help": "JSON experiment description"}),
+    ("--out-dir", {"default": ".", "help": "directory for report files"}),
+)
+_RUN = (
+    ("--n", {"type": int, "default": None, "help": "number of trials"}),
+    ("--seed", {"type": int, "default": None, "help": "64-bit RNG seed"}),
+    ("--streams", {"type": int, "default": 1, "help": "parallel stream count"}),
+)
+# Each command's function, help text and options, in the order of the
+# full parser's command list.
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, "exact statistics by enumeration", _COMMON),
+    "simulate": (cmd_simulate, "Monte Carlo run with estimates and CIs", _COMMON + _RUN),
+    "verify": (
+        cmd_verify,
+        "exact + simulation cross checks",
+        _COMMON + _RUN + (
+            ("--threshold", {
+                "type": float, "default": 5.0, "help": "|z| pass threshold for field comparisons",
+            }),
+        ),
+    ),
+    "scan": (
+        cmd_scan,
+        "exact statistics over a failure-probability grid",
+        _COMMON + (
+            ("--parameter", {
+                "required": True, "choices": ("p_a", "p_b", "p_both"),
+                "help": "which detector failure probability to sweep",
+            }),
+            ("--grid", {
+                "required": True,
+                "help": "comma-separated probabilities in [0, 1), e.g. 0,0.25,0.5 or 0,1/4,1/2",
+            }),
+        ),
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser with command name's options, and name and its function as
+    the command and func of what it parses."""
+    func, _, options = _COMMANDS[name]
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(command=name, func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all four commands, as subcommands."""
     parser = argparse.ArgumentParser(
         prog="merminsim",
         description=(
@@ -606,53 +658,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"merminsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", required=True, help="JSON experiment description")
-        sp.add_argument("--out-dir", default=".", help="directory for report files")
-
-    def add_run(sp):
-        sp.add_argument("--n", type=int, default=None, help="number of trials")
-        sp.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-        sp.add_argument("--streams", type=int, default=1, help="parallel stream count")
-
-    sp = sub.add_parser("enumerate", help="exact statistics by enumeration")
-    add_common(sp)
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo run with estimates and CIs")
-    add_common(sp)
-    add_run(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("verify", help="exact + simulation cross checks")
-    add_common(sp)
-    add_run(sp)
-    sp.add_argument(
-        "--threshold", type=float, default=5.0, help="|z| pass threshold for field comparisons"
-    )
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("scan", help="exact statistics over a failure-probability grid")
-    add_common(sp)
-    sp.add_argument(
-        "--parameter",
-        required=True,
-        choices=("p_a", "p_b", "p_both"),
-        help="which detector failure probability to sweep",
-    )
-    sp.add_argument(
-        "--grid",
-        required=True,
-        help="comma-separated probabilities in [0, 1), e.g. 0,0.25,0.5 or 0,1/4,1/2",
-    )
-    sp.set_defaults(func=cmd_scan)
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv names (sys.argv[1:] by default) and return its
+    exit code. Each call builds one parser: when argv starts with a
+    command's name, that command's own, whose help, usage and errors read
+    as those of its subcommand in build_parser (but an unrecognized
+    argument is reported under the command's usage line, not merminsim's);
+    else build_parser, for --help, --version and a missing or unknown
+    command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"merminsim {argv[0]}"), argv[0])
+        args = parser.parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -105,6 +105,26 @@ WeightLike = Union[Fraction, int, float, str]
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
 
 
+def _plain_ratio(weight: object) -> Union[tuple[int, int], None]:
+    """The reduced (numerator, denominator) of a weight given as plain
+    "digits/digits" text (both parts str.isdecimal, as Fraction's \\d reads
+    them); None for any other weight, and for plain text with a zero
+    denominator or a part past the int digit limit."""
+    if not isinstance(weight, str):
+        return None
+    num, _, den = weight.partition("/")
+    if not (num.isdecimal() and den.isdecimal()):
+        return None
+    try:
+        numerator, denominator = int(num), int(den)
+    except ValueError:
+        return None
+    if not denominator:
+        return None
+    divisor = math.gcd(numerator, denominator)
+    return numerator // divisor, denominator // divisor
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact Fraction of a decimal ("0.25", "1e-3") or "num/den" string.
 
@@ -112,19 +132,18 @@ def parse_rational(text: str) -> Fraction:
     digit limit Python puts on int() strings (4300 by default) is refused
     before parsing: "1e999999999" would otherwise run for hours.
     """
-    num, _, den = text.partition("/")
-    # Plain "digits/digits" text is two ints, read as Fraction reads them.
-    plain = num.isdecimal() and den.isdecimal()
-    if not plain:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        exponent = _EXPONENT.search(text)
-        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-            raise ConfigurationError(
-                f"decimal exponent of {text!r} is beyond {limit}, the int digit limit"
-            )
+    pair = _plain_ratio(text)
+    if pair is not None:
+        return Fraction(*pair)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ConfigurationError(
+            f"decimal exponent of {text!r} is beyond {limit}, the int digit limit"
+        )
     try:
-        return Fraction(int(num), int(den)) if plain else Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse {text!r} as a rational") from None
 
@@ -159,22 +178,33 @@ class SourceDistribution:
     or repeated state, entries[i].weight for a bad or negative weight, and
     entries for a list that is empty or does not sum to 1 (within
     WEIGHT_SUM_TOLERANCE). Building it also computes state_masses, the
-    integer masses the sum is checked on.
+    integer masses the sum is checked on. A weight given as plain
+    "digits/digits" text is read as two ints, reduced by their gcd, which
+    go straight into state_masses; its Fraction is built once from the
+    reduced pair. Every other weight is read by as_fraction.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self) -> None:
         entries = []
+        numerators = []
+        denominators = []
         seen: set[str] = set()
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
                 state = _state_text(state)
                 field = "weight"
-                weight = as_fraction(weight)
-                if weight.numerator < 0:
-                    raise ConfigurationError(f"has negative weight {weight}")
+                pair = _plain_ratio(weight)
+                if pair is None:
+                    weight = as_fraction(weight)
+                    numerator, denominator = weight.numerator, weight.denominator
+                    if numerator < 0:
+                        raise ConfigurationError(f"has negative weight {weight}")
+                else:
+                    numerator, denominator = pair
+                    weight = Fraction(numerator, denominator)
                 field = "state"
                 if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")
@@ -182,10 +212,12 @@ class SourceDistribution:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
             seen.add(state)
             entries.append((state, weight))
+            numerators.append(numerator)
+            denominators.append(denominator)
         if not entries:
             raise ConfigurationError("entries: has no entries")
-        denominator = math.lcm(*(w.denominator for _, w in entries))
-        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
+        denominator = math.lcm(*denominators)
+        masses = tuple(n * (denominator // d) for n, d in zip(numerators, denominators))
         total = sum(masses)
         weight_sum = Fraction(total, denominator)
         if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:

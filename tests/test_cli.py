@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -346,6 +347,12 @@ class TestRunFlagErrors:
         ("simulate", ["--streams", "0"], {}, "--streams"),
         ("simulate", ["--n", str(1 << 60)], {}, "--n"),
         ("verify", ["--threshold", "0"], {}, "--threshold"),
+        ("verify", ["--threshold", "inf"], {}, "--threshold must be positive and finite, got inf"),
+        # argparse takes a bare -inf after --threshold for an option.
+        ("verify", ["--threshold=-inf"], {}, "--threshold must be positive and finite, got -inf"),
+        # float reads 1e309 as inf.
+        ("verify", ["--threshold", "1e309"], {}, "--threshold must be positive and finite, got inf"),
+        ("verify", ["--threshold", "nan"], {}, "--threshold must be positive and finite, got nan"),
         ("simulate", ["--seed", "-1"], {}, "--seed"),
         ("verify", ["--seed", str(1 << 64)], {}, "--seed"),
         ("simulate", [], {"seed": 1 << 64}, "cfg.json: seed"),
@@ -477,11 +484,27 @@ class TestAtomicReports:
         assert main(argv) == EXIT_OK
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
-        def half_then_fail(obj, fh, **kwargs):
-            fh.write('{"p_same_case_a": ')
-            raise OSError("disk full")
+        class HalfThenFail:
+            """A report file whose first write stops half way."""
 
-        monkeypatch.setattr("merminsim.cli.json.dump", half_then_fail)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        real_open = open
+        monkeypatch.setattr(
+            cli, "open", lambda *args, **kwargs: HalfThenFail(real_open(*args, **kwargs)),
+            raising=False,
+        )
         assert main(argv) == EXIT_IO
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
@@ -729,8 +752,9 @@ class TestParseTime:
          _error("merminsim verify", "argument --threshold: invalid float value: 'x'")),
         (["enumerate", "--conf", "missing.json"], EXIT_IO, "",
          "i/o error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        # Each command has its own parser, so this usage line is scan's.
         (["scan", "--config", "cfg.json", "--parameter", "p_a", "--grid", "0", "--bogus"], 2, "",
-         _error("merminsim", "unrecognized arguments: --bogus")),
+         _error("merminsim scan", "unrecognized arguments: --bogus")),
     ]
 
     @pytest.mark.parametrize(
@@ -744,3 +768,18 @@ class TestParseTime:
         except SystemExit as exc:
             got = exc.code
         assert (got, *capsys.readouterr()) == (code, stdout, stderr)
+
+    def test_a_command_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfg = write_config(tmp_path)
+        argv = ["scan", "--config", str(cfg), "--parameter", "p_both", "--grid", "0,1/2",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert len(built) == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from merminsim.model import (
     SourceDistribution,
     TABLE1_PAIRS,
     TWO_ONE_SETS,
+    WEIGHT_SUM_TOLERANCE,
     _IMPOSSIBLE,
     _MASKS,
+    _state_text,
     as_fraction,
     builtin_distribution,
     parse_rational,
@@ -303,3 +306,113 @@ class TestParseRational:
     def test_non_state_entry_is_refused(self):
         with pytest.raises(ConfigurationError, match=r"^entries\[1\]\.state: expected a pair state"):
             SourceDistribution([("GGR-GGR", "1/2"), (5, "1/2")])
+
+
+def reference_source(pairs):
+    """(entries, state_masses) of a source, or its diagnostic text, with
+    every weight coerced by as_fraction before anything else reads it:
+    how SourceDistribution read weights before plain "num/den" text was
+    read as two ints."""
+    entries = []
+    seen = set()
+    for index, (state, weight) in enumerate(pairs):
+        field = "state"
+        try:
+            state = _state_text(state)
+            field = "weight"
+            weight = as_fraction(weight)
+            if weight.numerator < 0:
+                raise ConfigurationError(f"has negative weight {weight}")
+            field = "state"
+            if state in seen:
+                raise ConfigurationError(f"duplicates state {state}")
+        except ConfigurationError as exc:
+            return f"entries[{index}].{field}: {exc}"
+        seen.add(state)
+        entries.append((state, weight))
+    if not entries:
+        return "entries: has no entries"
+    denominator = math.lcm(*(w.denominator for _, w in entries))
+    masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
+    total = sum(masses)
+    weight_sum = Fraction(total, denominator)
+    if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:
+        return f"entries: weights sum to {weight_sum} (~{float(weight_sum):.12g}), expected 1"
+    return tuple(entries), (masses, total)
+
+
+_DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+# Texts a num/den weight may be bent into; most are malformed, some only
+# look so (Fraction reads surrounding whitespace and underscores).
+_BENT = (" {n}/{d}", "{n}/{d}\n", "-{n}/{d}", "+{n}/{d}", "{n}/0", "0/0", "{n} /{d}",
+         "{n}/{d}/1", "{n}/", "/{d}", "", "\u00b2/{d}", "{n}_0/{d}0", "-0/{d}", "{n}.0/{d}")
+_HUGE = "9" * 4301
+
+
+@st.composite
+def _weight(draw, value, bent):
+    """value, an exact weight, in one of the forms a source reads; when
+    bent, it may also come out malformed, too long, or a bool."""
+    decimal = (10**6 % value.denominator == 0)
+    forms = ["text", "text", "text", "decimal", "int", "float", "fraction"]
+    form = draw(st.sampled_from(forms + ["huge", "bent", "bent", "bool"] if bent else forms))
+    if form == "fraction":
+        return value
+    if form == "bool":
+        return draw(st.booleans())
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    if form == "float" and decimal:
+        return float(value)
+    if form == "decimal" and decimal:
+        q = value.numerator * (10**6 // value.denominator)
+        return draw(st.sampled_from([f"{q // 10**6}.{q % 10**6:06d}", f"{q}e-6", f" {q}E-6 "]))
+    scale = draw(st.integers(1, 10**30))
+    n, d = value.numerator * scale, value.denominator * scale
+    if form == "huge":
+        return draw(st.sampled_from([f"{_HUGE}/{d}", f"{n}/{_HUGE}", "0" * 4300 + f"{n}/{d}"]))
+    if form == "bent":
+        return draw(st.sampled_from(_BENT)).format(n=n, d=d)
+    digits = draw(st.sampled_from(_DIGIT_SETS))
+    zeros = draw(st.sampled_from(["", "", "0", "000"]))
+    text = f"{zeros}{n}/{zeros}{d}"
+    return text.translate(str.maketrans("0123456789", digits))
+
+
+_STATES = tuple(f"{a}-{b}" for a, b in itertools.product(ALL_INSTRUCTION_SETS[::5], repeat=2))
+
+
+@st.composite
+def _weighted_sources(draw):
+    """1-6 entries whose weights sum to 1 when each is read as meant. The
+    states are distinct and valid but in about one source in ten, and the
+    weights of about half the sources may be bent."""
+    ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    if not any(ks):
+        ks[0] = 1
+    states = draw(st.lists(st.sampled_from(_STATES), min_size=len(ks), max_size=len(ks),
+                           unique=True))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        states[-1] = draw(st.sampled_from(["GGX-GGR", states[0]]))
+    bent = draw(st.booleans())
+    return [(state, draw(_weight(Fraction(k, sum(ks)), bent))) for state, k in zip(states, ks)]
+
+
+class TestIntegerWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=_weighted_sources())
+    def test_matches_reading_every_weight_with_as_fraction(self, pairs):
+        expected = reference_source(pairs)
+        try:
+            source = SourceDistribution(pairs)
+        except ConfigurationError as exc:
+            assert str(exc) == expected
+            return
+        entries, state_masses = expected
+        assert source.entries == entries
+        assert all(type(weight) is Fraction for _, weight in source.entries)
+        # Equal as integers, not only in proportion: the sampler's
+        # thresholds and every CellWeights total read them.
+        assert source.state_masses == state_masses
+
