@@ -41,6 +41,39 @@ def plan_for(name, n, seed, streams=1, state=None, p_a=0, p_b=0):
     return SimulationPlan(config_for(name, state, p_a, p_b), n, seed, streams)
 
 
+def allow_cpus(monkeypatch, n):
+    """Let run_trials count n CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes that run_trials forks."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def interrupted_after_one(starts):
+    """The first of starts, then a KeyboardInterrupt."""
+    for start in starts:
+        yield start
+        raise KeyboardInterrupt
+
+
+def open_fds():
+    """This process's open fds, or None where /proc is absent."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 class TestRunTrials:
     def test_homogeneous_state_always_same_color(self):
         tally = run_trials(plan_for("single", 1000, seed=42, state="RRR-RRR"))
@@ -76,48 +109,60 @@ class TestRunTrials:
         split = run_trials(plan_for("table1_uniform", 30_000, seed=11, streams=streams))
         assert base == split
 
-    def test_worker_cap_does_not_change_result(self, monkeypatch):
+    def test_worker_cap_does_not_change_result(self, monkeypatch, forks):
         # Small chunks, so the CPU count and not the chunk count caps the workers.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        allow_cpus(monkeypatch, 8)
         base = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert len(forks) == 7
+        allow_cpus(monkeypatch, 1)
         capped = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=8))
+        assert len(forks) == 7
         assert base == capped
 
-    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch):
-        # os.cpu_count() may return None; the run then takes one worker.
+    def test_affinity_mask_caps_the_workers(self, monkeypatch, forks):
+        # os.cpu_count() counts the machine's CPUs, not those this process
+        # may run on: pinned to one CPU, the run forks no worker.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        base = run_trials(plan_for("table1_uniform", 20_000, seed=13))
+        pinned = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=4))
+        assert forks == []
+        assert base == pinned
+
+    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch, forks):
+        # Without an affinity mask os.cpu_count() counts the CPUs, and it
+        # may return None; the run then takes one worker.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         base = run_trials(plan_for("table1_uniform", 20_000, seed=13))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         unknown = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=4))
+        assert forks == []
         assert base == unknown
 
     @pytest.mark.parametrize("streams", [2, 3, 8])
-    def test_threads_sharing_chunks_count_every_trial_once(self, streams, monkeypatch):
+    def test_workers_sharing_chunks_count_every_trial_once(self, streams, monkeypatch, forks):
         base = run_trials(plan_for("table1_uniform", 30_500, seed=17, p_a=Fraction(1, 5)))
         # Small chunks and a CPU count above the stream count, so every
-        # stream gets a worker and each worker takes many chunks; a short
-        # switch interval interleaves the workers' chunk takes and appends.
+        # stream gets a worker and each worker takes many chunks.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split = run_trials(
-                plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
-            )
-        finally:
-            sys.setswitchinterval(interval)
+        allow_cpus(monkeypatch, 8)
+        split = run_trials(
+            plan_for("table1_uniform", 30_500, seed=17, streams=streams, p_a=Fraction(1, 5))
+        )
+        assert len(forks) == streams - 1
         assert base == split
 
-    def test_worker_exception_surfaces_from_run_trials(self, monkeypatch):
+    def test_worker_exception_surfaces_from_run_trials(self, monkeypatch, forks, capfd):
         # Small chunks and a CPU count above the stream count, so the run
-        # starts worker threads; only those raise, and the caller, the
-        # first worker, then stops taking chunks.
+        # forks two workers; only those raise, and the caller, the first
+        # worker, then stops taking chunks.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        allow_cpus(monkeypatch, 8)
         run_chunks = montecarlo._run_chunks
+        caller = os.getpid()
         taken = []
 
         def counted(starts):
@@ -126,19 +171,22 @@ class TestRunTrials:
                 yield start
 
         def failing(starts, *args):
-            if threading.current_thread() is not threading.main_thread():
+            if os.getpid() != caller:
                 raise RuntimeError("worker failed")
             return run_chunks(counted(starts), *args)
 
         monkeypatch.setattr(montecarlo, "_run_chunks", failing)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        with pytest.raises(RuntimeError, match="worker process exited with status 1"):
             run_trials(plan_for("table1_uniform", 5_000_000, seed=13, streams=3))
+        assert len(forks) == 2
         assert len(taken) < 5000
+        assert capfd.readouterr().err.count("RuntimeError: worker failed") == 2
 
     def test_import_loads_no_executor_or_logging(self):
         code = (
             "import sys, merminsim.montecarlo; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+            "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'subprocess'}"
+            " & set(sys.modules)))"
         )
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -175,6 +223,130 @@ class TestRunTrials:
             SimulationPlan(cfg, 10, seed=0, n_streams=0)
         with pytest.raises(ValueError):
             SimulationPlan(cfg, 1 << 61, seed=0)
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("fault", [None, "child", "caller"])
+    def test_no_child_or_fd_outlives_run_trials(self, fault, monkeypatch, forks):
+        # A child that raises, or an interrupt in the caller's own share
+        # after its first chunk, while the other workers still run.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        run_chunks = montecarlo._run_chunks
+        caller = os.getpid()
+
+        def faulty(starts, *args):
+            if fault == "child" and os.getpid() != caller:
+                raise RuntimeError("worker failed")
+            if fault == "caller" and os.getpid() == caller:
+                starts = interrupted_after_one(starts)
+            return run_chunks(starts, *args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", faulty)
+        fds = open_fds()
+        plan = plan_for("table1_uniform", 200_000, seed=3, streams=3)
+        if fault is None:
+            assert run_trials(plan).total == 200_000
+        else:
+            with pytest.raises(RuntimeError if fault == "child" else KeyboardInterrupt):
+                run_trials(plan)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_an_interrupted_caller_stops_the_children(self, monkeypatch, forks, tmp_path):
+        # The caller drains the token pipe, so the children stop after their
+        # current chunk and do not run the 5000 chunks to the end.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        run_chunks = montecarlo._run_chunks
+        caller = os.getpid()
+        log = tmp_path / "child_chunks"
+
+        def logged(starts):
+            for start in starts:
+                with open(log, "a") as fh:
+                    fh.write(".")
+                yield start
+
+        def split(starts, *args):
+            mine = interrupted_after_one if os.getpid() == caller else logged
+            return run_chunks(mine(starts), *args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", split)
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(plan_for("table1_uniform", 5_000_000, seed=13, streams=3))
+        assert len(forks) == 2
+        assert log.stat().st_size < 2500
+
+    def test_a_child_flushes_no_inherited_stdout(self):
+        # Unflushed text in the caller's stdout buffer is written once, by
+        # the caller; stderr reports how many workers were forked. Without
+        # PYTHONUNBUFFERED a stdout pipe is block-buffered.
+        code = """
+import os, sys
+from merminsim import montecarlo
+from merminsim.model import ExperimentConfig, builtin_distribution
+
+fork, forks = os.fork, []
+def counted():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1}
+montecarlo._CHUNK = 1000
+config = ExperimentConfig(source=builtin_distribution("table1_uniform"))
+print("x")
+montecarlo.run_trials(montecarlo.SimulationPlan(config, 4000, 1, 2))
+sys.stderr.write(str(len(forks)))
+"""
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            check=True,
+            env={**env, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.stdout, done.stderr) == (b"x\n", b"1")
+
+    def test_a_live_thread_means_no_fork(self, monkeypatch, forks):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        base = run_trials(plan_for("table1_uniform", 20_000, seed=13))
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            shared = run_trials(plan_for("table1_uniform", 20_000, seed=13, streams=4))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert base == shared
+
+    @pytest.mark.parametrize("n", [10_000, 10_003])
+    def test_a_token_stands_for_a_run_of_chunks(self, n, monkeypatch, forks):
+        # 2500 chunks of 4 trials or more, against at most 512 tokens: the
+        # caller's one write, of the tokens, fits in the least pipe.
+        base = run_trials(plan_for("table1_uniform", n, seed=23, p_a=Fraction(1, 5)))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 4)
+        allow_cpus(monkeypatch, 8)
+        write, writes = os.write, []
+
+        def recorded(fd, data):
+            writes.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", recorded)
+        split = run_trials(plan_for("table1_uniform", n, seed=23, streams=3, p_a=Fraction(1, 5)))
+        assert len(forks) == 2
+        assert len(writes) == 1 and writes[0] <= 4096
+        assert base == split
 
 
 class TestCellWeights:

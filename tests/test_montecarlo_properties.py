@@ -36,11 +36,13 @@ def configs():
 @given(config=configs(), n=st.integers(200, 2000), seed=seeds)
 def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
     # 64-trial chunks give every one of three workers several chunks to
-    # take from the shared queue.
+    # take from the shared token pipe.
     with mock.patch.object(montecarlo, "_CHUNK", 64), mock.patch.object(
-        os, "cpu_count", return_value=3
-    ):
+        os, "sched_getaffinity", return_value={0, 1, 2}, create=True
+    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         tallies = [run_trials(SimulationPlan(config, n, seed, streams)) for streams in (1, 2, 3)]
+    # One worker forked at 2 streams and two at 3.
+    assert fork.call_count == 3
     assert tallies[0] == tallies[1] == tallies[2]
     assert tallies[0].total == n
 
