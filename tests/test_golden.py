@@ -13,9 +13,12 @@ exponent strings and a zero, and its verify exits 3 too.
 dense_all_states (all 27 x 27 pair states, integer weights over one
 denominator, p_a = 1/5 and p_b = 1/10, like the benchmark's dense source)
 was captured before a pair state became its text and the cell masses
-were grouped by side A's instruction set.
+were grouped by side A's instruction set. The scan_p_a and scan_p_b cases
+sweep one detector while the other keeps its configured failure
+probability; they were captured before scan evaluated each grid point
+from the source's failure-class sums.
 
-tests/golden/<config>/<command>/ holds stdout, the exit code and each
+tests/golden/<config>/<case>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
 The out-dir and config paths are masked, so the files do not depend on
 where the repository lives.
@@ -39,19 +42,23 @@ CONFIGS = (
     "mixed_weights",
     "dense_all_states",
 )
-COMMANDS = {
-    "enumerate": [],
-    "simulate": ["--n", "20000", "--seed", "1"],
-    "verify": ["--n", "20000", "--seed", "1"],
-    "scan": ["--parameter", "p_both", "--grid", "0,1/3,0.99"],
+# Each case's command and its arguments after --config and --out-dir.
+CASES = {
+    "enumerate": ("enumerate", []),
+    "simulate": ("simulate", ["--n", "20000", "--seed", "1"]),
+    "verify": ("verify", ["--n", "20000", "--seed", "1"]),
+    "scan": ("scan", ["--parameter", "p_both", "--grid", "0,1/3,0.99"]),
+    "scan_p_a": ("scan", ["--parameter", "p_a", "--grid", "0,1/7,0.3,0.5,0.99"]),
+    "scan_p_b": ("scan", ["--parameter", "p_b", "--grid", "0,1/7,0.3,0.5,0.99"]),
 }
 
 
-def run_command(config: str, command: str, tmp_path: Path, capsys) -> dict[str, str]:
-    """stdout, exit code and report files of one command, paths masked."""
+def run_command(config: str, case: str, tmp_path: Path, capsys) -> dict[str, str]:
+    """stdout, exit code and report files of one case, paths masked."""
     cfg = ROOT / "configs" / f"{config}.json"
     out = tmp_path / "out"
-    code = main([command, "--config", str(cfg), "--out-dir", str(out), *COMMANDS[command]])
+    command, extra = CASES[case]
+    code = main([command, "--config", str(cfg), "--out-dir", str(out), *extra])
 
     def mask(text: str) -> str:
         return text.replace(str(out), "<OUT>").replace(str(cfg), "<CONFIG>")
@@ -63,7 +70,7 @@ def run_command(config: str, command: str, tmp_path: Path, capsys) -> dict[str, 
     return outputs
 
 
-@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("command", list(CASES))
 @pytest.mark.parametrize("config", CONFIGS)
 def test_outputs_match_golden(tmp_path, capsys, config, command):
     golden = GOLDEN / config / command
