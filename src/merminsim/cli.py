@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__
 from .exact import conditional_stats, detector_invariance_check, enumerate_joint
+from .exact import failure_class_sums, stats_of, sums_at
 from .model import (
     CELLS,
     ConfigurationError,
@@ -47,7 +48,6 @@ EXIT_VERIFY = 3
 DEFAULT_N_TRIALS = 1_000_000
 DEFAULT_SEED = 0
 INDEPENDENCE_ALPHA = 1e-3
-INVARIANCE_GRID = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
 TARGET_CASE_A = Fraction(1)
 TARGET_CASE_B = Fraction(1, 4)
 MAX_SEED = 1 << 64
@@ -453,13 +453,14 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     report = compare(exact, estimated, threshold=args.threshold)
-    zs = [abs(row.z) for row in report.rows if row.z is not None]
-    worst = max(zs) if zs else 0.0
+    scored = [row for row in report.rows if row.z is not None]
+    worst = max(scored, key=lambda row: abs(row.z), default=None)
+    worst_text = f"{abs(worst.z):.2f} ({worst.name})" if worst else f"{0.0:.2f}"
     checks.append(
         (
             "mc-vs-exact",
             report.all_pass,
-            f"{len(report.rows)} fields, worst |z| = {worst:.2f}, threshold {args.threshold}",
+            f"{len(report.rows)} fields, worst |z| = {worst_text}, threshold {args.threshold}",
         )
     )
 
@@ -478,16 +479,15 @@ def cmd_verify(args) -> int:
     except NoCoincidencesError:
         checks.append(("settings-independence", False, "no coincidences in tally"))
 
-    invariance = detector_invariance_check(config, INVARIANCE_GRID)
-    grid_text = ", ".join(_frac_str(p) for p in INVARIANCE_GRID)
+    broken = detector_invariance_check(config, exact)
+    p_text = ", ".join(str(d.failure_probability) for d in (config.detector_a, config.detector_b))
     checks.append(
         (
             "detector-invariance",
-            invariance.passed,
-            f"failure probabilities {{{grid_text}}}; conditionals "
-            f"{'unchanged' if invariance.conditionals_invariant else 'CHANGED'}, "
-            f"coincidence scaling {'exact' if invariance.coincidence_scaling_exact else 'BROKEN'}, "
-            f"eta = eta_u * eta_f {'exact' if invariance.eta_multiplicative else 'BROKEN'}",
+            not broken,
+            "conditionals and eta_u unchanged, coincidence rates scaled by (1 - p_a)(1 - p_b) "
+            "and eta_f = 1 - p for all (p_a, p_b) in [0, 1]^2; failure classes match the "
+            f"oracle at ({p_text})" + (f"; BROKEN: {', '.join(broken)}" if broken else ""),
         )
     )
 
@@ -547,39 +547,25 @@ def cmd_scan(args) -> int:
     config, _ = load_config(args.config)
     grid = _parse_grid(args.grid)
 
-    header = [
-        "p",
-        "eta_a",
-        "eta_b",
-        "eta_u",
-        "p_same_case_a",
-        "p_same_case_b",
-        "mean_coincidence_rate",
-    ]
+    header = "p,eta_a,eta_b,eta_u,p_same_case_a,p_same_case_b,mean_coincidence_rate".split(",")
+    classes = failure_class_sums(config.source)
+    # The side that is not swept keeps its configured probability.
+    keep_a, keep_b = args.parameter == "p_b", args.parameter == "p_a"
+    p_a = config.detector_a.failure_probability
+    p_b = config.detector_b.failure_probability
     rows = []
     print(",".join(header))
     for p in grid:
-        if args.parameter == "p_a":
-            swept = config.with_failure_probabilities(p, config.detector_b.failure_probability)
-        elif args.parameter == "p_b":
-            swept = config.with_failure_probabilities(config.detector_a.failure_probability, p)
-        else:
-            swept = config.with_failure_probabilities(p, p)
-        stats = conditional_stats(enumerate_joint(swept))
-        # The mean of the nine rates as one Fraction over their common denominator.
-        rates = stats.coincidence_rate.values()
-        den = math.lcm(*(rate.denominator for rate in rates))
-        mean_rate = Fraction(
-            sum(rate.numerator * (den // rate.denominator) for rate in rates), den * len(rates)
-        )
+        sums = sums_at(classes, p_a if keep_a else p, p_b if keep_b else p)
+        stats = stats_of(sums)
+        # The nine rates share the denominator of all cells, and each is
+        # scaled by 9, so their mean is the sum of their numerators over it.
+        rates = [pair for stat, pair in zip(STATISTICS, sums) if stat.key is not None]
+        mean_rate = Fraction(sum(num for num, _ in rates), rates[0][1])
         row = [
-            _csv_num(p),
-            _csv_num(stats.eta_a),
-            _csv_num(stats.eta_b),
-            _csv_num(stats.eta_u_a),
-            _csv_num(stats.p_same_case_a),
-            _csv_num(stats.p_same_case_b),
-            _csv_num(mean_rate),
+            _csv_num(value)
+            for value in (p, stats.eta_a, stats.eta_b, stats.eta_u_a, stats.p_same_case_a,
+                          stats.p_same_case_b, mean_rate)
         ]
         rows.append(row)
         print(",".join(row))

@@ -312,15 +312,6 @@ class ExperimentConfig:
     detector_a: DetectorModel = DetectorModel()
     detector_b: DetectorModel = DetectorModel()
 
-    def with_failure_probabilities(
-        self, p_a: WeightLike, p_b: WeightLike
-    ) -> "ExperimentConfig":
-        return ExperimentConfig(
-            source=self.source,
-            detector_a=DetectorModel(p_a),
-            detector_b=DetectorModel(p_b),
-        )
-
 
 # The six no-N sets where one colour appears once and the other twice.
 TWO_ONE_SETS = ("RRG", "RGR", "RGG", "GRR", "GRG", "GGR")
@@ -534,11 +525,12 @@ class CaseStats(Generic[T]):
     it: exact rationals from conditional_stats (CaseStats[Fraction | None])
     or estimates with errors from estimate_stats (CaseStats[Estimate]).
 
-    eta = eta_u * eta_f per detector: eta_f = 1 - p is the apparatus part
-    and eta_u the particle part (the chance the instruction at the selected
-    setting is not N). A coincidence rate equals the realized-pair
-    conditional when p_a = p_b = 0 and scales by (1 - p_a)(1 - p_b) under
-    detector failure, while the case conditionals and eta_u do not move.
+    eta = eta_u * eta_f per detector, by the masks: eta_f = 1 - p is the
+    apparatus part and eta_u the particle part (the chance the instruction
+    at the selected setting is not N). At every (p_a, p_b) in [0, 1]^2 a
+    coincidence rate is (1 - p_a)(1 - p_b) times its value at p_a = p_b =
+    0, the realized-pair conditional, while the case conditionals and eta_u
+    do not move: exact.detector_invariance_check proves it per source.
 
     An exact field is None (never zero), and an estimate undefined, when
     its conditioning event has probability or count zero.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,12 +288,18 @@ def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.nda
             out, out_w = os.pipe()
             fds.append(out)
             try:
-                pid = os.fork()
+                # A warning os.fork gives the caller (Python 3.12 warns where
+                # other OS threads run) is re-issued, and may raise, once pid is kept.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    pid = os.fork()
                 if pid == 0:
                     _child_share(tokens, out_w, span, hi, seed, tables)
             finally:
                 os.close(out_w)
             pids.append(pid)
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         # The caller is the first worker.
         counts = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
         parts = [os.read(out, counts.nbytes) for out in fds[1:]]

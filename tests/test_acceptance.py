@@ -17,6 +17,7 @@ from merminsim.exact import (
 from merminsim.model import (
     ALL_EIGHT_SETS,
     ALL_SETTING_PAIRS,
+    DetectorModel,
     ExperimentConfig,
     SETTINGS,
     builtin_distribution,
@@ -43,8 +44,8 @@ CONFIG_NAMES = (
 
 
 def config_for(name, state=None, p=0):
-    cfg = ExperimentConfig(source=builtin_distribution(name, state))
-    return cfg.with_failure_probabilities(p, p)
+    source = builtin_distribution(name, state)
+    return ExperimentConfig(source, DetectorModel(p), DetectorModel(p))
 
 
 @pytest.fixture(scope="module")
@@ -103,22 +104,24 @@ def test_criterion_3_detector_loss_invariance():
     grid = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
     for name in ("table1_uniform", "two_one_uniform"):
         base = conditional_stats(enumerate_joint(config_for(name)))
-        report = detector_invariance_check(config_for(name), grid)
-        assert report.conditionals_invariant
-        assert report.coincidence_scaling_exact
-        for p, stats in zip(grid, report.stats_by_p):
+        for p in grid:
+            config = config_for(name, p=p)
+            stats = conditional_stats(enumerate_joint(config))
+            assert detector_invariance_check(config, stats) == ()
             assert stats.p_same_case_a == base.p_same_case_a
             assert stats.p_same_case_b == base.p_same_case_b
             assert stats.eta_u_a == base.eta_u_a
             assert stats.eta_u_b == base.eta_u_b
             assert stats.eta_a == (1 - p) * stats.eta_u_a
             assert stats.eta_b == (1 - p) * stats.eta_u_b
-            assert stats.eta_a == stats.eta_u_a * stats.eta_f_a
-            assert stats.eta_b == stats.eta_u_b * stats.eta_f_b
+            assert stats.eta_f_a == stats.eta_f_b == 1 - p
+            for key, rate in stats.coincidence_rate.items():
+                assert rate == (1 - p) ** 2 * base.coincidence_rate[key]
 
     print(
-        "\nPASS criterion 3: conditionals and eta_u exactly unchanged for "
-        "p in {0, 1/5, 1/2}; eta = (1-p) * eta_u = eta_u * eta_f exactly"
+        "\nPASS criterion 3: detector invariance holds for all (p_a, p_b) in [0, 1]^2; "
+        "conditionals and eta_u exactly unchanged and eta = (1-p) * eta_u at "
+        "p in {0, 1/5, 1/2}"
     )
 
 

@@ -274,6 +274,36 @@ class TestVerify:
         cfg.write_text("[]")
         assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_names_the_field_of_the_worst_z(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(write_config(tmp_path)), "--n", "20000",
+                     "--seed", "3", "--out-dir", str(out)]) == EXIT_OK
+        report = json.loads((out / "verify_report.json").read_text())
+        scored = [row for row in report["comparison"] if row["z"] is not None]
+        worst = max(scored, key=lambda row: abs(row["z"]))
+        detail = f"worst |z| = {abs(worst['z']):.2f} ({worst['name']}),"
+        assert detail in report["checks"][0]["detail"]
+        assert detail in capsys.readouterr().out
+
+    def test_an_oracle_with_p_a_on_both_sides_fails_detector_invariance(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Such an oracle agrees with itself wherever p_a = p_b; at
+        # lossy_table1's own (1/5, 1/10) the failure classes tell it apart.
+        real = cli.enumerate_joint
+        monkeypatch.setattr(
+            cli,
+            "enumerate_joint",
+            lambda config: real(dataclasses.replace(config, detector_b=config.detector_a)),
+        )
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "lossy_table1.json"
+        code = main(["verify", "--config", str(cfg), "--n", "2000", "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        stdout = capsys.readouterr().out
+        assert "FAIL detector-invariance:" in stdout
+        assert stdout.split("detector-invariance: ")[1].split("\n")[0].endswith("; BROKEN: oracle")
+        assert code == EXIT_VERIFY
+
 
 class TestScan:
     def test_p_both_sweep(self, tmp_path):

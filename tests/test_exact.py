@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import re
@@ -12,7 +11,10 @@ from merminsim.exact import (
     conditional_stats,
     detector_invariance_check,
     enumerate_joint,
+    failure_class_sums,
     min_case_b_no_noflash,
+    stats_at,
+    sums_at,
 )
 from merminsim.model import (
     ALL_EIGHT_SETS,
@@ -21,21 +23,24 @@ from merminsim.model import (
     CELLS,
     CellWeights,
     ConfigurationError,
+    DetectorModel,
     ExperimentConfig,
     FAILURE,
     OUTCOMES,
     SETTINGS,
+    STATISTICS,
     SourceDistribution,
     TABLE1_PAIRS,
     builtin_distribution,
+    statistic_sums,
 )
 
 from cells import cell_weight
 
 
 def config_for(name, state=None, p_a=0, p_b=0):
-    cfg = ExperimentConfig(source=builtin_distribution(name, state))
-    return cfg.with_failure_probabilities(p_a, p_b)
+    source = builtin_distribution(name, state)
+    return ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
 
 
 def stats_for(name, state=None, p_a=0, p_b=0):
@@ -240,54 +245,82 @@ class TestMinCaseB:
 
 
 class TestDetectorInvariance:
-    def test_table1_sweep(self):
-        report = detector_invariance_check(
-            config_for("table1_uniform"), [0, Fraction(1, 5), Fraction(1, 2)]
-        )
-        assert report.passed
-        assert report.conditionals_invariant
-        assert report.coincidence_scaling_exact
-        assert report.eta_multiplicative
+    def test_table1_loss_moves_only_eta(self):
+        base = stats_for("table1_uniform")
+        st_half = stats_for("table1_uniform", p_a=Fraction(1, 2), p_b=Fraction(1, 2))
+        assert detector_invariance_check(config_for("table1_uniform"), base) == ()
         # eta scales as (1 - p) * eta_u while eta_u stays put
-        st_half = report.stats_by_p[2]
         assert st_half.eta_a == Fraction(5, 12)
         assert st_half.eta_u_a == Fraction(5, 6)
+        assert (st_half.p_same_case_a, st_half.p_same_case_b) == (1, Fraction(1, 4))
 
-    def test_two_one_sweep_keeps_case_b(self):
-        report = detector_invariance_check(config_for("two_one_uniform"), [0, Fraction(1, 2)])
-        assert report.passed
-        for st in report.stats_by_p:
+    def test_two_one_loss_keeps_case_b(self):
+        for p in (0, Fraction(1, 2)):
+            config = config_for("two_one_uniform", p_a=p, p_b=p)
+            st = conditional_stats(enumerate_joint(config))
             assert st.p_same_case_b == Fraction(1, 3)
+            assert detector_invariance_check(config, st) == ()
 
-    def test_accepts_string_probabilities(self):
-        report = detector_invariance_check(config_for("table1_uniform"), ["1/5", 0.5])
-        assert report.passed
+    @pytest.mark.parametrize("p_a,p_b", [("1/5", 0.5), (1, 0), (0, 1), (1, 1)])
+    def test_holds_at_any_failure_probabilities(self, p_a, p_b):
+        config = config_for("table1_uniform", p_a=p_a, p_b=p_b)
+        assert detector_invariance_check(config, conditional_stats(enumerate_joint(config))) == ()
 
-    @pytest.mark.parametrize("field", ["eta_a", "eta_b"])
-    def test_broken_eta_product_fails(self, monkeypatch, field):
-        # One side's eta no longer equals eta_u * eta_f: only
-        # eta_multiplicative may notice, and it must.
-        real = exact_module.conditional_stats
+    @pytest.mark.parametrize("name", ["table1_uniform", "two_one_uniform", "all_eight_uniform"])
+    @pytest.mark.parametrize(
+        "p_a,p_b", [(0, 0), (Fraction(1, 5), 0), (Fraction(1, 5), Fraction(1, 2)), (1, Fraction(9, 10))]
+    )
+    def test_eta_f_is_one_minus_p(self, name, p_a, p_b):
+        st = stats_for(name, p_a=p_a, p_b=p_b)
+        assert st.eta_f_a == 1 - Fraction(p_a)
+        assert st.eta_f_b == 1 - Fraction(p_b)
 
-        def perturbed(table):
-            st = real(table)
-            return dataclasses.replace(st, **{field: getattr(st, field) + Fraction(1, 1000)})
+    def test_stats_at_another_point_fail_the_oracle_claim(self):
+        config = config_for("table1_uniform", p_a=Fraction(1, 5), p_b=Fraction(1, 10))
+        swapped = stats_for("table1_uniform", p_a=Fraction(1, 10), p_b=Fraction(1, 5))
+        assert detector_invariance_check(config, swapped) == ("oracle",)
 
-        monkeypatch.setattr(exact_module, "conditional_stats", perturbed)
-        report = detector_invariance_check(
-            config_for("table1_uniform"), [0, Fraction(1, 5), Fraction(1, 2)]
-        )
-        assert report.conditionals_invariant and report.coincidence_scaling_exact
-        assert not report.eta_multiplicative
-        assert not report.passed
+    @pytest.mark.parametrize(
+        "label,failure_class,claim",
+        [
+            ("p_same_case_a", 3, "conditionals"),
+            ("p_same_case_b", 1, "conditionals"),
+            ("eta_u_a", 1, "conditionals"),
+            ("eta_u_b", 2, "conditionals"),
+            ("coincidence_rate[12]", 1, "coincidence scaling"),
+            ("coincidence_rate[33]", 3, "coincidence scaling"),
+            ("eta_f_a", 2, "eta_f"),
+            ("eta_f_b", 1, "eta_f"),
+        ],
+    )
+    def test_each_identity_catches_a_shifted_class_sum(
+        self, monkeypatch, label, failure_class, claim
+    ):
+        # One class sum's numerator off by one: the claim that reads it
+        # must fail, whatever the oracle claim says.
+        index = [stat.label for stat in STATISTICS].index(label)
+        real = exact_module.failure_class_sums
 
-    def test_p_equal_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="outside"):
-            detector_invariance_check(config_for("table1_uniform"), [0, 1])
+        def shifted(source):
+            classes = [list(per_class) for per_class in real(source)]
+            num, den = classes[index][failure_class]
+            classes[index][failure_class] = (num + 1, den)
+            return tuple(map(tuple, classes))
 
-    def test_p_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            detector_invariance_check(config_for("table1_uniform"), [Fraction(3, 2)])
+        monkeypatch.setattr(exact_module, "failure_class_sums", shifted)
+        config = config_for("table1_uniform", p_a=Fraction(1, 5), p_b=Fraction(1, 10))
+        assert claim in detector_invariance_check(config, conditional_stats(enumerate_joint(config)))
+
+    @pytest.mark.parametrize("name,state", [("table1_uniform", None), ("single", "NNN-NNN")])
+    @pytest.mark.parametrize(
+        "p_a,p_b", [(0, 0), (Fraction(1, 3), Fraction(1, 7)), (1, Fraction(1, 2)), (1, 1)]
+    )
+    def test_stats_at_equals_the_table(self, name, state, p_a, p_b):
+        config = config_for(name, state, p_a, p_b)
+        classes = failure_class_sums(config.source)
+        table = enumerate_joint(config)
+        assert sums_at(classes, Fraction(p_a), Fraction(p_b)) == statistic_sums(table.weights)
+        assert stats_at(classes, Fraction(p_a), Fraction(p_b)) == conditional_stats(table)
 
 
 class TestSourceMemo:
@@ -317,7 +350,9 @@ class TestSourceMemo:
     def test_detector_settings_share_one_pass_per_source(self):
         config = config_for("table1_uniform")
         masses = config.source.cell_masses
-        swept = config.with_failure_probabilities(Fraction(1, 3), Fraction(1, 7))
+        swept = ExperimentConfig(
+            config.source, DetectorModel(Fraction(1, 3)), DetectorModel(Fraction(1, 7))
+        )
         assert swept.source.cell_masses is masses
         # 12 states at weight 1/12: 16 switch-digit pairs each, over total 12.
         assert masses[1] == 12 and sum(masses[0]) == 16 * 12

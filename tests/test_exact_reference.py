@@ -3,7 +3,9 @@
 enumerate_joint reads each cell off the source's integer cell masses; the
 reference below spreads every renormalized weight over both switch laws,
 one Fraction product at a time. The two must agree cell for cell, and
-the exact properties the oracle promises must hold on random sources.
+the exact properties the oracle promises must hold on random sources:
+the failure-class form gives the same statistics, and its detector
+invariance identities hold.
 The cell masses, grouped by side A's instruction set, must also equal the
 per-state loop over state_cells that they replace.
 """
@@ -14,10 +16,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merminsim.exact import conditional_stats, detector_invariance_check, enumerate_joint
+from merminsim.exact import (
+    conditional_stats,
+    detector_invariance_check,
+    enumerate_joint,
+    failure_class_sums,
+    stats_at,
+)
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
     CELLS,
+    DetectorModel,
     ExperimentConfig,
     FAILURE,
     N_CELLS,
@@ -77,7 +86,7 @@ failure_probabilities = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(source=random_sources(), p_a=failure_probabilities, p_b=failure_probabilities)
 def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
-    config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
+    config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
     table = enumerate_joint(config)
 
     cells = [Fraction(w, table.total) for w in table.weights]
@@ -100,8 +109,10 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
         else:
             assert eta == eta_u * eta_f
 
-    sweep = [p for p in (p_a, p_b) if p < 1]
-    assert detector_invariance_check(config, sweep).passed
+    # The failure-class form gives the table's statistics at (p_a, p_b),
+    # and its identities hold on every source.
+    assert stats_at(failure_class_sums(source), p_a, p_b) == stats
+    assert detector_invariance_check(config, stats) == ()
 
 
 def per_state_cell_masses(source):

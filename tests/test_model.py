@@ -240,15 +240,6 @@ class TestDetectorAndConfig:
         with pytest.raises(ConfigurationError):
             DetectorModel(-0.1)
 
-    def test_with_failure_probabilities(self):
-        from merminsim.model import ExperimentConfig
-
-        cfg = ExperimentConfig(source=builtin_distribution("table1_uniform"))
-        swept = cfg.with_failure_probabilities("1/5", 0.5)
-        assert swept.detector_a.failure_probability == Fraction(1, 5)
-        assert swept.detector_b.failure_probability == Fraction(1, 2)
-        assert swept.source is cfg.source
-
 
 # Digit runs with underscores and leading zeros, some in non-ASCII digits:
 # Arabic-Indic and fullwidth digits are decimal, superscript two is not.

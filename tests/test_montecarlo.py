@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
     CellWeights,
+    DetectorModel,
     ExperimentConfig,
     FAILURE,
     N_CELLS,
@@ -33,8 +35,8 @@ I64_MAX = (1 << 63) - 1
 
 
 def config_for(name, state=None, p_a=0, p_b=0):
-    cfg = ExperimentConfig(source=builtin_distribution(name, state))
-    return cfg.with_failure_probabilities(p_a, p_b)
+    source = builtin_distribution(name, state)
+    return ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
 
 
 def plan_for(name, n, seed, streams=1, state=None, p_a=0, p_b=0):
@@ -251,6 +253,32 @@ class TestWorkerProcesses:
             with pytest.raises(RuntimeError if fault == "child" else KeyboardInterrupt):
                 run_trials(plan)
         assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_a_warning_from_fork_leaves_no_child(self, monkeypatch):
+        # Python 3.12 and later warn in the caller, once the child exists,
+        # when other OS threads run; under an "error" filter the warning
+        # raises from os.fork. The child must still be reaped.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        fork, pids = os.fork, []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                warnings.warn("fork() with other threads may deadlock", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        fds = open_fds()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning):
+                run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=2))
+        assert len(pids) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds

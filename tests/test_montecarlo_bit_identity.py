@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
+    DetectorModel,
     ExperimentConfig,
     N_CELLS,
     NO_FLASH,
@@ -159,7 +160,7 @@ SOURCES = {
     span=st.integers(2 * _CHUNK, 3 * _CHUNK),
 )
 def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk, offset, span):
-    config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
+    config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
     lo = first_chunk * _CHUNK + offset
     expected = reference_run_range(lo, lo + span, seed, config)
     got = _run_range(lo, lo + span, seed, _sampler_tables(config))
@@ -196,7 +197,7 @@ def test_state_draw_at_every_threshold_and_bucket_edge(name):
 )
 def test_switch_digits_at_every_threshold_edge(p):
     # Side B runs at 1 - p, so a table built for the wrong side shows.
-    config = ExperimentConfig(source=SOURCES["table1"]).with_failure_probabilities(p, 1 - p)
+    config = ExperimentConfig(SOURCES["table1"], DetectorModel(p), DetectorModel(1 - p))
     tables = _sampler_tables(config)
     for prob, thresholds in ((p, tables.switch_a), (1 - p, tables.switch_b)):
         # 0 and 2^53 - 1 bring in the least and the greatest hash, 0 and 2^64 - 1.

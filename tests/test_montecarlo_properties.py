@@ -15,7 +15,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
-from merminsim.model import STATISTICS, CellWeights, ExperimentConfig, merge, statistic_sums
+from merminsim.model import (
+    STATISTICS,
+    CellWeights,
+    DetectorModel,
+    ExperimentConfig,
+    merge,
+    statistic_sums,
+)
 from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import compare, estimate_stats
 from test_exact_reference import failure_probabilities, random_sources
@@ -25,7 +32,7 @@ seeds = st.integers(0, 2**64 - 1)
 
 def configs():
     return st.builds(
-        lambda source, p_a, p_b: ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b),
+        lambda source, p_a, p_b: ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b)),
         random_sources(),
         failure_probabilities,
         failure_probabilities,

@@ -18,6 +18,7 @@ from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
     ALL_SETTING_PAIRS,
     CASE_B_PAIRS,
+    DetectorModel,
     ExperimentConfig,
     FAILURE,
     NO_FLASH,
@@ -144,7 +145,7 @@ def assert_same_fields(stats, reference):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_declared_statistics_match_reference_derivations(source, p_a, p_b, seed):
-    config = ExperimentConfig(source=source).with_failure_probabilities(p_a, p_b)
+    config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
 
     exact = conditional_stats(enumerate_joint(config))
     assert_same_fields(exact, reference_conditional_stats(reference_joint(config)))
