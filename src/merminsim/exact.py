@@ -169,8 +169,8 @@ def detector_invariance_check(
       S_c = total * m_a * m_b, m = 3 on a selecting side and 1 on a failed.
     - "eta_f": eta_f = 1 - p per side: a side's selected-setting sum is
       S_c where it selected and 0 where it failed.
-    - "oracle": stats_at config's (p_a, p_b) equals stats, which ties the
-      class sums to enumerate_joint.
+    - "oracle": at config's own (p_a, p_b), stats_at gives stats, which
+      ties the class sums to enumerate_joint.
     """
     classes = failure_class_sums(config.source)
     per_stat = {stat.label: per_class for stat, per_class in zip(STATISTICS, classes)}
