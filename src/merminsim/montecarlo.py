@@ -8,12 +8,13 @@ identical tallies, and tallies merge as a commutative monoid. Several
 streams run in forked worker processes, which do not share an
 interpreter lock; each sends its counts back through a pipe.
 
-A draw is the top 53 bits k = z >> 11 of a lane's hash z and stands for
-u = k * 2^-53. The state draw compares k with the exact integer form of
-each float64 comparison on u, so it is what comparing u in floating point
-gives: one gather from a guide over the top bits of z, and a search for
-the under 1/64 of draws whose bucket a threshold splits. Each side's
-switch digit cuts z at exact rational boundaries (k >= t is z > 2^11 t - 1).
+A trial hashes two lanes: one draws the pair state, the other the code
+4 * digit_a + digit_b of both sides' switch positions. A draw is the top
+53 bits k = z >> 11 of a lane's hash z and stands for u = k * 2^-53. Both
+draws are exact rational partitions of k: a part's first draw is the
+ceiling of 2^53 times its cumulative weight. Each is one gather from a
+guide over the top bits of z (Chen and Asau's guide table), and a search
+for the under 1/64 of draws whose bucket a threshold splits.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,22 +34,25 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Recorded in run manifests. Scheme 1 hashed a failure and a setting lane per side.
-RNG_SCHEME = 2
+# Recorded in run manifests. Scheme 2 drew each side's switch digit from
+# its own lane and the state through float64 cumulative weights; scheme 1
+# hashed a failure and a setting lane per side.
+RNG_SCHEME = 3
 
-# Counter stride per trial. Lane 0 draws the state and lanes 2 and 4 the
-# switch digits of sides A and B; lanes 1, 3 and 5-7 are reserved headroom.
+# Counter stride per trial. Lane 0 draws the state and lane 1 the pair of
+# switch digits; lanes 2-7 are reserved headroom.
 _LANES = 8
-_STATE_LANE, _SIDE_A_LANE, _SIDE_B_LANE = 0, 2, 4
+_STATE_LANE, _PAIR_LANE = 0, 1
 MAX_TRIALS = 1 << 60
 
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
 _ONE = 1 << 53
 
-# Trials per pass. The per-pass buffers (28 bytes a trial, about 1.8 MB)
-# stay in the CPU caches. It is also the fastest chunk in one process: on the
-# dense 729-state source, a 2-vCPU Xeon VM took a median 22.5 ns/trial,
-# against 23.2 at 1 << 15 and 26.2 at 1 << 17.
+# Trials per pass. The per-pass buffers (29 bytes a trial, about 1.9 MB)
+# stay in the CPU caches. On the dense 729-state source, in 15 interleaved
+# runs in one process on a 2-vCPU Xeon VM, it took a median 18.2 ns/trial,
+# against 17.8 at 1 << 15 (faster in 9 of the 15, a tie) and 20.2 at
+# 1 << 17; it makes half the numpy calls of 1 << 15.
 _CHUNK = 1 << 16
 
 # Workers take runs of chunks from one pipe of 8-byte start tokens. The
@@ -56,11 +61,11 @@ _CHUNK = 1 << 16
 _TOKEN_BYTES = 8
 _MAX_TOKENS = 4096 // _TOKEN_BYTES
 
-# Guide buckets per pair state, rounded up to a power of two. Each of the
-# K - 1 inner thresholds splits at most one bucket, so at most K - 1 of the
-# 64 K or more equal-width buckets are split and under 1/64 of draws, for
-# any weights, need the search after the gather.
-_BUCKETS_PER_STATE = 64
+# Guide buckets per part, rounded up to a power of two. Each of the K - 1
+# inner thresholds of K parts splits at most one bucket, so at most K - 1
+# of the 64 K or more equal-width buckets are split and under 1/64 of
+# draws, for any weights, need the search after the gather.
+_BUCKETS_PER_PART = 64
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -86,98 +91,87 @@ def _ceil_k(num: int, den: int) -> int:
     return -(-num * _ONE // den)
 
 
-def _switch_thresholds(p) -> tuple[int, ...]:
-    """t_j = ceil(2^53 (p + j (1 - p) / 3)) for j = 0, 1, 2, exactly, for
-    the rational failure probability p: digit = #{j : k >= t_j}."""
-    num, den = p.numerator, p.denominator
-    return tuple(_ceil_k(3 * num + j * (den - num), 3 * den) for j in range(3))
-
-
 @dataclass(frozen=True)
-class _Sampler:
-    """One config's draws as integer thresholds on k = z >> 11.
-
-    The state is the number of inner cumulative thresholds <= k. guide
-    holds, for each of the _BUCKETS_PER_STATE * K or more buckets
-    z >> (bucket_shift + 11), 16 * state if no inner threshold splits it,
-    else -1; draws in a split bucket are searched in thresholds. switch_a
-    and switch_b are _switch_thresholds. cells maps (state, switch_a * 4 +
-    switch_b) to the cell code: the source's state_cells.
-    """
+class _Guide:
+    """A draw from a partition of the draws k = z >> 11 into parts: the
+    index of k's part is the number of inner thresholds <= k. guide holds,
+    for each of the _BUCKETS_PER_PART * parts or more buckets
+    z >> (bucket_shift + 11), step * index if no inner threshold splits
+    it, else -1; draws in a split bucket are searched in thresholds."""
 
     thresholds: np.ndarray
     guide: np.ndarray
     bucket_shift: int
-    switch_a: tuple[int, ...]
-    switch_b: tuple[int, ...]
-    cells: np.ndarray
+    step: int
 
 
-def _sampler_tables(config: ExperimentConfig) -> _Sampler:
-    """Integer thresholds for the draws of config, built once per run.
-
-    Each state threshold is the exact integer form of a comparison of u
-    with a cumulative weight fraction rendered to float64. The fractions
-    come from the source's integer state masses, which the exact oracle
-    reads too; int / int is correctly rounded, so acc / total is that
-    float64.
-    """
-    masses, total = config.source.state_masses
-    acc = 0
-    cum = []
-    for mass in masses:
-        acc += mass
-        cum.append(_ceil_k(*(acc / total).as_integer_ratio()))
-    if cum[-1] != _ONE:
-        raise ValueError(f"source weights sum to {acc}/{total}, not 1")
-    inner = np.array(cum[:-1], dtype=np.uint64)
-
-    bucket_bits = (_BUCKETS_PER_STATE * len(masses) - 1).bit_length()
+def _guide(masses, step: int) -> _Guide:
+    """The guide of the parts whose integer masses are masses, each part
+    ceil(2^53 * its cumulative mass / the total) draws wide, exactly."""
+    cum = list(accumulate(masses))
+    inner = np.array([_ceil_k(acc, cum[-1]) for acc in cum[:-1]], dtype=np.uint64)
+    bucket_bits = (_BUCKETS_PER_PART * len(cum) - 1).bit_length()
     buckets, shift = 1 << bucket_bits, 53 - bucket_bits
     # lo[b] and hi[b] count the inner thresholds <= the least and greatest k
     # of bucket b: t counts in lo from bucket ceil(t / 2^shift) on, in hi from
-    # floor(t / 2^shift) on, and a t of 2^53 (zero weights last) in neither.
+    # floor(t / 2^shift) on, and a t of 2^53 (zero masses last) in neither.
     ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
     floor_b = (inner >> np.uint64(shift)).astype(np.intp)
     lo = np.cumsum(np.bincount(ceil_b, minlength=buckets + 1)[:buckets])
     hi = np.cumsum(np.bincount(floor_b, minlength=buckets + 1)[:buckets])
     # int16 takes a quarter of intp's cache room and holds 16 * 728 + 15 (729 states at most).
-    guide = (16 * lo).astype(np.int16)
+    guide = (step * lo).astype(np.int16)
     guide[lo != hi] = -1
+    return _Guide(inner, guide, shift, step)
 
+
+def _switch_masses(p) -> tuple[int, ...]:
+    """Masses of switch digits 0-3 over 3 * p.denominator: digit 0, the
+    failure position, has probability p and each setting (1 - p) / 3."""
+    rest = p.denominator - p.numerator
+    return (3 * p.numerator, rest, rest, rest)
+
+
+@dataclass(frozen=True)
+class _Sampler:
+    """One config's draws: state draws 16 * the pair state, from the
+    source's state masses, and pair draws the code 4 * digit_a + digit_b,
+    from the product law of the two sides' switch digits. cells maps
+    16 * state + code to the cell: the source's state_cells.
+    """
+
+    state: _Guide
+    pair: _Guide
+    cells: np.ndarray
+
+
+def _sampler_tables(config: ExperimentConfig) -> _Sampler:
+    """The guides of config's draws, built once per run from the integer
+    masses that the exact oracle reads too: every threshold is the exact
+    ceiling of a rational cumulative weight, with no float64 step."""
+    masses, total = config.source.state_masses
+    if sum(masses) != total:
+        raise ValueError(f"source weights sum to {sum(masses)}/{total}, not 1")
+    side_a, side_b = (
+        _switch_masses(d.failure_probability) for d in (config.detector_a, config.detector_b)
+    )
     return _Sampler(
-        thresholds=inner,
-        guide=guide,
-        bucket_shift=shift,
-        switch_a=_switch_thresholds(config.detector_a.failure_probability),
-        switch_b=_switch_thresholds(config.detector_b.failure_probability),
+        state=_guide(masses, 16),
+        pair=_guide([a * b for a in side_a for b in side_b], 1),
         cells=np.array(config.source.state_cells),
     )
 
 
-def _draw_state(z, tables: _Sampler, st, t, h) -> np.ndarray:
-    """16 * the state of each hash in z, the number of inner thresholds
-    <= z >> 11, into st (int16); t (uint64) and h (bool) are scratch."""
-    np.right_shift(z, np.uint64(tables.bucket_shift + 11), out=t)
+def _guided_draw(z, table: _Guide, out, t, h) -> np.ndarray:
+    """table.step * the number of inner thresholds <= z >> 11 for each hash
+    in z, into out (int16); t (uint64) and h (bool) are scratch."""
+    np.right_shift(z, np.uint64(table.bucket_shift + 11), out=t)
     # Indices are in range by construction; "wrap" skips the bounds check.
-    np.take(tables.guide, t.view(np.intp), out=st, mode="wrap")
-    split = np.flatnonzero(np.less(st, 0, out=h))
-    st[split] = np.searchsorted(tables.thresholds, z[split] >> np.uint64(11), side="right") * 16
-    return st
-
-
-def _add_switch_digits(z, thresholds, sw, h) -> np.ndarray:
-    """Add the switch digit #{j : z >> 11 >= thresholds[j]} of each hash
-    in z to sw (uint8), through the bool scratch buffer h. k >= t is
-    z > (t << 11) - 1: t = 0 counts for every z and t = 2^53 for none.
-    h is added as uint8: a bool + uint8 add casts, at a third the speed."""
-    for t in thresholds:
-        if t:
-            np.greater(z, np.uint64((t << 11) - 1), out=h)
-            np.add(sw, h.view(np.uint8), out=sw)
-        else:
-            np.add(sw, 1, out=sw)
-    return sw
+    np.take(table.guide, t.view(np.intp), out=out, mode="wrap")
+    split = np.flatnonzero(np.less(out, 0, out=h))
+    k = z[split] >> np.uint64(11)
+    out[split] = np.searchsorted(table.thresholds, k, side="right") * table.step
+    return out
 
 
 def _run_range(lo: int, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
@@ -195,8 +189,8 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     size = min(_CHUNK, hi)
     u64 = np.uint64
     stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    z_buf, tmp, state = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
-    hit, digits = np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8)
+    z_buf, tmp, state, codes = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16, np.int16))
+    hit = np.empty(size, dtype=bool)
     hist = np.zeros(tables.cells.size, dtype=np.int64)
 
     def draw(lane, m):
@@ -213,17 +207,12 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
 
     for start in starts:
         m = min(_CHUNK, hi - start)
-        h, pair = hit[:m], digits[:m]
+        h, t = hit[:m], tmp[:m]
         counter = (start * _LANES + 1) * _GAMMA + seed
-        pair.fill(0)
-        _add_switch_digits(draw(_SIDE_A_LANE, m), tables.switch_a, pair, h)
-        # 4 * digit_a in uint8 adds, which numpy vectorizes and a uint8 << does not.
-        np.add(pair, pair, out=pair)
-        np.add(pair, pair, out=pair)
-        _add_switch_digits(draw(_SIDE_B_LANE, m), tables.switch_b, pair, h)
-        # Count (state, switch_a, switch_b) triples; cells folds the
-        # histogram into the cell codec once, after the last chunk.
-        st = _draw_state(draw(_STATE_LANE, m), tables, state[:m], tmp[:m], h)
+        # Count (state, pair code) pairs; cells folds the histogram into
+        # the cell codec once, after the last chunk.
+        st = _guided_draw(draw(_STATE_LANE, m), tables.state, state[:m], t, h)
+        pair = _guided_draw(draw(_PAIR_LANE, m), tables.pair, codes[:m], t, h)
         np.add(st, pair, out=st)
         hist += np.bincount(st, minlength=hist.size)
 
@@ -323,9 +312,9 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     """Simulate plan.n_trials independent trials into a tally: cell
     weights that count trials, over the total plan.n_trials.
 
-    Per trial: a pair state is drawn by weight, then each side
-    independently draws failure (probability p) or a uniform setting, and
-    the outcome is the instruction lookup with failure forcing NoFlash.
+    Per trial: one lane draws a pair state by weight and one the switch
+    pair, each side failure (probability p) or a uniform setting; the
+    outcome is the instruction lookup with failure forcing NoFlash.
     plan.n_streams workers, at most one per CPU this process may run on,
     take runs of chunks of the trial range in turn: the caller and forked
     child processes, whose counts are summed. The caller runs every chunk

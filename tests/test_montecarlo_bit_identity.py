@@ -1,14 +1,15 @@
 """The integer-threshold engine against a reference sampler written from
-the definitions.
+the definitions, and the law its tables sample against the exact oracle.
 
 Every draw is a 53-bit integer k = z >> 11 of a 64-bit hash z, standing
 for u = k 2^-53; the engine compares z with integer thresholds on k. The
-reference draws the state as a float searchsorted of u over the
-cumulative weights, and each side's switch digit as an exact rational
-partition of k. These tests pin that the two give the same tallies, draw
-for draw.
+reference draws the state and the pair code 4 * digit_a + digit_b as
+exact rational partitions of k, in Python ints. These tests pin that the
+two give the same tallies, draw for draw, and that the law of the tables
+is within (K + 16) 2^-53 of enumerate_joint.
 """
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merminsim.exact import enumerate_joint
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
     DetectorModel,
@@ -29,10 +31,9 @@ from merminsim.model import (
 )
 from merminsim.montecarlo import (
     MAX_TRIALS,
-    _BUCKETS_PER_STATE,
+    _BUCKETS_PER_PART,
     _CHUNK,
-    _add_switch_digits,
-    _draw_state,
+    _guided_draw,
     _run_range,
     _sampler_tables,
 )
@@ -43,32 +44,38 @@ U64 = np.uint64
 ONE = 1 << 53
 
 
-def float_cumulative(config):
-    """The float64 cumulative weights the float sampler searched."""
-    return np.array(
-        [float(c) for c in accumulate(w for _, w in config.source.renormalized())]
-    )
+def exact_parts(k, weights):
+    """Part of each draw k when [0, 1) is cut into parts of the Fraction
+    weights in turn: the number of inner cumulative weights c with
+    k 2^-53 >= c, compared as integers over one denominator."""
+    cum = list(accumulate(weights))[:-1]
+    den = math.lcm(*(c.denominator for c in cum))
+    bounds = np.array([ONE * c.numerator * (den // c.denominator) for c in cum], dtype=object)
+    return np.searchsorted(bounds, k.astype(object) * den, side="right").astype(np.int64)
 
 
-def exact_digits(k, p):
-    """Switch digit of each draw k at failure probability p = num / den:
-    #{j : 3 den k >= 2^53 (3 num + j (den - num))}, in Python ints."""
-    num, den = p.numerator, p.denominator
-    scaled = k.astype(object) * (3 * den)
-    return sum(
-        (scaled >= ONE * (3 * num + j * (den - num))).astype(np.int64) for j in range(3)
+def state_weights(config):
+    return [w for _, w in config.source.renormalized()]
+
+
+def pair_weights(config):
+    """Weights of the pair codes 4 * digit_a + digit_b: each side's digit
+    is 0, its failure position, with probability p and each setting with
+    probability (1 - p) / 3, independently."""
+    a, b = (
+        [p] + [(1 - p) / 3] * 3
+        for p in (config.detector_a.failure_probability, config.detector_b.failure_probability)
     )
+    return [x * y for x in a for y in b]
 
 
 def reference_run_range(lo, hi, seed, config):
     """Reference form of the sampler, the oracle for the integer engine:
     lane j of trial i is k = mix64((8 i + j + 1) GAMMA + seed) >> 11, the
-    state is a searchsorted of u = k 2^-53 over float cumulative weights,
-    each side's switch digit is exact_digits of its lane (2 for A, 4 for
-    B), and each side's outcome is gathered from its own (state, switch)
-    table."""
+    state is exact_parts of lane 0 over the renormalized weights, the pair
+    code exact_parts of lane 1 over pair_weights, and each side's outcome
+    is gathered from its own (state, switch) table."""
     entries = config.source.renormalized()
-    cum = float_cumulative(config)
     no_flash = OUTCOMES.index(NO_FLASH)
     table_a, table_b = (
         np.array([[no_flash] + [OUTCOMES.index(s.split("-")[side][x - 1]) for x in SETTINGS]
@@ -83,9 +90,8 @@ def reference_run_range(lo, hi, seed, config):
             z = (z ^ (z >> U64(shift))) * U64(mult)
         return (z ^ (z >> U64(31))) >> U64(11)
 
-    state = np.searchsorted(cum, draws(0).astype(np.float64) * 2.0**-53, side="right")
-    sw_a = exact_digits(draws(2), config.detector_a.failure_probability)
-    sw_b = exact_digits(draws(4), config.detector_b.failure_probability)
+    state = exact_parts(draws(0), state_weights(config))
+    sw_a, sw_b = np.divmod(exact_parts(draws(1), pair_weights(config)), 4)
     cell = ((sw_a * 4 + sw_b) * 3 + table_a[state, sw_a]) * 3 + table_b[state, sw_b]
     return np.bincount(cell, minlength=N_CELLS)
 
@@ -167,27 +173,47 @@ def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk,
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("name", sorted(SOURCES))
-def test_state_draw_at_every_threshold_and_bucket_edge(name):
-    config = ExperimentConfig(source=SOURCES[name])
-    tables = _sampler_tables(config)
-    inner = [int(t) for t in tables.thresholds]
-    assert len(inner) == len(config.source.renormalized()) - 1
-    width = 1 << tables.bucket_shift
-    buckets = [b * width for b in range(len(tables.guide))]
-    split = [b * width for b in np.flatnonzero(tables.guide < 0).tolist()]
-    k, z = hashes(edges(inner + buckets + [b + width - 1 for b in split]))
+def probe_edges(table, weights, step):
+    """Check the guided draw of table against exact_parts of weights at
+    every threshold edge and every guide-bucket edge. The thresholds are
+    sorted, so the draw is a non-decreasing step in k and the edges pin it
+    for all 2^53 draws."""
+    inner = [int(t) for t in table.thresholds]
+    assert inner == sorted(inner)
+    assert len(inner) == len(weights) - 1
+    width = 1 << table.bucket_shift
+    buckets = [b * width for b in range(len(table.guide))]
+    split = [b * width for b in np.flatnonzero(table.guide < 0).tolist()]
+    # ONE - 1 brings in the greatest hash, 2^64 - 1; bucket 0, the least.
+    k, z = hashes(edges(inner + buckets + [b + width - 1 for b in split] + [ONE - 1]))
     size = len(z)
-    got = _draw_state(
+    got = _guided_draw(
         z,
-        tables,
+        table,
         np.empty(size, dtype=np.int16),
         np.empty(size, dtype=U64),
         np.empty(size, dtype=bool),
     )
-    u = k.astype(np.float64) * 2.0**-53
-    expected = np.searchsorted(float_cumulative(config), u, side="right")
-    assert np.array_equal(got, 16 * expected)
+    assert np.array_equal(got, step * exact_parts(k, weights))
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_state_draw_at_every_threshold_and_bucket_edge(name):
+    config = ExperimentConfig(source=SOURCES[name])
+    probe_edges(_sampler_tables(config).state, state_weights(config), 16)
+
+
+@pytest.mark.parametrize("name, moved", [("table1", 2), ("dense", 251), ("skewed", 364)])
+def test_state_thresholds_take_no_float64_step(name, moved):
+    # t_s = ceil(2^53 acc_s / total) in integers. Scheme 2 rounded acc_s /
+    # total to float64 first, which moves some thresholds by one draw.
+    masses, total = SOURCES[name].state_masses
+    cum = list(accumulate(masses))[:-1]
+    exact = [-(-ONE * acc // total) for acc in cum]
+    scheme_2 = [math.ceil(Fraction(acc / total) * ONE) for acc in cum]
+    tables = _sampler_tables(ExperimentConfig(source=SOURCES[name]))
+    assert tables.state.thresholds.tolist() == exact
+    assert sum(e != f for e, f in zip(exact, scheme_2)) == moved
 
 
 @pytest.mark.parametrize(
@@ -195,52 +221,58 @@ def test_state_draw_at_every_threshold_and_bucket_edge(name):
     [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(1, 10), Fraction(1, 3),
      Fraction(2, 3), Fraction(1, 10**9), Fraction(99, 100)],
 )
-def test_switch_digits_at_every_threshold_edge(p):
-    # Side B runs at 1 - p, so a table built for the wrong side shows.
+def test_pair_draw_at_every_threshold_and_bucket_edge(p):
+    # Side B runs at 1 - p, so a table with the sides swapped or the code
+    # transposed shows. p = 0 puts thresholds at 0, which every draw
+    # passes, and p = 1 at 2^53, which none does.
     config = ExperimentConfig(SOURCES["table1"], DetectorModel(p), DetectorModel(1 - p))
-    tables = _sampler_tables(config)
-    for prob, thresholds in ((p, tables.switch_a), (1 - p, tables.switch_b)):
-        # 0 and 2^53 - 1 bring in the least and the greatest hash, 0 and 2^64 - 1.
-        k, z = hashes(edges([*thresholds, 0, ONE - 1]))
-        got = _add_switch_digits(
-            z, thresholds, np.zeros(len(z), dtype=np.uint8), np.empty(len(z), dtype=bool)
-        )
-        assert np.array_equal(got, exact_digits(k, prob))
-        # t_j is the least draw whose digit exceeds j.
-        for j, t in enumerate(thresholds):
-            assert t == ONE or exact_digits(np.array([t], dtype=U64), prob)[0] > j
-            assert t == 0 or exact_digits(np.array([t - 1], dtype=U64), prob)[0] <= j
-
-
-@pytest.mark.parametrize("t, digit", [(0, 1), (ONE, 0)])
-def test_threshold_0_always_counts_and_2_53_never(t, digit):
-    z = np.array([0, 1, 0x7FF, 0x800, 2**63, 2**64 - 1], dtype=U64)
-    sw = np.full(len(z), 5, dtype=np.uint8)
-    _add_switch_digits(z, (t,), sw, np.empty(len(z), dtype=bool))
-    assert sw.tolist() == [5 + digit] * len(z)
+    probe_edges(_sampler_tables(config).pair, pair_weights(config), 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(source=st.one_of(random_sources(), st.just(SKEWED)))
-def test_at_most_k_minus_1_buckets_are_split(source):
+@given(
+    source=st.one_of(random_sources(), st.just(SKEWED)),
+    p_a=failure_probabilities,
+    p_b=failure_probabilities,
+)
+def test_at_most_k_minus_1_buckets_are_split(source, p_a, p_b):
     # A split bucket costs a search after the gather; each of the K - 1
-    # inner thresholds lies inside at most one bucket.
+    # inner thresholds of K parts lies inside at most one bucket.
     states = len(source.state_masses[0])
-    tables = _sampler_tables(ExperimentConfig(source=source))
-    assert len(tables.guide) >= _BUCKETS_PER_STATE * states
-    assert np.count_nonzero(tables.guide < 0) <= states - 1
+    tables = _sampler_tables(ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b)))
+    assert len(tables.state.guide) >= _BUCKETS_PER_PART * states
+    assert np.count_nonzero(tables.state.guide < 0) <= states - 1
+    assert len(tables.pair.guide) >= _BUCKETS_PER_PART * 16
+    assert np.count_nonzero(tables.pair.guide < 0) <= 15
 
 
-def test_scheme_2_differs_from_scheme_1_at_p_0_on_one_draw():
-    # Scheme 1 set the digit to 1 + int(u * 3.0) in float64. Both digits
-    # are non-decreasing steps in k, so agreeing on each side of t1 and
-    # of t2 - 1 pins every step: (2^54 - 1) / 3 * 2^-53 * 3 = 2 - 2^-53
-    # rounds up to 2.0, one draw below the exact t2 = ceil(2^54 / 3).
-    t0, t1, t2 = _sampler_tables(ExperimentConfig(source=SOURCES["table1"])).switch_a
-    assert (t0, t1, t2) == (0, -(-ONE // 3), -(-2 * ONE // 3))
-    k = edges([t1, t2 - 1])
-    scheme_1 = 1 + (k.astype(np.float64) * 2.0**-53 * 3.0).astype(np.int64)
-    assert k[scheme_1 != exact_digits(k, Fraction(0))].tolist() == [(2**54 - 1) // 3]
+def widths(table):
+    """Draws in each part of table, in Python ints."""
+    return np.diff([0, *(int(t) for t in table.thresholds), ONE]).tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    source=st.one_of(random_sources(), st.just(SKEWED), st.just(DENSE)),
+    p_a=failure_probabilities,
+    p_b=failure_probabilities,
+)
+def test_sampled_law_is_within_k_plus_16_steps_of_the_oracle(source, p_a, p_b):
+    # Each threshold is the ceiling of 2^53 times a rational cumulative
+    # weight, so a partition of n parts is off by under n 2^-53 in L1, and
+    # a product law by under the sum of its factors' errors; the fold into
+    # cells adds none.
+    config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
+    tables = _sampler_tables(config)
+    law = [0] * N_CELLS
+    for cells, state_width in zip(tables.cells.tolist(), widths(tables.state)):
+        for cell, pair_width in zip(cells, widths(tables.pair)):
+            law[cell] += state_width * pair_width
+    assert sum(law) == ONE * ONE
+    exact = enumerate_joint(config)
+    l1 = sum(abs(Fraction(w, ONE * ONE) - Fraction(x, exact.total))
+             for w, x in zip(law, exact.weights))
+    assert l1 < Fraction(len(widths(tables.state)) + 16, ONE)
 
 
 def test_weights_not_summing_to_one_are_rejected(monkeypatch):
