@@ -235,13 +235,17 @@ def _drain(tokens: int) -> None:
         pass
 
 
-def _child_share(tokens: int, out: int, span: int, hi: int, seed: int, tables: _Sampler):
-    """A forked worker: write the counts of the chunks it takes into the
-    pipe fd out and exit 0, or drain the token pipe, print the traceback
-    of an error (not of an interrupt) and exit 1. os._exit flushes no
-    stdio buffer inherited from the caller and runs no atexit handler."""
+def _child_share(tokens: int, out: int, span: int, hi: int, seed: int, tables: _Sampler, mask):
+    """A forked worker: restore the caller's signal mask, write the counts
+    of the chunks it takes into the pipe fd out and exit 0, or drain the
+    token pipe, print the traceback of an error (not of an interrupt) and
+    exit 1. os._exit flushes no stdio buffer inherited from the caller and
+    runs no atexit handler."""
+    import signal  # loaded by the caller already
+
     status = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         counts = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
         # N_CELLS * 8 bytes fit in a pipe, so this write does not block.
         os.write(out, counts.tobytes())
@@ -261,8 +265,10 @@ def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.nda
     forked children, which take runs of chunks from one token pipe in turn.
 
     Every child is reaped and every pipe closed before this returns or
-    raises, also when the caller's own share raises.
+    raises, also when the caller's own share raises or SIGINT arrives.
     """
+    import signal  # only the fork path pays for this import
+
     chunks = -(-hi // _CHUNK)
     span = -(-chunks // _MAX_TOKENS) * _CHUNK
     tokens, token_w = os.pipe()
@@ -273,20 +279,24 @@ def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.nda
             os.write(token_w, b"".join(s.to_bytes(_TOKEN_BYTES, "little") for s in starts))
         finally:
             os.close(token_w)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the caller's
         for _ in range(workers - 1):
             out, out_w = os.pipe()
             fds.append(out)
             try:
-                # A warning os.fork gives the caller (Python 3.12 warns where
-                # other OS threads run) is re-issued, and may raise, once pid is kept.
+                # SIGINT waits from before the fork until pid is kept, and a
+                # warning os.fork gives the caller (Python 3.12 warns where
+                # other OS threads run) is re-issued, and may raise, after that.
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     pid = os.fork()
                 if pid == 0:
-                    _child_share(tokens, out_w, span, hi, seed, tables)
+                    _child_share(tokens, out_w, span, hi, seed, tables, mask)
+                pids.append(pid)
             finally:
                 os.close(out_w)
-            pids.append(pid)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for w in caught:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         # The caller is the first worker.

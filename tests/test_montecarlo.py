@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -185,10 +186,11 @@ class TestRunTrials:
         assert capfd.readouterr().err.count("RuntimeError: worker failed") == 2
 
     def test_import_loads_no_executor_or_logging(self):
+        # Nor signal, which only the fork path needs.
         code = (
             "import sys, merminsim.montecarlo; "
-            "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'subprocess'}"
-            " & set(sys.modules)))"
+            "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'signal',"
+            " 'subprocess'} & set(sys.modules)))"
         )
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -282,6 +284,31 @@ class TestWorkerProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
+
+    def test_an_interrupt_right_after_fork_leaves_no_child(self, monkeypatch):
+        # SIGINT reaches the caller once the child exists, before its pid is
+        # kept. The interrupt must surface, and the child still be reaped.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        fork, pids = os.fork, []
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                signal.raise_signal(signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=2))
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+        # The caller's signal mask is as it was: SIGINT is not left blocked.
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
     def test_an_interrupted_caller_stops_the_children(self, monkeypatch, forks, tmp_path):
         # The caller drains the token pipe, so the children stop after their
