@@ -11,8 +11,8 @@ interpreter lock; each sends its counts back through a pipe.
 A trial hashes two lanes: one draws the pair state, the other the code
 4 * digit_a + digit_b of both sides' switch positions. A draw is the top
 53 bits k = z >> 11 of a lane's hash z and stands for u = k * 2^-53. Both
-draws are exact rational partitions of k: a part's first draw is the
-ceiling of 2^53 times its cumulative weight. Each is one gather from a
+draws are exact rational partitions of k, cut at the ceilings of 2^53
+times the cumulative weights. Each is one gather from a
 guide over the top bits of z (Chen and Asau's guide table), and a search
 for the under 1/64 of draws whose bucket a threshold splits.
 """
@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import CellWeights, ExperimentConfig, N_CELLS
+from .model import CellWeights, DetectorModel, ExperimentConfig, N_CELLS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -125,9 +125,10 @@ def _guide(masses, step: int) -> _Guide:
     return _Guide(inner, guide, shift, step)
 
 
-def _switch_masses(p) -> tuple[int, ...]:
-    """Masses of switch digits 0-3 over 3 * p.denominator: digit 0, the
-    failure position, has probability p and each setting (1 - p) / 3."""
+def _switch_masses(detector: DetectorModel) -> tuple[int, ...]:
+    """Masses of switch digits 0-3 over 3 * den(p), p the detector's failure
+    probability: digit 0 (failed) weighs p and each setting (1 - p) / 3."""
+    p = detector.failure_probability
     rest = p.denominator - p.numerator
     return (3 * p.numerator, rest, rest, rest)
 
@@ -152,9 +153,7 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     masses, total = config.source.state_masses
     if sum(masses) != total:
         raise ValueError(f"source weights sum to {sum(masses)}/{total}, not 1")
-    side_a, side_b = (
-        _switch_masses(d.failure_probability) for d in (config.detector_a, config.detector_b)
-    )
+    side_a, side_b = _switch_masses(config.detector_a), _switch_masses(config.detector_b)
     return _Sampler(
         state=_guide(masses, 16),
         pair=_guide([a * b for a in side_a for b in side_b], 1),
@@ -162,15 +161,18 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     )
 
 
-def _guided_draw(z, table: _Guide, out, t, h) -> np.ndarray:
-    """table.step * the number of inner thresholds <= z >> 11 for each hash
-    in z, into out (int16); t (uint64) and h (bool) are scratch."""
-    np.right_shift(z, np.uint64(table.bucket_shift + 11), out=t)
+def _guided_draw(y, table: _Guide, out, t, h) -> np.ndarray:
+    """table.step * the number of inner thresholds <= z >> 11 for the hash
+    z = y ^ (y >> 31) of each y, into out (int16); t (uint64) and h (bool)
+    are scratch. z has y's top 31 bits and a guide under 2^17 buckets, so
+    only draws in a split bucket finish the hash."""
+    np.right_shift(y, np.uint64(table.bucket_shift + 11), out=t)
     # Indices are in range by construction; "wrap" skips the bounds check.
     np.take(table.guide, t.view(np.intp), out=out, mode="wrap")
     split = np.flatnonzero(np.less(out, 0, out=h))
-    k = z[split] >> np.uint64(11)
-    out[split] = np.searchsorted(table.thresholds, k, side="right") * table.step
+    z = y[split]
+    z ^= z >> np.uint64(31)
+    out[split] = np.searchsorted(table.thresholds, z >> np.uint64(11), side="right") * table.step
     return out
 
 
@@ -194,15 +196,14 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     hist = np.zeros(tables.cells.size, dtype=np.int64)
 
     def draw(lane, m):
-        """z = mix64(counter + (8 i + lane) GAMMA) per trial start + i."""
+        """mix64(counter + (8 i + lane) GAMMA) per trial start + i, up to
+        its last step z ^= z >> 31, which _guided_draw finishes."""
         z, t = z_buf[:m], tmp[:m]
         np.add(stride[:m], u64((counter + lane * _GAMMA) & _MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, u64(shift), out=t)
             np.bitwise_xor(z, t, out=z)
             np.multiply(z, u64(mult), out=z)
-        np.right_shift(z, u64(31), out=t)
-        np.bitwise_xor(z, t, out=z)
         return z
 
     for start in starts:

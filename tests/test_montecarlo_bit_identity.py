@@ -143,9 +143,12 @@ def edges(points):
 
 def hashes(k):
     """The least and the greatest hash z whose draw z >> 11 is k, for each
-    draw in k: (k, z) with every draw listed twice."""
+    draw in k, as the y with z = y ^ (y >> 31) that the guided draw takes:
+    (k, y) with every draw listed twice."""
     z = np.concatenate([k << U64(11), (k << U64(11)) | U64(0x7FF)])
-    return np.concatenate([k, k]), z
+    y = z ^ (z >> U64(31)) ^ (z >> U64(62))
+    assert np.array_equal(y ^ (y >> U64(31)), z)
+    return np.concatenate([k, k]), y
 
 
 SOURCES = {
@@ -185,10 +188,10 @@ def probe_edges(table, weights, step):
     buckets = [b * width for b in range(len(table.guide))]
     split = [b * width for b in np.flatnonzero(table.guide < 0).tolist()]
     # ONE - 1 brings in the greatest hash, 2^64 - 1; bucket 0, the least.
-    k, z = hashes(edges(inner + buckets + [b + width - 1 for b in split] + [ONE - 1]))
-    size = len(z)
+    k, y = hashes(edges(inner + buckets + [b + width - 1 for b in split] + [ONE - 1]))
+    size = len(y)
     got = _guided_draw(
-        z,
+        y,
         table,
         np.empty(size, dtype=np.int16),
         np.empty(size, dtype=U64),
