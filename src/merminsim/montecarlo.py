@@ -48,12 +48,12 @@ MAX_TRIALS = 1 << 60
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
 _ONE = 1 << 53
 
-# Trials per pass. The per-pass buffers (29 bytes a trial, about 1.9 MB)
-# stay in the CPU caches. On the dense 729-state source, in 15 interleaved
-# runs in one process on a 2-vCPU Xeon VM, it took a median 18.2 ns/trial,
-# against 17.8 at 1 << 15 (faster in 9 of the 15, a tie) and 20.2 at
-# 1 << 17; it makes half the numpy calls of 1 << 15.
-_CHUNK = 1 << 16
+# Trials per pass. The per-pass buffers (29 bytes a trial, about 0.95 MB)
+# and a guide fit in one core's 2 MB L2 on a 2-vCPU Xeon VM. There, in 21
+# interleaved runs in one process, table1_uniform took a median 10.5
+# ns/trial, against 11.6 at 1 << 16 (slower in 19 of 21) and 14.1 at 1 << 17;
+# the dense 729-state source took 13.8, against 14.1 and 16.5.
+_CHUNK = 1 << 15
 
 # Workers take runs of chunks from one pipe of 8-byte start tokens. The
 # caller writes them all before the first fork; 512 tokens are 4096 bytes,
