@@ -106,8 +106,8 @@ class _Guide:
 
 
 def _guide(masses, step: int) -> _Guide:
-    """The guide of the parts whose integer masses are masses, each part
-    ceil(2^53 * its cumulative mass / the total) draws wide, exactly."""
+    """The guide of the parts whose integer masses are masses, cut exactly
+    at ceil(2^53 * cumulative mass / total mass)."""
     cum = list(accumulate(masses))
     inner = np.array([_ceil_k(acc, cum[-1]) for acc in cum[:-1]], dtype=np.uint64)
     bucket_bits = (_BUCKETS_PER_PART * len(cum) - 1).bit_length()

@@ -12,6 +12,7 @@ import pytest
 
 import merminsim
 from merminsim.cli import EXIT_OK, main
+from merminsim.montecarlo import RNG_SCHEME
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -90,3 +91,9 @@ def test_package_exports_the_documented_names():
     assert exported == PUBLIC
     text = README.read_text(encoding="utf-8")
     assert [name for name in sorted(PUBLIC) if f"`{name}`" not in text] == []
+
+
+def test_readme_names_the_recorded_rng_scheme():
+    # The Determinism section describes the scheme run_manifest.json records.
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"This is\s+`rng_scheme` (\d+)", text) == [str(RNG_SCHEME)]
