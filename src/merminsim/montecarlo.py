@@ -8,13 +8,14 @@ identical tallies, and tallies merge as a commutative monoid. Several
 streams run in forked worker processes, which do not share an
 interpreter lock; each sends its counts back through a pipe.
 
-A trial hashes two lanes: one draws the pair state, the other the code
-4 * digit_a + digit_b of both sides' switch positions. A draw is the top
-53 bits k = z >> 11 of a lane's hash z and stands for u = k * 2^-53. Both
-draws are exact rational partitions of k, cut at the ceilings of 2^53
-times the cumulative weights. Each is one gather from a
-guide over the top bits of z (Chen and Asau's guide table), and a search
-for the under 1/64 of draws whose bucket a threshold splits.
+A trial hashes one lane, which draws the joint code 16 * state +
+4 * digit_a + digit_b of the pair state and both sides' switch
+positions. The draw is the top 53 bits k = z >> 11 of the lane's hash z
+and stands for u = k * 2^-53. It is one exact rational partition of k
+into 16 K parts, cut at the ceilings of 2^53 times the cumulative
+weights: one gather from a guide over the top bits of z (Chen and Asau's
+guide table), and a search for the under 1/64 of draws whose bucket a
+threshold splits.
 """
 
 from __future__ import annotations
@@ -34,25 +35,27 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Recorded in run manifests. Scheme 2 drew each side's switch digit from
-# its own lane and the state through float64 cumulative weights; scheme 1
-# hashed a failure and a setting lane per side.
-RNG_SCHEME = 3
+# Recorded in run manifests. Scheme 3 drew the state and the switch pair
+# from two lanes through two guides; scheme 2 drew each side's switch
+# digit from its own lane and the state through float64 cumulative
+# weights; scheme 1 hashed a failure and a setting lane per side.
+RNG_SCHEME = 4
 
-# Counter stride per trial. Lane 0 draws the state and lane 1 the pair of
-# switch digits; lanes 2-7 are reserved headroom.
+# Counter stride per trial. Lane 0 draws the joint code; lanes 1-7 are
+# reserved headroom.
 _LANES = 8
-_STATE_LANE, _PAIR_LANE = 0, 1
 MAX_TRIALS = 1 << 60
 
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
 _ONE = 1 << 53
 
-# Trials per pass. The per-pass buffers (29 bytes a trial, about 0.95 MB)
-# and a guide fit in one core's 2 MB L2 on a 2-vCPU Xeon VM. There, in 21
-# interleaved runs in one process, table1_uniform took a median 10.5
-# ns/trial, against 11.6 at 1 << 16 (slower in 19 of 21) and 14.1 at 1 << 17;
-# the dense 729-state source took 13.8, against 14.1 and 16.5.
+# Trials per pass. The per-pass buffers (27 bytes a trial, about 0.88 MB)
+# share one core's 2 MB L2 on a 2-vCPU Xeon VM with the guide, which is
+# 2 MB itself on a 729-state source. There, in 21 interleaved runs in one
+# process, table1_uniform took a median 8.8 ns/trial, against 9.8 at
+# 1 << 14 and 8.6 at 1 << 16 (faster in 8 of 21); the dense 729-state
+# source took 13.4, against 13.4 and 12.8 (faster in 14 of 21). A repeat
+# read 7.7 against 8.2 and 8.1, and 12.7 against 13.3 and 12.9.
 _CHUNK = 1 << 15
 
 # Workers take runs of chunks from one pipe of 8-byte start tokens. The
@@ -61,9 +64,9 @@ _CHUNK = 1 << 15
 _TOKEN_BYTES = 8
 _MAX_TOKENS = 4096 // _TOKEN_BYTES
 
-# Guide buckets per part, rounded up to a power of two. Each of the K - 1
-# inner thresholds of K parts splits at most one bucket, so at most K - 1
-# of the 64 K or more equal-width buckets are split and under 1/64 of
+# Guide buckets per part, rounded up to a power of two. Each of the P - 1
+# inner thresholds of P parts splits at most one bucket, so at most P - 1
+# of the 64 P or more equal-width buckets are split and under 1/64 of
 # draws, for any weights, need the search after the gather.
 _BUCKETS_PER_PART = 64
 
@@ -86,45 +89,6 @@ class SimulationPlan:
             raise ValueError("n_streams must be >= 1")
 
 
-def _ceil_k(num: int, den: int) -> int:
-    """Least k with k / _ONE >= num / den, exactly: ceil(num * 2^53 / den)."""
-    return -(-num * _ONE // den)
-
-
-@dataclass(frozen=True)
-class _Guide:
-    """A draw from a partition of the draws k = z >> 11 into parts: the
-    index of k's part is the number of inner thresholds <= k. guide holds,
-    for each of the _BUCKETS_PER_PART * parts or more buckets
-    z >> (bucket_shift + 11), step * index if no inner threshold splits
-    it, else -1; draws in a split bucket are searched in thresholds."""
-
-    thresholds: np.ndarray
-    guide: np.ndarray
-    bucket_shift: int
-    step: int
-
-
-def _guide(masses, step: int) -> _Guide:
-    """The guide of the parts whose integer masses are masses, cut exactly
-    at ceil(2^53 * cumulative mass / total mass)."""
-    cum = list(accumulate(masses))
-    inner = np.array([_ceil_k(acc, cum[-1]) for acc in cum[:-1]], dtype=np.uint64)
-    bucket_bits = (_BUCKETS_PER_PART * len(cum) - 1).bit_length()
-    buckets, shift = 1 << bucket_bits, 53 - bucket_bits
-    # lo[b] and hi[b] count the inner thresholds <= the least and greatest k
-    # of bucket b: t counts in lo from bucket ceil(t / 2^shift) on, in hi from
-    # floor(t / 2^shift) on, and a t of 2^53 (zero masses last) in neither.
-    ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
-    floor_b = (inner >> np.uint64(shift)).astype(np.intp)
-    lo = np.cumsum(np.bincount(ceil_b, minlength=buckets + 1)[:buckets])
-    hi = np.cumsum(np.bincount(floor_b, minlength=buckets + 1)[:buckets])
-    # int16 takes a quarter of intp's cache room and holds 16 * 728 + 15 (729 states at most).
-    guide = (step * lo).astype(np.int16)
-    guide[lo != hi] = -1
-    return _Guide(inner, guide, shift, step)
-
-
 def _switch_masses(detector: DetectorModel) -> tuple[int, ...]:
     """Masses of switch digits 0-3 over 3 * den(p), p the detector's failure
     probability: digit 0 (failed) weighs p and each setting (1 - p) / 3."""
@@ -135,44 +99,61 @@ def _switch_masses(detector: DetectorModel) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """One config's draws: state draws 16 * the pair state, from the
-    source's state masses, and pair draws the code 4 * digit_a + digit_b,
-    from the product law of the two sides' switch digits. cells maps
-    16 * state + code to the cell: the source's state_cells.
-    """
+    """One config's draw of the joint code 16 * state + 4 * digit_a +
+    digit_b, a partition of the draws k = z >> 11 into 16 K parts: the
+    code of k is the number of inner thresholds <= k. guide holds, for
+    each of the _BUCKETS_PER_PART * 16 K or more buckets
+    z >> (bucket_shift + 11), the code if no inner threshold splits it,
+    else -1; draws in a split bucket are searched in thresholds. cells
+    maps a code to its cell: the source's state_cells."""
 
-    state: _Guide
-    pair: _Guide
+    thresholds: np.ndarray
+    guide: np.ndarray
+    bucket_shift: int
     cells: np.ndarray
 
 
 def _sampler_tables(config: ExperimentConfig) -> _Sampler:
-    """The guides of config's draws, built once per run from the integer
-    masses that the exact oracle reads too: every threshold is the exact
-    ceiling of a rational cumulative weight, with no float64 step."""
+    """The joint guide of config's draws, built once per run from the
+    integer masses that the exact oracle reads too. Code 16 s + c weighs
+    the mass of state s times that of switch pair c, over the product of
+    their totals, and every inner threshold is the exact ceiling of 2^53
+    times a cumulative weight, with no float64 step."""
     masses, total = config.source.state_masses
     if sum(masses) != total:
         raise ValueError(f"source weights sum to {sum(masses)}/{total}, not 1")
     side_a, side_b = _switch_masses(config.detector_a), _switch_masses(config.detector_b)
-    return _Sampler(
-        state=_guide(masses, 16),
-        pair=_guide([a * b for a in side_a for b in side_b], 1),
-        cells=np.array(config.source.state_cells),
-    )
+    pairs = [a * b for a in side_a for b in side_b]
+    parts, total = 16 * len(masses), total * sum(pairs)
+    cum = accumulate(mass * pair for mass in masses for pair in pairs)
+    inner = np.fromiter((-(-acc * _ONE // total) for acc in cum), np.uint64, parts - 1)
+    bucket_bits = (_BUCKETS_PER_PART * parts - 1).bit_length()
+    buckets, shift = 1 << bucket_bits, 53 - bucket_bits
+    # Bucket b holds the number of thresholds t with ceil(t / 2^shift) <= b,
+    # the code of its least draw, and -1 if some t has floor(t / 2^shift) = b
+    # < ceil(t / 2^shift). Written directly, the guide is the only array of
+    # buckets' length. A t of 2^53 (zero masses last) has floor = ceil =
+    # buckets, so it needs no guard.
+    ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
+    floor_b = (inner >> np.uint64(shift)).astype(np.intp)
+    # int16 takes a quarter of intp's cache room and holds 16 * 729 - 1.
+    guide = np.repeat(np.arange(parts, dtype=np.int16), np.diff(ceil_b, prepend=0, append=buckets))
+    guide[floor_b[floor_b < ceil_b]] = -1
+    return _Sampler(inner, guide, shift, np.array(config.source.state_cells))
 
 
-def _guided_draw(y, table: _Guide, out, t, h) -> np.ndarray:
-    """table.step * the number of inner thresholds <= z >> 11 for the hash
+def _guided_draw(y, table: _Sampler, out, t, h) -> np.ndarray:
+    """The number of inner thresholds <= z >> 11 for the hash
     z = y ^ (y >> 31) of each y, into out (int16); t (uint64) and h (bool)
-    are scratch. z has y's top 31 bits and a guide under 2^17 buckets, so
-    only draws in a split bucket finish the hash."""
+    are scratch. z has y's top 31 bits and a guide of at most 2^20
+    buckets, so only draws in a split bucket finish the hash."""
     np.right_shift(y, np.uint64(table.bucket_shift + 11), out=t)
     # Indices are in range by construction; "wrap" skips the bounds check.
     np.take(table.guide, t.view(np.intp), out=out, mode="wrap")
     split = np.flatnonzero(np.less(out, 0, out=h))
     z = y[split]
     z ^= z >> np.uint64(31)
-    out[split] = np.searchsorted(table.thresholds, z >> np.uint64(11), side="right") * table.step
+    out[split] = np.searchsorted(table.thresholds, z >> np.uint64(11), side="right")
     return out
 
 
@@ -191,31 +172,23 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     size = min(_CHUNK, hi)
     u64 = np.uint64
     stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    z_buf, tmp, state, codes = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16, np.int16))
+    z_buf, tmp, codes = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
     hit = np.empty(size, dtype=bool)
     hist = np.zeros(tables.cells.size, dtype=np.int64)
 
-    def draw(lane, m):
-        """mix64(counter + (8 i + lane) GAMMA) per trial start + i, up to
-        its last step z ^= z >> 31, which _guided_draw finishes."""
+    for start in starts:
+        m = min(_CHUNK, hi - start)
         z, t = z_buf[:m], tmp[:m]
-        np.add(stride[:m], u64((counter + lane * _GAMMA) & _MASK64), out=z)
+        # Lane 0 of trial start + i: mix64((8 (start + i) + 1) GAMMA + seed),
+        # up to its last step z ^= z >> 31, which _guided_draw finishes.
+        np.add(stride[:m], u64(((start * _LANES + 1) * _GAMMA + seed) & _MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, u64(shift), out=t)
             np.bitwise_xor(z, t, out=z)
             np.multiply(z, u64(mult), out=z)
-        return z
-
-    for start in starts:
-        m = min(_CHUNK, hi - start)
-        h, t = hit[:m], tmp[:m]
-        counter = (start * _LANES + 1) * _GAMMA + seed
-        # Count (state, pair code) pairs; cells folds the histogram into
-        # the cell codec once, after the last chunk.
-        st = _guided_draw(draw(_STATE_LANE, m), tables.state, state[:m], t, h)
-        pair = _guided_draw(draw(_PAIR_LANE, m), tables.pair, codes[:m], t, h)
-        np.add(st, pair, out=st)
-        hist += np.bincount(st, minlength=hist.size)
+        # Count joint codes; cells folds the histogram into the cell codec
+        # once, after the last chunk.
+        hist += np.bincount(_guided_draw(z, tables, codes[:m], t, hit[:m]), minlength=hist.size)
 
     counts = np.zeros(N_CELLS, dtype=np.int64)
     np.add.at(counts, tables.cells.ravel(), hist)
@@ -323,9 +296,9 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     """Simulate plan.n_trials independent trials into a tally: cell
     weights that count trials, over the total plan.n_trials.
 
-    Per trial: one lane draws a pair state by weight and one the switch
-    pair, each side failure (probability p) or a uniform setting; the
-    outcome is the instruction lookup with failure forcing NoFlash.
+    Per trial: one lane draws the pair state by weight jointly with the
+    switch pair, each side failure (probability p) or a uniform setting;
+    the outcome is the instruction lookup with failure forcing NoFlash.
     plan.n_streams workers, at most one per CPU this process may run on,
     take runs of chunks of the trial range in turn: the caller and forked
     child processes, whose counts are summed. The caller runs every chunk

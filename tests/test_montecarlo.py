@@ -310,6 +310,36 @@ class TestWorkerProcesses:
         # The caller's signal mask is as it was: SIGINT is not left blocked.
         assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
+    @pytest.mark.parametrize(
+        "name, nth",
+        [("pipe", 0), ("pipe", 1), ("pipe", 2), ("write", 0), ("fork", 0), ("fork", 1),
+         ("read", 0), ("read", 1)],
+    )
+    def test_a_failing_os_call_leaves_no_child_or_fd(self, name, nth, monkeypatch):
+        # The caller's nth call of os.name raises: the token pipe (pipe 0)
+        # or the k-th child's counts pipe, the token write, the k-th fork
+        # before its child exists, or the read of the k-th child's counts.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        real, caller, calls = getattr(os, name), os.getpid(), []
+
+        def failing(*args):
+            # A counts read asks for N_CELLS * 8 bytes; a token read fewer.
+            if os.getpid() == caller and (name != "read" or args[1] == N_CELLS * 8):
+                calls.append(args)
+                if len(calls) > nth:
+                    raise OSError(f"injected {name} fault")
+            return real(*args)
+
+        monkeypatch.setattr(os, name, failing)
+        fds = open_fds()
+        with pytest.raises(OSError, match="injected"):
+            run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3))
+        assert len(calls) == nth + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
     def test_an_interrupted_caller_stops_the_children(self, monkeypatch, forks, tmp_path):
         # The caller drains the token pipe, so the children stop after their
         # current chunk and do not run the 5000 chunks to the end.

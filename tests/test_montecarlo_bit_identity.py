@@ -3,13 +3,14 @@ the definitions, and the law its tables sample against the exact oracle.
 
 Every draw is a 53-bit integer k = z >> 11 of a 64-bit hash z, standing
 for u = k 2^-53; the engine compares z with integer thresholds on k. The
-reference draws the state and the pair code 4 * digit_a + digit_b as
-exact rational partitions of k, in Python ints. These tests pin that the
-two give the same tallies, draw for draw, and that the law of the tables
-is within (K + 16) 2^-53 of enumerate_joint.
+reference draws the joint code 16 * state + 4 * digit_a + digit_b as one
+exact rational partition of k, cut at Fraction weights. These tests pin
+that the two give the same tallies, draw for draw, and that the law of
+the tables is within 16 K 2^-53 of enumerate_joint.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -47,34 +48,29 @@ ONE = 1 << 53
 def exact_parts(k, weights):
     """Part of each draw k when [0, 1) is cut into parts of the Fraction
     weights in turn: the number of inner cumulative weights c with
-    k 2^-53 >= c, compared as integers over one denominator."""
-    cum = list(accumulate(weights))[:-1]
-    den = math.lcm(*(c.denominator for c in cum))
-    bounds = np.array([ONE * c.numerator * (den // c.denominator) for c in cum], dtype=object)
-    return np.searchsorted(bounds, k.astype(object) * den, side="right").astype(np.int64)
+    k 2^-53 >= c, that is with the integer k >= ceil(2^53 c)."""
+    bounds = [math.ceil(c * ONE) for c in list(accumulate(weights))[:-1]]
+    return np.searchsorted(np.array(bounds, dtype=U64), k, side="right").astype(np.int64)
 
 
-def state_weights(config):
-    return [w for _, w in config.source.renormalized()]
-
-
-def pair_weights(config):
-    """Weights of the pair codes 4 * digit_a + digit_b: each side's digit
-    is 0, its failure position, with probability p and each setting with
-    probability (1 - p) / 3, independently."""
+def joint_weights(config):
+    """Weights of the joint codes 16 * state + 4 * digit_a + digit_b: the
+    state by its renormalized weight and, independently, each side's
+    digit 0, its failure position, with probability p and each setting
+    with probability (1 - p) / 3."""
     a, b = (
         [p] + [(1 - p) / 3] * 3
         for p in (config.detector_a.failure_probability, config.detector_b.failure_probability)
     )
-    return [x * y for x in a for y in b]
+    return [w * x * y for _, w in config.source.renormalized() for x in a for y in b]
 
 
 def reference_run_range(lo, hi, seed, config):
     """Reference form of the sampler, the oracle for the integer engine:
-    lane j of trial i is k = mix64((8 i + j + 1) GAMMA + seed) >> 11, the
-    state is exact_parts of lane 0 over the renormalized weights, the pair
-    code exact_parts of lane 1 over pair_weights, and each side's outcome
-    is gathered from its own (state, switch) table."""
+    lane 0 of trial i is k = mix64((8 i + 1) GAMMA + seed) >> 11, the joint
+    code is exact_parts of it over joint_weights, divmod by 16 splits it
+    into the state and the pair code 4 * digit_a + digit_b, and each
+    side's outcome is gathered from its own (state, switch) table."""
     entries = config.source.renormalized()
     no_flash = OUTCOMES.index(NO_FLASH)
     table_a, table_b = (
@@ -90,8 +86,8 @@ def reference_run_range(lo, hi, seed, config):
             z = (z ^ (z >> U64(shift))) * U64(mult)
         return (z ^ (z >> U64(31))) >> U64(11)
 
-    state = exact_parts(draws(0), state_weights(config))
-    sw_a, sw_b = np.divmod(exact_parts(draws(1), pair_weights(config)), 4)
+    state, pair = np.divmod(exact_parts(draws(0), joint_weights(config)), 16)
+    sw_a, sw_b = np.divmod(pair, 4)
     cell = ((sw_a * 4 + sw_b) * 3 + table_a[state, sw_a]) * 3 + table_b[state, sw_b]
     return np.bincount(cell, minlength=N_CELLS)
 
@@ -137,8 +133,9 @@ failure_probabilities = st.one_of(
 
 def edges(points):
     """Each point and its two neighbours, kept to valid draws [0, 2^53)."""
-    ks = {p + d for p in points for d in (-1, 0, 1)}
-    return np.array(sorted(k for k in ks if 0 <= k < ONE), dtype=U64)
+    points = np.asarray(points, dtype=np.int64)
+    ks = np.concatenate([points - 1, points, points + 1])
+    return ks[(ks >= 0) & (ks < ONE)].astype(U64)
 
 
 def hashes(k):
@@ -176,19 +173,19 @@ def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk,
     assert np.array_equal(got, expected)
 
 
-def probe_edges(table, weights, step):
+def probe_edges(table, weights):
     """Check the guided draw of table against exact_parts of weights at
     every threshold edge and every guide-bucket edge. The thresholds are
     sorted, so the draw is a non-decreasing step in k and the edges pin it
     for all 2^53 draws."""
-    inner = [int(t) for t in table.thresholds]
-    assert inner == sorted(inner)
+    inner = table.thresholds.astype(np.int64)
+    assert np.all(np.diff(inner) >= 0)
     assert len(inner) == len(weights) - 1
     width = 1 << table.bucket_shift
-    buckets = [b * width for b in range(len(table.guide))]
-    split = [b * width for b in np.flatnonzero(table.guide < 0).tolist()]
+    buckets = np.arange(len(table.guide), dtype=np.int64) * width
+    split = buckets[table.guide < 0]
     # ONE - 1 brings in the greatest hash, 2^64 - 1; bucket 0, the least.
-    k, y = hashes(edges(inner + buckets + [b + width - 1 for b in split] + [ONE - 1]))
+    k, y = hashes(edges(np.concatenate([inner, buckets, split + width - 1, [ONE - 1]])))
     size = len(y)
     got = _guided_draw(
         y,
@@ -197,39 +194,49 @@ def probe_edges(table, weights, step):
         np.empty(size, dtype=U64),
         np.empty(size, dtype=bool),
     )
-    assert np.array_equal(got, step * exact_parts(k, weights))
+    assert np.array_equal(got, exact_parts(k, weights))
 
 
-@pytest.mark.parametrize("name", sorted(SOURCES))
-def test_state_draw_at_every_threshold_and_bucket_edge(name):
-    config = ExperimentConfig(source=SOURCES[name])
-    probe_edges(_sampler_tables(config).state, state_weights(config), 16)
+@pytest.mark.parametrize(
+    "name, p",
+    [("skewed", None), ("table1", None)]
+    + [("table1", p) for p in [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(1, 10),
+                               Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**9),
+                               Fraction(99, 100)]],
+)
+def test_joint_draw_at_every_threshold_and_bucket_edge(name, p):
+    # Side B runs at 1 - p, so a table with the sides swapped or the code
+    # transposed shows. p = 0 puts a threshold at 0, which every draw
+    # passes, and p = 1 one at 2^53, which none does.
+    detectors = () if p is None else (DetectorModel(p), DetectorModel(1 - p))
+    config = ExperimentConfig(SOURCES[name], *detectors)
+    probe_edges(_sampler_tables(config), joint_weights(config))
 
 
 @pytest.mark.parametrize("name, moved", [("table1", 2), ("dense", 251), ("skewed", 364)])
 def test_state_thresholds_take_no_float64_step(name, moved):
-    # t_s = ceil(2^53 acc_s / total) in integers. Scheme 2 rounded acc_s /
-    # total to float64 first, which moves some thresholds by one draw.
+    # t_s = ceil(2^53 acc_s / total) in integers, the joint threshold after
+    # each state's last pair code. Scheme 2 rounded acc_s / total to
+    # float64 first, which moves some thresholds by one draw.
     masses, total = SOURCES[name].state_masses
     cum = list(accumulate(masses))[:-1]
     exact = [-(-ONE * acc // total) for acc in cum]
     scheme_2 = [math.ceil(Fraction(acc / total) * ONE) for acc in cum]
     tables = _sampler_tables(ExperimentConfig(source=SOURCES[name]))
-    assert tables.state.thresholds.tolist() == exact
+    assert tables.thresholds[15::16].tolist() == exact
     assert sum(e != f for e, f in zip(exact, scheme_2)) == moved
 
 
-@pytest.mark.parametrize(
-    "p",
-    [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(1, 10), Fraction(1, 3),
-     Fraction(2, 3), Fraction(1, 10**9), Fraction(99, 100)],
-)
-def test_pair_draw_at_every_threshold_and_bucket_edge(p):
-    # Side B runs at 1 - p, so a table with the sides swapped or the code
-    # transposed shows. p = 0 puts thresholds at 0, which every draw
-    # passes, and p = 1 at 2^53, which none does.
-    config = ExperimentConfig(SOURCES["table1"], DetectorModel(p), DetectorModel(1 - p))
-    probe_edges(_sampler_tables(config).pair, pair_weights(config), 1)
+def bucketwide_guide(thresholds, buckets):
+    """The guide of the sorted inner thresholds over buckets equal-width
+    buckets, bucket by bucket in int64: the number of thresholds <= the
+    least draw of each bucket, or -1 where its greatest draw passes more."""
+    width = ONE // buckets
+    starts = np.arange(buckets, dtype=np.int64) * width
+    inner = thresholds.astype(np.int64)
+    lo = np.searchsorted(inner, starts, side="right")
+    hi = np.searchsorted(inner, starts + width - 1, side="right")
+    return np.where(lo == hi, lo, -1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -238,20 +245,36 @@ def test_pair_draw_at_every_threshold_and_bucket_edge(p):
     p_a=failure_probabilities,
     p_b=failure_probabilities,
 )
-def test_at_most_k_minus_1_buckets_are_split(source, p_a, p_b):
-    # A split bucket costs a search after the gather; each of the K - 1
-    # inner thresholds of K parts lies inside at most one bucket.
-    states = len(source.state_masses[0])
+def test_at_most_16k_minus_1_buckets_are_split(source, p_a, p_b):
+    # A split bucket costs a search after the gather; each of the 16 K - 1
+    # inner thresholds of the 16 K joint parts lies inside at most one
+    # bucket. The guide is the one a bucket-by-bucket build gives.
+    parts = 16 * len(source.state_masses[0])
     tables = _sampler_tables(ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b)))
-    assert len(tables.state.guide) >= _BUCKETS_PER_PART * states
-    assert np.count_nonzero(tables.state.guide < 0) <= states - 1
-    assert len(tables.pair.guide) >= _BUCKETS_PER_PART * 16
-    assert np.count_nonzero(tables.pair.guide < 0) <= 15
+    assert len(tables.guide) >= _BUCKETS_PER_PART * parts
+    assert np.count_nonzero(tables.guide < 0) <= parts - 1
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, len(tables.guide)))
 
 
-def widths(table):
-    """Draws in each part of table, in Python ints."""
-    return np.diff([0, *(int(t) for t in table.thresholds), ONE]).tolist()
+def test_dense_guide_is_lean_and_in_range():
+    # 729 states make 11664 parts and 2^20 buckets. _guided_draw reads a
+    # bucket from the top bits of the hash before its last xor-shift,
+    # which keeps 31 of them, and int16 holds the greatest code, 11663. A
+    # build of int64 counts over every bucket peaked near 27 MB here.
+    config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
+    DENSE.state_cells  # cached on the source; the peak is the build's own
+    tracemalloc.start()
+    try:
+        tables = _sampler_tables(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+    assert len(tables.guide) == 1 << 20
+    assert 64 - (tables.bucket_shift + 11) == 20 <= 31
+    assert tables.guide.dtype == np.int16
+    assert tables.guide.max() == 16 * 729 - 1
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 20))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -260,22 +283,21 @@ def widths(table):
     p_a=failure_probabilities,
     p_b=failure_probabilities,
 )
-def test_sampled_law_is_within_k_plus_16_steps_of_the_oracle(source, p_a, p_b):
+def test_sampled_law_is_within_16k_steps_of_the_oracle(source, p_a, p_b):
     # Each threshold is the ceiling of 2^53 times a rational cumulative
-    # weight, so a partition of n parts is off by under n 2^-53 in L1, and
-    # a product law by under the sum of its factors' errors; the fold into
-    # cells adds none.
+    # weight, so a partition of n parts is off by under n 2^-53 in L1. The
+    # joint partition has 16 K parts, and the fold into cells adds none.
     config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
     tables = _sampler_tables(config)
+    widths = np.diff([0, *(int(t) for t in tables.thresholds), ONE]).tolist()
     law = [0] * N_CELLS
-    for cells, state_width in zip(tables.cells.tolist(), widths(tables.state)):
-        for cell, pair_width in zip(cells, widths(tables.pair)):
-            law[cell] += state_width * pair_width
-    assert sum(law) == ONE * ONE
+    for cell, width in zip(tables.cells.ravel().tolist(), widths):
+        law[cell] += width
+    assert sum(law) == ONE
     exact = enumerate_joint(config)
-    l1 = sum(abs(Fraction(w, ONE * ONE) - Fraction(x, exact.total))
+    l1 = sum(abs(Fraction(w, ONE) - Fraction(x, exact.total))
              for w, x in zip(law, exact.weights))
-    assert l1 < Fraction(len(widths(tables.state)) + 16, ONE)
+    assert l1 < Fraction(len(widths), ONE)
 
 
 def test_weights_not_summing_to_one_are_rejected(monkeypatch):
