@@ -260,7 +260,7 @@ def test_dense_guide_is_lean_and_in_range():
     # 729 states make 11664 parts and 2^20 buckets. _guided_draw reads a
     # bucket from the top bits of the hash before its last xor-shift,
     # which keeps 31 of them, and int16 holds the greatest code, 11663. A
-    # build of int64 counts over every bucket peaked near 27 MB here.
+    # build of int64 counts over every bucket peaked near 27 MB on it.
     config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
     DENSE.state_cells  # cached on the source; the peak is the build's own
     tracemalloc.start()
