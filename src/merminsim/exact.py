@@ -6,10 +6,12 @@ like "the case-b same-colour rate is exactly 1/4" are decidable with no
 tolerance. This module is the oracle the Monte Carlo engine is checked
 against.
 
-Each statistic's numerator and denominator is a bilinear form in the
-two sides' switch weights, with one integer coefficient per failure class
-(failure_class_sums): sums_at evaluates it at any (p_a, p_b), and
-detector_invariance_check proves detector invariance on all of [0, 1]^2.
+Each side's switch law is (1 - p) times its law at p = 0 plus p times
+its law at p = 1, so each statistic's numerator and denominator is a
+bilinear form in (1 - p_a, p_a) and (1 - p_b, p_b), fixed by its values
+at the four corners of [0, 1]^2 (failure_class_sums): sums_at evaluates
+it at any (p_a, p_b), and detector_invariance_check proves detector
+invariance on all of [0, 1]^2.
 """
 
 from __future__ import annotations
@@ -27,28 +29,23 @@ from .model import (
     NO_FLASH,
     STATISTICS,
     SourceDistribution,
+    pair_masses,
     statistic_sums,
 )
 
-# Per statistic, its (numerator, denominator) weight sums in each failure
-# class (A, B): (selected, selected), (selected, failed), (failed, selected)
-# and (failed, failed), by whether each side's switch selected a setting.
+# Per statistic, its (numerator, denominator) weight sums at the four
+# corners (p_a, p_b) = (0, 0), (0, 1), (1, 0) and (1, 1) of [0, 1]^2: the
+# failure classes (A, B) (selected, selected), (selected, failed),
+# (failed, selected) and (failed, failed). Each corner weighs its cells by
+# pair_masses there, so every corner's cells sum to 9 * total.
 ClassSums = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _class_weights(p: Fraction) -> tuple[int, int]:
-    """The switch law (p, (1-p)/3, (1-p)/3, (1-p)/3) of digits 0-3, times
-    3 * p.denominator, on one setting and on the failure position: the
-    factors of a side that selected a setting and of a failed side."""
-    return p.denominator - p.numerator, 3 * p.numerator
-
-
-def _weighted(masses: Sequence[int], law_a: Sequence[int], law_b: Sequence[int]) -> list[int]:
-    """The 144 cell masses in codec order, each times law_a[digit_a] *
-    law_b[digit_b]."""
-    pair_law = [qa * qb for qa in law_a for qb in law_b]
+def _weighted(masses: Sequence[int], pairs: Sequence[int]) -> list[int]:
+    """The 144 cell masses in codec order, each times the mass of its
+    switch digit pair in pairs, pair_masses' 16 masses."""
     # The 9 cells from 9k share digit pair k = digit_a * 4 + digit_b.
-    return [m * q for k, q in enumerate(pair_law) for m in masses[9 * k : 9 * k + 9]]
+    return [m * q for k, q in enumerate(pairs) for m in masses[9 * k : 9 * k + 9]]
 
 
 def enumerate_joint(config: ExperimentConfig) -> CellWeights:
@@ -58,16 +55,15 @@ def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     probability p and on each setting with probability (1 - p) / 3; a
     failed switch reads N, like an N instruction. The source's integer
     cell masses (one pass per source, shared by every detector setting)
-    therefore give each of the 144 cells the weight
-    mass * law_a[digit_a] * law_b[digit_b] in integers over one
-    denominator, total * 9 * den(p_a) * den(p_b).
+    therefore give each of the 144 cells the weight mass * pair_masses[k]
+    of its digit pair k, in integers over one denominator,
+    total * sum(pairs) = total * 9 * den(p_a) * den(p_b).
     """
     masses, total = config.source.cell_masses
-    p_a = config.detector_a.failure_probability
-    p_b = config.detector_b.failure_probability
-    (set_a, fail_a), (set_b, fail_b) = _class_weights(p_a), _class_weights(p_b)
-    weights = _weighted(masses, (fail_a, set_a, set_a, set_a), (fail_b, set_b, set_b, set_b))
-    return CellWeights(tuple(weights), total * 9 * p_a.denominator * p_b.denominator)
+    pairs = pair_masses(
+        config.detector_a.failure_probability, config.detector_b.failure_probability
+    )
+    return CellWeights(tuple(_weighted(masses, pairs)), total * sum(pairs))
 
 
 def stats_of(sums: Sequence[tuple[int, int]]) -> CaseStats[Union[Fraction, None]]:
@@ -85,29 +81,24 @@ def conditional_stats(table: CellWeights) -> CaseStats[Union[Fraction, None]]:
 
 
 def failure_class_sums(source: SourceDistribution) -> ClassSums:
-    """statistic_sums of the source's cell masses, once per failure class
-    with the other classes' cells zeroed; see ClassSums."""
+    """statistic_sums of the source's cell masses weighted by pair_masses
+    at each corner of [0, 1]^2; see ClassSums."""
     masses, _ = source.cell_masses
-    sides = ((0, 1, 1, 1), (1, 0, 0, 0))  # per switch digit: selected, failed
-    return tuple(zip(*(statistic_sums(_weighted(masses, a, b)) for a in sides for b in sides)))
+    corners = [pair_masses(Fraction(a), Fraction(b)) for a in (0, 1) for b in (0, 1)]
+    return tuple(zip(*(statistic_sums(_weighted(masses, pairs)) for pairs in corners)))
 
 
 def sums_at(classes: ClassSums, p_a: Fraction, p_b: Fraction) -> list[tuple[int, int]]:
     """Every statistic's (numerator, denominator) weight sums in
-    enumerate_joint's table at failure probabilities p_a and p_b: each
-    class's sums times its two sides' factors, summed over the classes."""
-    f0, f1, f2, f3 = (wa * wb for wa in _class_weights(p_a) for wb in _class_weights(p_b))
+    enumerate_joint's table at failure probabilities p_a and p_b. A side's
+    switch_masses are (den - num) times those at p = 0 plus num times those
+    at p = 1, so each corner's sums weigh the product of its sides' factors."""
+    (a0, a1), (b0, b1) = ((p.denominator - p.numerator, p.numerator) for p in (p_a, p_b))
+    f0, f1, f2, f3 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
     return [
         (f0 * n0 + f1 * n1 + f2 * n2 + f3 * n3, f0 * d0 + f1 * d1 + f2 * d2 + f3 * d3)
         for (n0, d0), (n1, d1), (n2, d2), (n3, d3) in classes
     ]
-
-
-def stats_at(
-    classes: ClassSums, p_a: Fraction, p_b: Fraction
-) -> CaseStats[Union[Fraction, None]]:
-    """Exact CaseStats at failure probabilities p_a and p_b, from classes."""
-    return stats_of(sums_at(classes, p_a, p_b))
 
 
 def case_b_same_fraction(s: str) -> Fraction:
@@ -160,32 +151,30 @@ def detector_invariance_check(
     conditional_stats(enumerate_joint(config)); empty when all hold.
 
     The first three are identities of failure_class_sums, so each holds
-    on all of [0, 1]^2 or nowhere. Class c is the c-th of ClassSums and S_c
-    its sum over all its cells; class 0 has no failure.
+    on all of [0, 1]^2 or nowhere. Class c is the c-th corner of ClassSums,
+    class 0 has no failure, and every class sums to S = 9 * total.
     - "conditionals": p_same_case_a, p_same_case_b, eta_u_a and eta_u_b
       do not move wherever their conditioning event has mass (_unmoved).
     - "coincidence scaling": each coincidence rate is (1 - p_a)(1 - p_b)
       times its value at p = 0: its numerator is 0 outside class 0, and
-      S_c = total * m_a * m_b, m = 3 on a selecting side and 1 on a failed.
+      its denominator S in every class.
     - "eta_f": eta_f = 1 - p per side: a side's selected-setting sum is
-      S_c where it selected and 0 where it failed.
-    - "oracle": at config's own (p_a, p_b), stats_at gives stats, which
-      ties the class sums to enumerate_joint.
+      S where it selects and 0 where it fails, over S.
+    - "oracle": at config's own (p_a, p_b), stats_of(sums_at(...)) gives
+      stats, which ties the class sums to enumerate_joint.
     """
     classes = failure_class_sums(config.source)
     per_stat = {stat.label: per_class for stat, per_class in zip(STATISTICS, classes)}
-    s_0, s_1, s_2, s_3 = (config.source.cell_masses[1] * m for m in (9, 3, 3, 1))
+    s = 9 * config.source.cell_masses[1]
     conditionals = ("p_same_case_a", "p_same_case_b", "eta_u_a", "eta_u_b")
     rates = [per_stat[stat.label] for stat in STATISTICS if stat.key is not None]
     p_a = config.detector_a.failure_probability
     p_b = config.detector_b.failure_probability
     claims = {
         "conditionals": all(_unmoved(per_stat[name]) for name in conditionals),
-        "coincidence scaling": all(
-            rate[0][1] == s_0 and rate[1:] == ((0, s_1), (0, s_2), (0, s_3)) for rate in rates
-        ),
-        "eta_f": per_stat["eta_f_a"] == ((s_0, s_0), (s_1, s_1), (0, s_2), (0, s_3))
-        and per_stat["eta_f_b"] == ((s_0, s_0), (0, s_1), (s_2, s_2), (0, s_3)),
-        "oracle": stats_at(classes, p_a, p_b) == stats,
+        "coincidence scaling": all(r[0][1] == s and r[1:] == ((0, s),) * 3 for r in rates),
+        "eta_f": per_stat["eta_f_a"] == ((s, s), (s, s), (0, s), (0, s))
+        and per_stat["eta_f_b"] == ((s, s), (0, s), (s, s), (0, s)),
+        "oracle": stats_of(sums_at(classes, p_a, p_b)) == stats,
     }
     return tuple(name for name, holds in claims.items() if not holds)

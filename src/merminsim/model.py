@@ -287,7 +287,8 @@ class DetectorModel:
 
     With probability failure_probability the switch lands on position 0
     and the detector cannot flash; otherwise each of the three settings
-    is selected with probability (1 - p) / 3.
+    is selected with probability (1 - p) / 3. switch_masses states this
+    law in integers, and the oracle and the sampler both read it.
     """
 
     failure_probability: Fraction = Fraction(0)
@@ -297,6 +298,20 @@ class DetectorModel:
         if not 0 <= p <= 1:
             raise ConfigurationError(f"failure probability {p} outside [0, 1]")
         object.__setattr__(self, "failure_probability", p)
+
+
+def switch_masses(p: Fraction) -> tuple[int, int, int, int]:
+    """Masses of switch digits 0-3 over 3 * den(p), for failure
+    probability p: digit 0, the failure position, weighs p and each
+    setting (1 - p) / 3."""
+    rest = p.denominator - p.numerator
+    return 3 * p.numerator, rest, rest, rest
+
+
+def pair_masses(p_a: Fraction, p_b: Fraction) -> tuple[int, ...]:
+    """Masses of the 16 switch digit pairs (a, b), at index 4 a + b, over
+    9 * den(p_a) * den(p_b): the products of the two sides' switch_masses."""
+    return tuple(qa * qb for qa in switch_masses(p_a) for qb in switch_masses(p_b))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import CellWeights, DetectorModel, ExperimentConfig, N_CELLS
+from .model import CellWeights, ExperimentConfig, N_CELLS, pair_masses
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -89,14 +89,6 @@ class SimulationPlan:
             raise ValueError("n_streams must be >= 1")
 
 
-def _switch_masses(detector: DetectorModel) -> tuple[int, ...]:
-    """Masses of switch digits 0-3 over 3 * den(p), p the detector's failure
-    probability: digit 0 (failed) weighs p and each setting (1 - p) / 3."""
-    p = detector.failure_probability
-    rest = p.denominator - p.numerator
-    return (3 * p.numerator, rest, rest, rest)
-
-
 @dataclass(frozen=True)
 class _Sampler:
     """One config's draw of the joint code 16 * state + 4 * digit_a +
@@ -122,8 +114,9 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     masses, total = config.source.state_masses
     if sum(masses) != total:
         raise ValueError(f"source weights sum to {sum(masses)}/{total}, not 1")
-    side_a, side_b = _switch_masses(config.detector_a), _switch_masses(config.detector_b)
-    pairs = [a * b for a in side_a for b in side_b]
+    pairs = pair_masses(
+        config.detector_a.failure_probability, config.detector_b.failure_probability
+    )
     parts, total = 16 * len(masses), total * sum(pairs)
     cum = accumulate(mass * pair for mass in masses for pair in pairs)
     inner = np.fromiter((-(-acc * _ONE // total) for acc in cum), np.uint64, parts - 1)
@@ -155,11 +148,6 @@ def _guided_draw(y, table: _Sampler, out, t, h) -> np.ndarray:
     z ^= z >> np.uint64(31)
     out[split] = np.searchsorted(table.thresholds, z >> np.uint64(11), side="right")
     return out
-
-
-def _run_range(lo: int, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
-    """Cell counts of trials [lo, hi) under the 64-bit seed."""
-    return _run_chunks(range(lo, hi, _CHUNK), hi, seed, tables)
 
 
 def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
@@ -275,7 +263,10 @@ def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.nda
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         # The caller is the first worker.
         counts = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
-        parts = [os.read(out, counts.nbytes) for out in fds[1:]]
+        # A pipe read may return less than it asks for, so each child's pipe
+        # is read to its end, which comes when the child exits: the caller
+        # holds no write end.
+        parts = [b"".join(iter(lambda: os.read(out, counts.nbytes), b"")) for out in fds[1:]]
     except BaseException:
         _drain(tokens)
         raise
@@ -317,5 +308,5 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         counts = _forked_counts(workers, hi, seed, tables)
     else:
-        counts = _run_range(0, hi, seed, tables)
+        counts = _run_chunks(range(0, hi, _CHUNK), hi, seed, tables)
     return CellWeights(tuple(counts.tolist()), hi)

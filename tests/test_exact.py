@@ -13,7 +13,7 @@ from merminsim.exact import (
     enumerate_joint,
     failure_class_sums,
     min_case_b_no_noflash,
-    stats_at,
+    stats_of,
     sums_at,
 )
 from merminsim.model import (
@@ -315,12 +315,12 @@ class TestDetectorInvariance:
     @pytest.mark.parametrize(
         "p_a,p_b", [(0, 0), (Fraction(1, 3), Fraction(1, 7)), (1, Fraction(1, 2)), (1, 1)]
     )
-    def test_stats_at_equals_the_table(self, name, state, p_a, p_b):
+    def test_corner_sums_at_any_point_equal_the_table_sums(self, name, state, p_a, p_b):
         config = config_for(name, state, p_a, p_b)
-        classes = failure_class_sums(config.source)
+        sums = sums_at(failure_class_sums(config.source), Fraction(p_a), Fraction(p_b))
         table = enumerate_joint(config)
-        assert sums_at(classes, Fraction(p_a), Fraction(p_b)) == statistic_sums(table.weights)
-        assert stats_at(classes, Fraction(p_a), Fraction(p_b)) == conditional_stats(table)
+        assert sums == statistic_sums(table.weights)
+        assert stats_of(sums) == conditional_stats(table)
 
 
 class TestSourceMemo:

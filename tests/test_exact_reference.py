@@ -5,7 +5,8 @@ reference below spreads every renormalized weight over both switch laws,
 one Fraction product at a time. The two must agree cell for cell, and
 the exact properties the oracle promises must hold on random sources:
 the failure-class form gives the same statistics, and its detector
-invariance identities hold.
+invariance identities hold. The switch law that both read, pair_masses,
+must be bilinear in its values at the four corners of [0, 1]^2.
 The cell masses, grouped by side A's instruction set, must also equal the
 per-state loop over state_cells that they replace.
 """
@@ -21,7 +22,8 @@ from merminsim.exact import (
     detector_invariance_check,
     enumerate_joint,
     failure_class_sums,
-    stats_at,
+    stats_of,
+    sums_at,
 )
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
@@ -34,6 +36,8 @@ from merminsim.model import (
     SETTINGS,
     SourceDistribution,
     builtin_distribution,
+    pair_masses,
+    switch_masses,
 )
 
 ALL_PAIRS = tuple(f"{a}-{b}" for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS)
@@ -83,6 +87,25 @@ failure_probabilities = st.one_of(
 )
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p_a=failure_probabilities, p_b=failure_probabilities)
+def test_pair_masses_are_the_switch_law_and_bilinear_in_its_corners(p_a, p_b):
+    pairs = pair_masses(p_a, p_b)
+    # Each side's law is (den - num) times its law at p = 0 plus num times
+    # its law at p = 1, so the pair law is the four corner laws weighted by
+    # the products of the two sides' factors.
+    (a0, a1), (b0, b1) = ((p.denominator - p.numerator, p.numerator) for p in (p_a, p_b))
+    corners = [pair_masses(Fraction(a), Fraction(b)) for a in (0, 1) for b in (0, 1)]
+    factors = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    assert list(pairs) == [sum(f * c[k] for f, c in zip(factors, corners)) for k in range(16)]
+    assert sum(pairs) == 9 * p_a.denominator * p_b.denominator
+    side_a, side_b = switch_masses(p_a), switch_masses(p_b)
+    assert pairs == tuple(side_a[k // 4] * side_b[k % 4] for k in range(16))
+    for p, side in ((p_a, side_a), (p_b, side_b)):
+        assert Fraction(side[0], sum(side)) == p
+        assert all(Fraction(mass, sum(side)) == (1 - p) / 3 for mass in side[1:])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(source=random_sources(), p_a=failure_probabilities, p_b=failure_probabilities)
 def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
@@ -111,7 +134,7 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
 
     # The failure-class form gives the table's statistics at (p_a, p_b),
     # and its identities hold on every source.
-    assert stats_at(failure_class_sums(source), p_a, p_b) == stats
+    assert stats_of(sums_at(failure_class_sums(source), p_a, p_b)) == stats
     assert detector_invariance_check(config, stats) == ()
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import fcntl
 import os
 import signal
 import subprocess
 import sys
+import termios
 import threading
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -65,11 +69,56 @@ def forks(monkeypatch):
     return pids
 
 
+# Seconds any one test here may run, a hang included: the slowest fork
+# test takes under 1 s on a 2-vCPU VM.
+TIME_LIMIT_S = 60
+
+
+@contextlib.contextmanager
+def time_limit(seconds=TIME_LIMIT_S):
+    """Raise TimeoutError in this process once seconds have passed; forked
+    children inherit no timer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its time limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def bounded_time():
+    with time_limit():
+        yield
+
+
 def interrupted_after_one(starts):
-    """The first of starts, then a KeyboardInterrupt."""
+    """The first of starts, then a KeyboardInterrupt; the interrupt comes
+    when starts run out if they hold none."""
     for start in starts:
         yield start
-        raise KeyboardInterrupt
+        break
+    raise KeyboardInterrupt
+
+
+def start_last(monkeypatch, waits):
+    """A forced schedule: the share of a worker for which waits() holds
+    takes its first token only once the token pipe is empty."""
+    token_starts = montecarlo._token_starts
+
+    def waiting(tokens, *args):
+        if waits():
+            # FIONREAD: the bytes the pipe holds, as a C int.
+            while int.from_bytes(fcntl.ioctl(tokens, termios.FIONREAD, bytes(4)), sys.byteorder):
+                time.sleep(0.001)
+        return token_starts(tokens, *args)
+
+    monkeypatch.setattr(montecarlo, "_token_starts", waiting)
 
 
 def open_fds():
@@ -230,10 +279,11 @@ class TestRunTrials:
 
 
 class TestWorkerProcesses:
-    @pytest.mark.parametrize("fault", [None, "child", "caller"])
+    @pytest.mark.parametrize("fault", [None, "child", "caller", "caller-last"])
     def test_no_child_or_fd_outlives_run_trials(self, fault, monkeypatch, forks):
         # A child that raises, or an interrupt in the caller's own share
-        # after its first chunk, while the other workers still run.
+        # after its first chunk, while the other workers still run. At
+        # caller-last the children take every token before the caller.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         allow_cpus(monkeypatch, 8)
         run_chunks = montecarlo._run_chunks
@@ -242,11 +292,13 @@ class TestWorkerProcesses:
         def faulty(starts, *args):
             if fault == "child" and os.getpid() != caller:
                 raise RuntimeError("worker failed")
-            if fault == "caller" and os.getpid() == caller:
+            if fault in ("caller", "caller-last") and os.getpid() == caller:
                 starts = interrupted_after_one(starts)
             return run_chunks(starts, *args)
 
         monkeypatch.setattr(montecarlo, "_run_chunks", faulty)
+        if fault == "caller-last":
+            start_last(monkeypatch, lambda: os.getpid() == caller)
         fds = open_fds()
         plan = plan_for("table1_uniform", 200_000, seed=3, streams=3)
         if fault is None:
@@ -318,7 +370,7 @@ class TestWorkerProcesses:
     def test_a_failing_os_call_leaves_no_child_or_fd(self, name, nth, monkeypatch):
         # The caller's nth call of os.name raises: the token pipe (pipe 0)
         # or the k-th child's counts pipe, the token write, the k-th fork
-        # before its child exists, or the read of the k-th child's counts.
+        # before its child exists, or the k-th read of the counts pipes.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         allow_cpus(monkeypatch, 8)
         real, caller, calls = getattr(os, name), os.getpid(), []
@@ -340,9 +392,13 @@ class TestWorkerProcesses:
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
 
-    def test_an_interrupted_caller_stops_the_children(self, monkeypatch, forks, tmp_path):
+    @pytest.mark.parametrize("children_last", [False, True])
+    def test_an_interrupted_caller_stops_the_children(
+        self, children_last, monkeypatch, forks, tmp_path
+    ):
         # The caller drains the token pipe, so the children stop after their
-        # current chunk and do not run the 5000 chunks to the end.
+        # current chunk and do not run the 5000 chunks to the end. Children
+        # that start last take no chunk and write no log.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         allow_cpus(monkeypatch, 8)
         run_chunks = montecarlo._run_chunks
@@ -360,10 +416,29 @@ class TestWorkerProcesses:
             return run_chunks(mine(starts), *args)
 
         monkeypatch.setattr(montecarlo, "_run_chunks", split)
+        if children_last:
+            start_last(monkeypatch, lambda: os.getpid() != caller)
         with pytest.raises(KeyboardInterrupt):
             run_trials(plan_for("table1_uniform", 5_000_000, seed=13, streams=3))
         assert len(forks) == 2
-        assert log.stat().st_size < 2500
+        assert (log.stat().st_size if log.exists() else 0) < 2500
+        if children_last:
+            assert not log.exists()
+
+    def test_short_counts_reads_give_the_serial_tally(self, monkeypatch, forks):
+        # A pipe read may return less than asked: here at most 512 bytes,
+        # macOS's PIPE_BUF, of each child's 1152 bytes of counts.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        base = run_trials(plan_for("table1_uniform", 20_000, seed=3))
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 512)))
+        fds = open_fds()
+        assert run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3)) == base
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
 
     def test_a_child_flushes_no_inherited_stdout(self):
         # Unflushed text in the caller's stdout buffer is written once, by

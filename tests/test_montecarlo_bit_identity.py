@@ -35,7 +35,7 @@ from merminsim.montecarlo import (
     _BUCKETS_PER_PART,
     _CHUNK,
     _guided_draw,
-    _run_range,
+    _run_chunks,
     _sampler_tables,
 )
 
@@ -169,7 +169,7 @@ def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk,
     config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
     lo = first_chunk * _CHUNK + offset
     expected = reference_run_range(lo, lo + span, seed, config)
-    got = _run_range(lo, lo + span, seed, _sampler_tables(config))
+    got = _run_chunks(range(lo, lo + span, _CHUNK), lo + span, seed, _sampler_tables(config))
     assert np.array_equal(got, expected)
 
 

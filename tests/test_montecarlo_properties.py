@@ -11,6 +11,7 @@ import os
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from merminsim import montecarlo
@@ -26,6 +27,7 @@ from merminsim.model import (
 from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import compare, estimate_stats
 from test_exact_reference import failure_probabilities, random_sources
+from test_montecarlo import time_limit
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -39,6 +41,13 @@ def configs():
     )
 
 
+@pytest.fixture
+def bounded_time():
+    with time_limit():
+        yield
+
+
+@pytest.mark.usefixtures("bounded_time")
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(config=configs(), n=st.integers(200, 2000), seed=seeds)
 def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
