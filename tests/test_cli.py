@@ -269,6 +269,26 @@ class TestVerify:
         assert "PASS mc-vs-exact" in stdout
         assert code == EXIT_VERIFY
 
+    def test_no_coincidences_fails_settings_independence(self, tmp_path, capsys):
+        # With both sides always failed, no trial is a double flash: there
+        # is nothing for the chi-square test to read.
+        cfg = write_config(
+            tmp_path,
+            detector_a={"failure_probability": 1},
+            detector_b={"failure_probability": 1},
+        )
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(cfg), "--n", "1000", "--seed", "1",
+                     "--out-dir", str(out)])
+        assert code == EXIT_VERIFY
+        stdout = capsys.readouterr().out
+        assert "PASS mc-vs-exact" in stdout
+        assert "FAIL settings-independence: no coincidences in tally\n" in stdout
+        assert "PASS detector-invariance" in stdout
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["independence"] is None
+        assert [check["passed"] for check in report["checks"]] == [True, False, True]
+
     def test_corrupt_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("[]")
