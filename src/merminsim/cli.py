@@ -33,12 +33,7 @@ from .model import (
     parse_rational,
 )
 from .montecarlo import MAX_TRIALS, RNG_SCHEME, SimulationPlan, run_trials
-from .stats import (
-    NoCoincidencesError,
-    compare,
-    estimate_stats,
-    settings_independence_test,
-)
+from .stats import compare, estimate_stats, settings_independence_test
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -439,6 +434,50 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Each check of verify is a function of (config, exact stats, tally,
+# threshold) that gives its verdict, its detail text and its fields of
+# verify_report.json; VERIFY_CHECKS lists them by name, in output order.
+
+
+def _mc_vs_exact(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:
+    report = compare(exact, estimate_stats(tally), threshold=threshold)
+    scored = [row for row in report.rows if row.z is not None]
+    worst = max(scored, key=lambda row: abs(row.z), default=None)
+    worst_text = f"{abs(worst.z):.2f} ({worst.name})" if worst else f"{0.0:.2f}"
+    detail = f"{len(report.rows)} fields, worst |z| = {worst_text}, threshold {threshold}"
+    comparison = [{**asdict(row), "exact": _frac_str(row.exact)} for row in report.rows]
+    return report.all_pass, detail, {"comparison": comparison}
+
+
+def _settings_independence(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:
+    result = settings_independence_test(tally)
+    if result is None:
+        return False, "no coincidences in tally", {"independence": None}
+    detail = (
+        f"chi2 = {result.statistic:.3f}, dof {result.degrees_of_freedom}, "
+        f"p = {result.p_value:.4g} (alpha {INDEPENDENCE_ALPHA})"
+    )
+    return result.p_value > INDEPENDENCE_ALPHA, detail, {"independence": asdict(result)}
+
+
+def _detector_invariance(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:
+    broken = detector_invariance_check(config, exact)
+    p_text = ", ".join(str(d.failure_probability) for d in (config.detector_a, config.detector_b))
+    detail = (
+        "conditionals and eta_u unchanged, coincidence rates scaled by (1 - p_a)(1 - p_b) "
+        "and eta_f = 1 - p for all (p_a, p_b) in [0, 1]^2; failure classes match the "
+        f"oracle at ({p_text})" + (f"; BROKEN: {', '.join(broken)}" if broken else "")
+    )
+    return not broken, detail, {}
+
+
+VERIFY_CHECKS = {
+    "mc-vs-exact": _mc_vs_exact,
+    "settings-independence": _settings_independence,
+    "detector-invariance": _detector_invariance,
+}
+
+
 def cmd_verify(args) -> int:
     config, doc = load_config(args.config)
     n, seed = _resolve_run_params(args, doc)
@@ -448,51 +487,14 @@ def cmd_verify(args) -> int:
 
     exact = conditional_stats(enumerate_joint(config))
     tally = run_trials(SimulationPlan(config, n_trials=n, seed=seed, n_streams=args.streams))
-    estimated = estimate_stats(tally)
 
-    checks: list[tuple[str, bool, str]] = []
-
-    report = compare(exact, estimated, threshold=args.threshold)
-    scored = [row for row in report.rows if row.z is not None]
-    worst = max(scored, key=lambda row: abs(row.z), default=None)
-    worst_text = f"{abs(worst.z):.2f} ({worst.name})" if worst else f"{0.0:.2f}"
-    checks.append(
-        (
-            "mc-vs-exact",
-            report.all_pass,
-            f"{len(report.rows)} fields, worst |z| = {worst_text}, threshold {args.threshold}",
-        )
-    )
-
-    independence_json: Union[dict, None] = None
-    try:
-        independence = settings_independence_test(tally)
-        checks.append(
-            (
-                "settings-independence",
-                independence.p_value > INDEPENDENCE_ALPHA,
-                f"chi2 = {independence.statistic:.3f}, dof {independence.degrees_of_freedom}, "
-                f"p = {independence.p_value:.4g} (alpha {INDEPENDENCE_ALPHA})",
-            )
-        )
-        independence_json = asdict(independence)
-    except NoCoincidencesError:
-        checks.append(("settings-independence", False, "no coincidences in tally"))
-
-    broken = detector_invariance_check(config, exact)
-    p_text = ", ".join(str(d.failure_probability) for d in (config.detector_a, config.detector_b))
-    checks.append(
-        (
-            "detector-invariance",
-            not broken,
-            "conditionals and eta_u unchanged, coincidence rates scaled by (1 - p_a)(1 - p_b) "
-            "and eta_f = 1 - p for all (p_a, p_b) in [0, 1]^2; failure classes match the "
-            f"oracle at ({p_text})" + (f"; BROKEN: {', '.join(broken)}" if broken else ""),
-        )
-    )
-
-    for name, passed, detail in checks:
+    checks: list[dict] = []
+    report = {**_run_fields(args, doc, n, seed), "threshold": args.threshold, "checks": checks}
+    for name, check in VERIFY_CHECKS.items():
+        passed, detail, fields = check(config, exact, tally, args.threshold)
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        checks.append({"name": name, "passed": passed, "detail": detail})
+        report.update(fields)
 
     matches = exact.p_same_case_a == TARGET_CASE_A and exact.p_same_case_b == TARGET_CASE_B
     gap_text = (
@@ -505,29 +507,16 @@ def cmd_verify(args) -> int:
         f"case-b same-colour = {_frac_str(exact.p_same_case_b) or 'undefined'} "
         f"vs targets {_frac_str(TARGET_CASE_A)} and {_frac_str(TARGET_CASE_B)}; {gap_text}"
     )
-
-    out = _out_dir(args)
-    report_path = out / "verify_report.json"
-    report_json = {
-        **_run_fields(args, doc, n, seed),
-        "threshold": args.threshold,
-        "checks": [
-            {"name": name, "passed": passed, "detail": detail}
-            for name, passed, detail in checks
-        ],
-        "comparison": [{**asdict(row), "exact": _frac_str(row.exact)} for row in report.rows],
-        "independence": independence_json,
-        "mermin_target": {
-            "case_a": _frac_str(exact.p_same_case_a),
-            "case_b": _frac_str(exact.p_same_case_b),
-            "target_case_a": _frac_str(TARGET_CASE_A),
-            "target_case_b": _frac_str(TARGET_CASE_B),
-            "matches": matches,
-        },
+    report["mermin_target"] = {
+        "case_a": _frac_str(exact.p_same_case_a),
+        "case_b": _frac_str(exact.p_same_case_b),
+        "target_case_a": _frac_str(TARGET_CASE_A),
+        "target_case_b": _frac_str(TARGET_CASE_B),
+        "matches": matches,
     }
-    _write_reports({report_path: report_json})
+    _write_reports({_out_dir(args) / "verify_report.json": report})
 
-    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_VERIFY
+    return EXIT_OK if all(check["passed"] for check in checks) else EXIT_VERIFY
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:

@@ -1,7 +1,8 @@
-"""Estimates from a tally and the checks that judge them: relative
+"""Estimates from a tally and the tests that judge them: relative
 frequencies with standard errors and Wilson intervals, exact-vs-simulated
 comparison reports and the settings-independence chi-square test on
-coincidence counts."""
+coincidence counts, which gives None for a tally with no coincidence.
+The verdicts and their texts are `verify`'s checks, in cli.VERIFY_CHECKS."""
 
 from __future__ import annotations
 
@@ -93,10 +94,6 @@ def estimate_stats(tally: CellWeights) -> CaseStats[Estimate]:
     return CaseStats.from_values(values)
 
 
-class NoCoincidencesError(ValueError):
-    """The tally contains no double-flash event to test."""
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     name: str
@@ -170,20 +167,21 @@ class IndependenceTestResult:
     expected: float
 
 
-def settings_independence_test(tally: CellWeights) -> IndependenceTestResult:
+def settings_independence_test(tally: CellWeights) -> Union[IndependenceTestResult, None]:
     """Test whether the detected sample size depends on the setting pair.
 
     Observed counts are the double flashes per realized (setting_a,
     setting_b) cell, failures excluded: the numerators of the nine
     coincidence rates. Under uniform settings the nine cells share one
     expected count, total / 9; only that total is estimated from the
-    data, leaving 8 degrees of freedom.
+    data, leaving 8 degrees of freedom. A tally with no double flash
+    leaves nothing to test and gives None.
     """
     sums = statistic_sums(tally.weights)
     observed = {stat.key: num for stat, (num, _) in zip(STATISTICS, sums) if stat.key is not None}
     total = sum(observed.values())
     if total == 0:
-        raise NoCoincidencesError("tally has no double-flash event")
+        return None
     expected = total / 9.0
     statistic = sum((o - expected) ** 2 / expected for o in observed.values())
     dof = 8

@@ -212,6 +212,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
         assert "simulated 1234 trials (seed 99" in capsys.readouterr().out
 
+    def test_integral_decimal_defaults_are_read_as_integers(self, tmp_path, capsys):
+        # The loader reads 5.0 and 2e2 exactly, as the Fractions 5 and 200.
+        cfg = write_config(tmp_path, n_trials=2e2, seed=5.0)
+        assert '"seed": 5.0' in cfg.read_text() and '"n_trials": 200.0' in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        assert "simulated 200 trials (seed 5," in capsys.readouterr().out
+
 
 class TestVerify:
     def test_table1_passes(self, tmp_path, capsys):
@@ -288,6 +296,20 @@ class TestVerify:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["independence"] is None
         assert [check["passed"] for check in report["checks"]] == [True, False, True]
+
+    def test_lines_and_report_follow_the_check_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["verify", "--config", str(write_config(tmp_path)), "--n", "2000",
+              "--out-dir", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [line.split(":")[0].split(" ") for line in lines
+                    if line.startswith(("PASS ", "FAIL "))]
+        report = json.loads((out / "verify_report.json").read_text())
+        assert [name for _, name in verdicts] == list(cli.VERIFY_CHECKS)
+        assert [check["name"] for check in report["checks"]] == list(cli.VERIFY_CHECKS)
+        assert [verdict == "PASS" for verdict, _ in verdicts] == [
+            check["passed"] for check in report["checks"]
+        ]
 
     def test_corrupt_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -479,6 +501,13 @@ class TestConfigFieldErrors:
         ('{"source": {"builtin": "table1_uniform"}, "se\\ned": 1}', '"se\\ned": unknown field'),
         ('{"source": {"builtin": "table1_uniform"}, "se\\ned": 1, "se\\ned": 2}',
          '"se\\ned": duplicate field'),
+        ('{"source": {"entries": {}}}', "source.entries: expected a list"),
+        ('{"source": {"entries": [5]}}',
+         "source.entries[0]: expected an object with state and weight"),
+        ('{"source": {"builtin": "table1_uniform"}, "detector_a": {"failure_probability": null}}',
+         "detector_a.failure_probability: cannot interpret None as a rational"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": null}]}}',
+         "source.entries[0].weight: cannot interpret None as a rational"),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 
@@ -502,6 +531,14 @@ class TestConfigFieldErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: --grid:") and "1e-999999999" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_grid_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["scan", "--config", str(cfg), "--parameter", "p_both",
+                "--grid", ",", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --grid: no values given\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -7,11 +7,15 @@ counts, wherever it sits, `if TYPE_CHECKING:` blocks included.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "merminsim"
+from merminsim import cli, exact, model
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "merminsim"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # Each layer and the package modules it may import at run time.
@@ -74,3 +78,17 @@ def test_only_the_engine_imports_numpy():
 
 def test_the_cli_sees_every_layer():
     assert set(LAYERS) <= runtime_imports("cli")
+
+
+def test_every_name_the_benchmark_patches_exists():
+    # perfbench/tracing.py wraps these names where the program looks them
+    # up; a renamed function would leave its span unrecorded.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for names in tracing.CLI_CALLS.values():
+        for name in names:
+            assert hasattr(cli, name), name
+    for name in tracing.EXACT_CALLS:
+        assert hasattr(exact, name), name
+    assert hasattr(model.SourceDistribution, "renormalized")

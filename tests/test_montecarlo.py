@@ -522,6 +522,10 @@ class TestCellWeights:
         with pytest.raises(ValueError):
             CellWeights([0] * N_CELLS, 5)
 
+    def test_rejects_a_wrong_cell_count(self):
+        with pytest.raises(ValueError, match=f"expected {N_CELLS} cell weights, got 143"):
+            CellWeights((0,) * 143, 0)
+
     def test_weights_are_read_only(self):
         tally = CellWeights.empty()
         with pytest.raises(TypeError):
