@@ -1,4 +1,4 @@
-"""Every CLI output on the eight configs, diffed against captured files.
+"""Every CLI output on the ten configs, diffed against captured files.
 
 table1_uniform and explicit_entries were captured before the statistics
 were declared over the cell codec; lossy_table1 (failure probabilities
@@ -17,6 +17,14 @@ were grouped by side A's instruction set. The scan_p_a and scan_p_b cases
 sweep one detector while the other keeps its configured failure
 probability; they were captured before scan evaluated each grid point
 from the source's failure-class sums.
+table1_lossy_99 (both failure probabilities 99/100) and single_nnn_nnn
+(builtin single, state NNN-NNN) were captured before the comparison and
+independence results became plain values. table1_lossy_99's verify
+exits 3: six of its comparison rows carry the note "zero variance but
+values differ". single_nnn_nnn has no double flash, so p_same_case_a
+and p_same_case_b are undefined: enumerate prints "undefined" and writes
+a null fraction, scan leaves those cells empty, and verify exits 3 on
+"no coincidences in tally".
 
 tests/golden/<config>/<case>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
@@ -41,6 +49,8 @@ CONFIGS = (
     "single_gnr_ggr",
     "mixed_weights",
     "dense_all_states",
+    "table1_lossy_99",
+    "single_nnn_nnn",
 )
 # Each case's command and its arguments after --config and --out-dir.
 CASES = {
