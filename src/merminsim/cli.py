@@ -440,13 +440,13 @@ def cmd_simulate(args) -> int:
 
 
 def _mc_vs_exact(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:
-    report = compare(exact, estimate_stats(tally), threshold=threshold)
-    scored = [row for row in report.rows if row.z is not None]
+    rows = compare(exact, estimate_stats(tally), threshold=threshold)
+    scored = [row for row in rows if row.z is not None]
     worst = max(scored, key=lambda row: abs(row.z), default=None)
     worst_text = f"{abs(worst.z):.2f} ({worst.name})" if worst else f"{0.0:.2f}"
-    detail = f"{len(report.rows)} fields, worst |z| = {worst_text}, threshold {threshold}"
-    comparison = [{**asdict(row), "exact": _frac_str(row.exact)} for row in report.rows]
-    return report.all_pass, detail, {"comparison": comparison}
+    detail = f"{len(rows)} fields, worst |z| = {worst_text}, threshold {threshold}"
+    comparison = [{**asdict(row), "exact": _frac_str(row.exact)} for row in rows]
+    return all(row.passed for row in rows), detail, {"comparison": comparison}
 
 
 def _settings_independence(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:
@@ -454,10 +454,10 @@ def _settings_independence(config, exact, tally, threshold: float) -> tuple[bool
     if result is None:
         return False, "no coincidences in tally", {"independence": None}
     detail = (
-        f"chi2 = {result.statistic:.3f}, dof {result.degrees_of_freedom}, "
-        f"p = {result.p_value:.4g} (alpha {INDEPENDENCE_ALPHA})"
+        f"chi2 = {result['statistic']:.3f}, dof {result['degrees_of_freedom']}, "
+        f"p = {result['p_value']:.4g} (alpha {INDEPENDENCE_ALPHA})"
     )
-    return result.p_value > INDEPENDENCE_ALPHA, detail, {"independence": asdict(result)}
+    return result["p_value"] > INDEPENDENCE_ALPHA, detail, {"independence": result}
 
 
 def _detector_invariance(config, exact, tally, threshold: float) -> tuple[bool, str, dict]:

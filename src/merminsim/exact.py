@@ -16,7 +16,6 @@ invariance on all of [0, 1]^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -117,14 +116,9 @@ def case_b_same_fraction(s: str) -> Fraction:
     return Fraction(same, len(CASE_B_PAIRS))
 
 
-@dataclass(frozen=True)
-class MinCaseBResult:
-    minimum: Fraction
-    support: tuple[str, ...]
-
-
-def min_case_b_no_noflash() -> MinCaseBResult:
-    """Minimum case-b same-colour rate over sources of identical no-N pairs.
+def min_case_b_no_noflash() -> tuple[Fraction, tuple[str, ...]]:
+    """Minimum case-b same-colour rate over sources of identical no-N
+    pairs, and its support: the instruction sets that attain it.
 
     The rate of a mixture is linear in the weights, so the minimum is
     attained on vertex classes: evaluate the eight flash-only instruction
@@ -133,7 +127,7 @@ def min_case_b_no_noflash() -> MinCaseBResult:
     """
     values = {s: case_b_same_fraction(s) for s in ALL_EIGHT_SETS}
     minimum = min(values.values())
-    return MinCaseBResult(minimum, tuple(s for s in ALL_EIGHT_SETS if values[s] == minimum))
+    return minimum, tuple(s for s in ALL_EIGHT_SETS if values[s] == minimum)
 
 
 def _unmoved(per_class: Sequence[tuple[int, int]]) -> bool:

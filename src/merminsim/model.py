@@ -87,15 +87,13 @@ def _state_text(value: object) -> str:
     parts = value.split("-")
     if len(parts) != 2:
         raise ConfigurationError(f"pair state text must look like XXX-YYY, got {value!r}")
-    for text in parts:
-        if len(text) != 3:
-            raise ConfigurationError(f"instruction set text must be 3 letters, got {text!r}")
-        for letter in text:
-            if letter not in OUTCOMES:
-                raise ConfigurationError(
-                    f"unknown outcome letter {letter!r} (expected G, R or N)"
-                )
-    return value
+    # Two parts of 3 letters of OUTCOMES make a state of _PAIR_STATES, so
+    # some part is at fault.
+    text = next(text for text in parts if len(text) != 3 or set(text) - set(OUTCOMES))
+    if len(text) != 3:
+        raise ConfigurationError(f"instruction set text must be 3 letters, got {text!r}")
+    letter = next(letter for letter in text if letter not in OUTCOMES)
+    raise ConfigurationError(f"unknown outcome letter {letter!r} (expected G, R or N)")
 
 
 WeightLike = Union[Fraction, int, float, str]

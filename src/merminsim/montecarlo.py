@@ -112,8 +112,6 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     their totals, and every inner threshold is the exact ceiling of 2^53
     times a cumulative weight, with no float64 step."""
     masses, total = config.source.state_masses
-    if sum(masses) != total:
-        raise ValueError(f"source weights sum to {sum(masses)}/{total}, not 1")
     pairs = pair_masses(
         config.detector_a.failure_probability, config.detector_b.failure_probability
     )

@@ -1,8 +1,9 @@
 """Estimates from a tally and the tests that judge them: relative
-frequencies with standard errors and Wilson intervals, exact-vs-simulated
-comparison reports and the settings-independence chi-square test on
-coincidence counts, which gives None for a tally with no coincidence.
-The verdicts and their texts are `verify`'s checks, in cli.VERIFY_CHECKS."""
+frequencies with standard errors and Wilson intervals, the
+exact-vs-simulated comparison (one ComparisonRow per field) and the
+settings-independence chi-square test on coincidence counts (a dict of
+its five values, or None for a tally with no coincidence). The verdicts
+and their texts are `verify`'s checks, in cli.VERIFY_CHECKS."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from .model import STATISTICS, CaseStats, CellWeights, statistic_sums
 
@@ -105,15 +106,6 @@ class ComparisonRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
 def _compare_one(
     name: str,
     exact_value: Union[Fraction, None],
@@ -138,8 +130,9 @@ def compare(
     exact: CaseStats[Union[Fraction, None]],
     estimated: CaseStats[Estimate],
     threshold: float = 5.0,
-) -> ComparisonReport:
-    """Field-by-field z-score comparison of exact and estimated stats.
+) -> tuple[ComparisonRow, ...]:
+    """Field-by-field z-score comparison of exact and estimated stats: one
+    row per field, and the comparison passes when every row does.
 
     A row passes when |z| <= threshold or the two values are exactly
     equal (the only way to pass at zero variance). Fields undefined on
@@ -151,31 +144,21 @@ def compare(
         _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
         for stat in STATISTICS
     )
-    return ComparisonReport(tuple(row for row in rows if row is not None))
+    return tuple(row for row in rows if row is not None)
 
 
-@dataclass(frozen=True)
-class IndependenceTestResult:
-    """Pearson chi-square of the nine coincidence counts against the
-    uniform-settings null (equal expected counts, dof = 8). observed is
-    keyed by setting pair digits, e.g. "12"."""
-
-    statistic: float
-    degrees_of_freedom: int
-    p_value: float
-    observed: Mapping[str, int]
-    expected: float
-
-
-def settings_independence_test(tally: CellWeights) -> Union[IndependenceTestResult, None]:
+def settings_independence_test(tally: CellWeights) -> Union[dict, None]:
     """Test whether the detected sample size depends on the setting pair.
 
-    Observed counts are the double flashes per realized (setting_a,
-    setting_b) cell, failures excluded: the numerators of the nine
-    coincidence rates. Under uniform settings the nine cells share one
+    Pearson chi-square of the nine coincidence counts against the
+    uniform-settings null. Observed counts are the double flashes per
+    realized (setting_a, setting_b) cell, failures excluded: the
+    numerators of the nine coincidence rates, keyed by setting pair
+    digits, e.g. "12". Under uniform settings the nine cells share one
     expected count, total / 9; only that total is estimated from the
-    data, leaving 8 degrees of freedom. A tally with no double flash
-    leaves nothing to test and gives None.
+    data, leaving 8 degrees of freedom. Gives the statistic,
+    degrees_of_freedom, p_value, observed and expected, or None for a
+    tally with no double flash, which leaves nothing to test.
     """
     sums = statistic_sums(tally.weights)
     observed = {stat.key: num for stat, (num, _) in zip(STATISTICS, sums) if stat.key is not None}
@@ -184,15 +167,13 @@ def settings_independence_test(tally: CellWeights) -> Union[IndependenceTestResu
         return None
     expected = total / 9.0
     statistic = sum((o - expected) ** 2 / expected for o in observed.values())
-    dof = 8
-    p_value = chi_square_tail_dof8(statistic)
-    return IndependenceTestResult(
-        statistic=statistic,
-        degrees_of_freedom=dof,
-        p_value=p_value,
-        observed=observed,
-        expected=expected,
-    )
+    return {
+        "statistic": statistic,
+        "degrees_of_freedom": 8,
+        "p_value": chi_square_tail_dof8(statistic),
+        "observed": observed,
+        "expected": expected,
+    }
 
 
 def chi_square_tail_dof8(x: float) -> float:

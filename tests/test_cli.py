@@ -268,7 +268,7 @@ class TestVerify:
         monkeypatch.setattr(
             cli,
             "settings_independence_test",
-            lambda tally: dataclasses.replace(real(tally), p_value=cli.INDEPENDENCE_ALPHA),
+            lambda tally: {**real(tally), "p_value": cli.INDEPENDENCE_ALPHA},
         )
         cfg = write_config(tmp_path)
         code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])

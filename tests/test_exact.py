@@ -231,13 +231,13 @@ class TestCaseBSameFraction:
 
 class TestMinCaseB:
     def test_minimum_is_one_third(self):
-        result = min_case_b_no_noflash()
-        assert result.minimum == Fraction(1, 3)
+        minimum, _ = min_case_b_no_noflash()
+        assert minimum == Fraction(1, 3)
 
     def test_support_excludes_homogeneous_sets(self):
-        result = min_case_b_no_noflash()
-        assert set(result.support) == {"RRG", "RGR", "RGG", "GRR", "GRG", "GGR"}
-        assert "RRR" not in result.support and "GGG" not in result.support
+        _, support = min_case_b_no_noflash()
+        assert set(support) == {"RRG", "RGR", "RGG", "GRR", "GRG", "GGR"}
+        assert "RRR" not in support and "GGG" not in support
 
     def test_homogeneous_vertices_sit_at_one(self):
         assert case_b_same_fraction("RRR") == 1

@@ -180,6 +180,20 @@ class TestEncodings:
         with pytest.raises(ConfigurationError, match="^expected a pair state, got 7$"):
             builtin_distribution("single", 7)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Side A is sound, so side B's length is the first fault.
+            ("GGG-GX", "instruction set text must be 3 letters, got 'GX'"),
+            # Side A's bad letter comes before side B's.
+            ("GXG-GG", "unknown outcome letter 'X' (expected G, R or N)"),
+        ],
+    )
+    def test_first_fault_is_named(self, text, message):
+        with pytest.raises(ConfigurationError) as info:
+            _state_text(text)
+        assert str(info.value) == message
+
     def test_cell_codec_round_trip(self):
         cells = list(CELLS)
         texts = ["".join(map(str, key)) for key in cells]

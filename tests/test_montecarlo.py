@@ -602,8 +602,8 @@ class TestEstimateStats:
         tally = run_trials(SimulationPlan(cfg, 100_000, seed=17))
         est = estimate_stats(tally)
         exact = conditional_stats(enumerate_joint(cfg))
-        report = compare(exact, est, threshold=5.0)
-        assert report.all_pass, [row for row in report.rows if not row.passed]
+        rows = compare(exact, est, threshold=5.0)
+        assert all(row.passed for row in rows), [row for row in rows if not row.passed]
 
     def test_lossy_config_eta_f_estimated(self):
         cfg = config_for("table1_uniform", p_a=Fraction(1, 5), p_b=Fraction(1, 2))
@@ -612,7 +612,7 @@ class TestEstimateStats:
         assert est.eta_f_a.value == pytest.approx(0.8, abs=0.01)
         assert est.eta_f_b.value == pytest.approx(0.5, abs=0.01)
         exact = conditional_stats(enumerate_joint(cfg))
-        assert compare(exact, est, threshold=5.0).all_pass
+        assert all(row.passed for row in compare(exact, est, threshold=5.0))
 
 
 class TestWilsonInterval:

@@ -298,12 +298,3 @@ def test_sampled_law_is_within_16k_steps_of_the_oracle(source, p_a, p_b):
     l1 = sum(abs(Fraction(w, ONE) - Fraction(x, exact.total))
              for w, x in zip(law, exact.weights))
     assert l1 < Fraction(len(widths), ONE)
-
-
-def test_weights_not_summing_to_one_are_rejected(monkeypatch):
-    config = ExperimentConfig(source=SOURCES["table1"])
-    masses, total = config.source.state_masses
-    short = property(lambda self: (masses[:-1], total))
-    monkeypatch.setattr(SourceDistribution, "state_masses", short)
-    with pytest.raises(ValueError, match="not 1"):
-        _sampler_tables(config)

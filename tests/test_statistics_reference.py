@@ -153,4 +153,4 @@ def test_declared_statistics_match_reference_derivations(source, p_a, p_b, seed)
     if sum(observed.values()) == 0:
         assert settings_independence_test(tally) is None
     else:
-        assert list(settings_independence_test(tally).observed.items()) == list(observed.items())
+        assert list(settings_independence_test(tally)["observed"].items()) == list(observed.items())

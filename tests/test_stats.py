@@ -61,8 +61,8 @@ def make_pair(exact_case_b, est_case_b):
     return exact, est
 
 
-def row_named(report, name):
-    matches = [row for row in report.rows if row.name == name]
+def row_named(rows, name):
+    matches = [row for row in rows if row.name == name]
     assert len(matches) == 1, f"expected one row named {name}"
     return matches[0]
 
@@ -70,26 +70,25 @@ def row_named(report, name):
 class TestCompare:
     def test_small_z_passes(self):
         exact, est = make_pair(Fraction(1, 4), Estimate(0.2502, 0.0005, 0.249, 0.251, 2502, 10000))
-        report = compare(exact, est, threshold=5.0)
-        row = row_named(report, "p_same_case_b")
+        rows = compare(exact, est, threshold=5.0)
+        row = row_named(rows, "p_same_case_b")
         assert row.z == pytest.approx(0.4)
         assert row.passed
-        assert report.all_pass
+        assert all(r.passed for r in rows)
 
     def test_exact_equality_passes_at_zero_variance(self):
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
-        report = compare(exact, est)
-        row = row_named(report, "p_same_case_b")
+        row = row_named(compare(exact, est), "p_same_case_b")
         assert row.passed and row.z == 0.0
 
     def test_large_z_fails(self):
         exact, est = make_pair(Fraction(5, 6), Estimate(0.80, 0.004, 0.79, 0.81, 8000, 10000))
-        report = compare(exact, est)
-        row = row_named(report, "p_same_case_b")
+        rows = compare(exact, est)
+        row = row_named(rows, "p_same_case_b")
         assert row.z == pytest.approx(-8.33, abs=0.01)
         assert not row.passed
-        assert not report.all_pass
-        assert [r for r in report.rows if not r.passed] == [row]
+        assert not all(r.passed for r in rows)
+        assert [r for r in rows if not r.passed] == [row]
 
     def test_z_at_threshold_passes(self):
         # z = (0.75 - 1/2) / 0.125 = 2 exactly, in binary floating point too.
@@ -100,8 +99,7 @@ class TestCompare:
 
     def test_zero_variance_mismatch_fails(self):
         exact, est = make_pair(Fraction(1), exact_estimate(0.9))
-        report = compare(exact, est)
-        row = row_named(report, "p_same_case_b")
+        row = row_named(compare(exact, est), "p_same_case_b")
         assert not row.passed
         assert row.note == "zero variance but values differ"
         # The pass/fail outcome at zero variance is pure equality, so it is
@@ -110,9 +108,9 @@ class TestCompare:
 
     def test_undefined_on_both_sides_skipped(self):
         exact, est = make_pair(None, undefined_estimate())
-        report = compare(exact, est)
-        assert all(row.name != "p_same_case_b" for row in report.rows)
-        assert report.all_pass
+        rows = compare(exact, est)
+        assert all(row.name != "p_same_case_b" for row in rows)
+        assert all(row.passed for row in rows)
 
     def test_undefined_on_one_side_fails(self):
         exact, est = make_pair(None, exact_estimate(0.25))
@@ -137,7 +135,7 @@ class TestCompare:
 
     def test_covers_all_seventeen_fields(self):
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
-        assert len(compare(exact, est).rows) == 8 + 9
+        assert len(compare(exact, est)) == 8 + 9
 
 
 def uniform_coincidence_tally(count_per_cell):
@@ -151,10 +149,10 @@ def uniform_coincidence_tally(count_per_cell):
 class TestSettingsIndependence:
     def test_uniform_cells_statistic_zero(self):
         result = settings_independence_test(uniform_coincidence_tally(1000))
-        assert result.statistic == 0.0
-        assert result.p_value == 1.0
-        assert result.degrees_of_freedom == 8
-        assert result.expected == 1000.0
+        assert result["statistic"] == 0.0
+        assert result["p_value"] == 1.0
+        assert result["degrees_of_freedom"] == 8
+        assert result["expected"] == 1000.0
 
     def test_zeroed_cell_is_extreme(self):
         cells = {
@@ -167,8 +165,8 @@ class TestSettingsIndependence:
         result = settings_independence_test(tally)
         # Oracle: expected = 9000/9 = 1000, so the statistic is
         # 1000^2/1000 + 8 * 125^2/1000 = 1125.
-        assert result.statistic == pytest.approx(1125.0)
-        assert result.p_value < 1e-6
+        assert result["statistic"] == pytest.approx(1125.0)
+        assert result["p_value"] < 1e-6
 
     def test_statistic_scales_with_cells(self):
         cells_small = {
@@ -180,18 +178,18 @@ class TestSettingsIndependence:
         tripled = settings_independence_test(
             cell_weights({k: 3 * v for k, v in cells_small.items()})
         )
-        assert tripled.statistic == pytest.approx(3 * small.statistic)
+        assert tripled["statistic"] == pytest.approx(3 * small["statistic"])
         # Only the statistic-0 case is invariant under uniform scaling.
         zero = settings_independence_test(uniform_coincidence_tally(7))
         zero_scaled = settings_independence_test(uniform_coincidence_tally(21))
-        assert zero.statistic == zero_scaled.statistic == 0.0
+        assert zero["statistic"] == zero_scaled["statistic"] == 0.0
 
     def test_failures_and_singles_excluded(self):
         tally = cell_weights(
             {"11GG": 100, "01NG": 50, "10GN": 50, "12GN": 25, "00NN": 25}
         )
         result = settings_independence_test(tally)
-        assert sum(result.observed.values()) == 100
+        assert sum(result["observed"].values()) == 100
 
     def test_no_coincidences_gives_none(self):
         assert settings_independence_test(CellWeights.empty()) is None
@@ -201,7 +199,7 @@ class TestSettingsIndependence:
         cfg = ExperimentConfig(source=builtin_distribution("table1_uniform"))
         tally = run_trials(SimulationPlan(cfg, 100_000, seed=7))
         result = settings_independence_test(tally)
-        assert result.p_value > 0.001
+        assert result["p_value"] > 0.001
 
 
 class TestChiSquareTailDof8:
