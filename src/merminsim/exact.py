@@ -28,7 +28,7 @@ from .model import (
     NO_FLASH,
     STATISTICS,
     SourceDistribution,
-    pair_masses,
+    joint_masses,
     statistic_sums,
 )
 
@@ -40,29 +40,18 @@ from .model import (
 ClassSums = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _weighted(masses: Sequence[int], pairs: Sequence[int]) -> list[int]:
-    """The 144 cell masses in codec order, each times the mass of its
-    switch digit pair in pairs, pair_masses' 16 masses."""
-    # The 9 cells from 9k share digit pair k = digit_a * 4 + digit_b.
-    return [m * q for k, q in enumerate(pairs) for m in masses[9 * k : 9 * k + 9]]
-
-
 def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     """Full joint distribution of one experiment.
 
     Each side's switch lands on the failure position (digit 0) with
     probability p and on each setting with probability (1 - p) / 3; a
-    failed switch reads N, like an N instruction. The source's integer
-    cell masses (one pass per source, shared by every detector setting)
-    therefore give each of the 144 cells the weight mass * pair_masses[k]
-    of its digit pair k, in integers over one denominator,
-    total * sum(pairs) = total * 9 * den(p_a) * den(p_b).
+    failed switch reads N, like an N instruction. joint_masses therefore
+    gives each of the 144 cells its cell mass (one pass per source, shared
+    by every detector setting) times the pair_masses of its digit pair, in
+    integers over one denominator, 9 * den(p_a) * den(p_b) * total.
     """
-    masses, total = config.source.cell_masses
-    pairs = pair_masses(
-        config.detector_a.failure_probability, config.detector_b.failure_probability
-    )
-    return CellWeights(tuple(_weighted(masses, pairs)), total * sum(pairs))
+    p_a, p_b = config.detector_a.failure_probability, config.detector_b.failure_probability
+    return CellWeights(*joint_masses(config.source, p_a, p_b))
 
 
 def stats_of(sums: Sequence[tuple[int, int]]) -> CaseStats[Union[Fraction, None]]:
@@ -80,11 +69,10 @@ def conditional_stats(table: CellWeights) -> CaseStats[Union[Fraction, None]]:
 
 
 def failure_class_sums(source: SourceDistribution) -> ClassSums:
-    """statistic_sums of the source's cell masses weighted by pair_masses
-    at each corner of [0, 1]^2; see ClassSums."""
-    masses, _ = source.cell_masses
-    corners = [pair_masses(Fraction(a), Fraction(b)) for a in (0, 1) for b in (0, 1)]
-    return tuple(zip(*(statistic_sums(_weighted(masses, pairs)) for pairs in corners)))
+    """statistic_sums of the source's joint_masses at each corner of
+    [0, 1]^2; see ClassSums."""
+    corners = [joint_masses(source, Fraction(a), Fraction(b))[0] for a in (0, 1) for b in (0, 1)]
+    return tuple(zip(*(statistic_sums(masses) for masses in corners)))
 
 
 def sums_at(classes: ClassSums, p_a: Fraction, p_b: Fraction) -> list[tuple[int, int]]:

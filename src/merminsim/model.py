@@ -71,9 +71,6 @@ _SIDE_B = {
 # Side B's parts lie below this span, so side A's offset plus a span of
 # side-B bins stays inside one switch_a digit's 36 cells.
 _B_SPAN = 9 * 3 + 3
-# Each side's part of the 16 cells of a state, at index a * 4 + b.
-_CELL_SHARES_A = {s: tuple(x for x in parts for _ in range(4)) for s, parts in _SIDE_A.items()}
-_CELL_SHARES_B = {s: parts * 4 for s, parts in _SIDE_B.items()}
 
 
 def _state_text(value: object) -> str:
@@ -233,24 +230,14 @@ class SourceDistribution:
         return self._state_masses
 
     @functools.cached_property
-    def state_cells(self) -> tuple[tuple[int, ...], ...]:
-        """Per entry, the cell of each of the 16 (switch_a, switch_b) digit
-        pairs, at index digit_a * 4 + digit_b: the outcomes its instructions
-        give there, with digit 0, the failure position, reading N on either
-        side. The Monte Carlo engine's draw-to-cell table."""
-        return tuple(
-            tuple(map(operator.add, _CELL_SHARES_A[state[:3]], _CELL_SHARES_B[state[4:]]))
-            for state, _ in self.entries
-        )
-
-    @functools.cached_property
     def cell_masses(self) -> tuple[tuple[int, ...], int]:
         """Integer mass of each of the 144 cells, in codec order, and the
         total mass of state_masses.
 
-        A state's mass lands once in each of its 16 cells, the cells of
-        state_cells. A cell's probability is then mass / total times the
-        probabilities of its two switch positions, whatever the detectors.
+        A state's mass lands once in each of its 16 cells: at each pair of
+        switch digits, the outcomes its instructions give there, with digit
+        0, the failure position, reading N on either side. joint_masses
+        weighs each cell by the masses of its two switch positions.
         The masses are grouped by side A's instruction set: each state adds
         its mass to the group's bins at its 4 side-B parts, then each group
         adds its bins at its 4 side-A offsets.
@@ -310,6 +297,21 @@ def pair_masses(p_a: Fraction, p_b: Fraction) -> tuple[int, ...]:
     """Masses of the 16 switch digit pairs (a, b), at index 4 a + b, over
     9 * den(p_a) * den(p_b): the products of the two sides' switch_masses."""
     return tuple(qa * qb for qa in switch_masses(p_a) for qb in switch_masses(p_b))
+
+
+def joint_masses(
+    source: SourceDistribution, p_a: Fraction, p_b: Fraction
+) -> tuple[list[int], int]:
+    """The exact joint law of the 144 cells at failure probabilities p_a
+    and p_b, in integers: each of the source's cell_masses times the
+    pair_masses of its switch digit pair, and the total of all 144, so
+    that cell i has probability masses[i] / total. The exact oracle and
+    the Monte Carlo sampler both read it."""
+    masses, total = source.cell_masses
+    pairs = pair_masses(p_a, p_b)
+    # The 9 cells from 9k share digit pair k = digit_a * 4 + digit_b.
+    weighted = [m * q for k, q in enumerate(pairs) for m in masses[9 * k : 9 * k + 9]]
+    return weighted, total * sum(pairs)
 
 
 @dataclass(frozen=True)

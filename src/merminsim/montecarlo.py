@@ -8,14 +8,16 @@ identical tallies, and tallies merge as a commutative monoid. Several
 streams run in forked worker processes, which do not share an
 interpreter lock; each sends its counts back through a pipe.
 
-A trial hashes one lane, which draws the joint code 16 * state +
-4 * digit_a + digit_b of the pair state and both sides' switch
-positions. The draw is the top 53 bits k = z >> 11 of the lane's hash z
-and stands for u = k * 2^-53. It is one exact rational partition of k
-into 16 K parts, cut at the ceilings of 2^53 times the cumulative
-weights: one gather from a guide over the top bits of z (Chen and Asau's
-guide table), and a search for the under 1/64 of draws whose bucket a
-threshold splits.
+A trial hashes one lane, which draws its cell: both sides' switch
+positions and outcomes. The draw is the top 53 bits k = z >> 11 of the
+lane's hash z and stands for u = k * 2^-53. It is one exact rational
+partition of k into the 144 cells of the exact oracle's joint law,
+model.joint_masses, cut at the ceilings of 2^53 times the cumulative
+masses: one gather from a guide over the top bits of z (Chen and Asau's
+guide table), and a search for the under 1% of draws whose bucket a
+threshold splits. The tally counts the drawn cells, so it depends on the
+law, the trial count and the seed alone, not on how the source lists its
+pair states.
 """
 
 from __future__ import annotations
@@ -28,21 +30,23 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import CellWeights, ExperimentConfig, N_CELLS, pair_masses
+from .model import CellWeights, ExperimentConfig, N_CELLS, joint_masses
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Recorded in run manifests. Scheme 3 drew the state and the switch pair
-# from two lanes through two guides; scheme 2 drew each side's switch
-# digit from its own lane and the state through float64 cumulative
-# weights; scheme 1 hashed a failure and a setting lane per side.
-RNG_SCHEME = 4
+# Recorded in run manifests. Scheme 4 drew the joint code 16 * state +
+# switch pair from 16 K parts, in the source's entry order, and folded it
+# into cells; scheme 3 drew the state and the switch pair from two lanes
+# through two guides; scheme 2 drew each side's switch digit from its own
+# lane and the state through float64 cumulative weights; scheme 1 hashed
+# a failure and a setting lane per side.
+RNG_SCHEME = 5
 
-# Counter stride per trial. Lane 0 draws the joint code; lanes 1-7 are
-# reserved headroom.
+# Counter stride per trial. Lane 0 draws the cell; lanes 1-7 are reserved
+# headroom.
 _LANES = 8
 MAX_TRIALS = 1 << 60
 
@@ -50,12 +54,12 @@ MAX_TRIALS = 1 << 60
 _ONE = 1 << 53
 
 # Trials per pass. The per-pass buffers (27 bytes a trial, about 0.88 MB)
-# share one core's 2 MB L2 on a 2-vCPU Xeon VM with the guide, which is
-# 2 MB itself on a 729-state source. There, in 21 interleaved runs in one
-# process, table1_uniform took a median 8.8 ns/trial, against 9.8 at
-# 1 << 14 and 8.6 at 1 << 16 (faster in 8 of 21); the dense 729-state
-# source took 13.4, against 13.4 and 12.8 (faster in 14 of 21). A repeat
-# read 7.7 against 8.2 and 8.1, and 12.7 against 13.3 and 12.9.
+# and the 32 KB guide fit one core's 2 MB L2 on a 2-vCPU Xeon VM. There,
+# in 21 interleaved runs of 4 * 10^6 trials in one process, table1_uniform
+# took a median 6.8 ns/trial, against 7.3 at 1 << 14 and 7.5 at 1 << 16
+# (each faster in 1 of 21 runs); the dense 729-state source took 7.0,
+# against 7.6 and 7.5 (faster in 0 of 21). A repeat on a busier box read
+# 10.2 against 10.8 and 10.3, and 10.4 against 10.9 and 10.5.
 _CHUNK = 1 << 15
 
 # Workers take runs of chunks from one pipe of 8-byte start tokens. The
@@ -64,11 +68,12 @@ _CHUNK = 1 << 15
 _TOKEN_BYTES = 8
 _MAX_TOKENS = 4096 // _TOKEN_BYTES
 
-# Guide buckets per part, rounded up to a power of two. Each of the P - 1
-# inner thresholds of P parts splits at most one bucket, so at most P - 1
-# of the 64 P or more equal-width buckets are split and under 1/64 of
-# draws, for any weights, need the search after the gather.
-_BUCKETS_PER_PART = 64
+# The guide has 2^14 buckets, 64 per cell rounded up to a power of two.
+# Each of the 143 inner thresholds splits at most one bucket, so at most
+# 143 of the 16384 equal-width buckets are split and under 1% of draws,
+# for any law, need the search after the gather.
+_GUIDE_BITS = (64 * N_CELLS - 1).bit_length()
+
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -91,54 +96,44 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """One config's draw of the joint code 16 * state + 4 * digit_a +
-    digit_b, a partition of the draws k = z >> 11 into 16 K parts: the
-    code of k is the number of inner thresholds <= k. guide holds, for
-    each of the _BUCKETS_PER_PART * 16 K or more buckets
-    z >> (bucket_shift + 11), the code if no inner threshold splits it,
-    else -1; draws in a split bucket are searched in thresholds. cells
-    maps a code to its cell: the source's state_cells."""
+    """One config's draw of a cell, a partition of the draws k = z >> 11
+    into the 144 cells: the cell of k is the number of inner thresholds
+    <= k. guide holds, for each of the 2^_GUIDE_BITS buckets
+    z >> (64 - _GUIDE_BITS), the cell if no inner threshold splits it,
+    else -1; draws in a split bucket are searched in thresholds."""
 
     thresholds: np.ndarray
     guide: np.ndarray
-    bucket_shift: int
-    cells: np.ndarray
 
 
 def _sampler_tables(config: ExperimentConfig) -> _Sampler:
-    """The joint guide of config's draws, built once per run from the
-    integer masses that the exact oracle reads too. Code 16 s + c weighs
-    the mass of state s times that of switch pair c, over the product of
-    their totals, and every inner threshold is the exact ceiling of 2^53
-    times a cumulative weight, with no float64 step."""
-    masses, total = config.source.state_masses
-    pairs = pair_masses(
-        config.detector_a.failure_probability, config.detector_b.failure_probability
-    )
-    parts, total = 16 * len(masses), total * sum(pairs)
-    cum = accumulate(mass * pair for mass in masses for pair in pairs)
-    inner = np.fromiter((-(-acc * _ONE // total) for acc in cum), np.uint64, parts - 1)
-    bucket_bits = (_BUCKETS_PER_PART * parts - 1).bit_length()
-    buckets, shift = 1 << bucket_bits, 53 - bucket_bits
+    """The guide of config's draws, built once per run from the integer
+    law the exact oracle reads, joint_masses: every inner threshold is the
+    exact ceiling of 2^53 times a cumulative weight, with no float64 step."""
+    p_a, p_b = config.detector_a.failure_probability, config.detector_b.failure_probability
+    masses, total = joint_masses(config.source, p_a, p_b)
+    cum = accumulate(masses[:-1])
+    inner = np.fromiter((-(-acc * _ONE // total) for acc in cum), np.uint64, N_CELLS - 1)
+    shift = 53 - _GUIDE_BITS
     # Bucket b holds the number of thresholds t with ceil(t / 2^shift) <= b,
-    # the code of its least draw, and -1 if some t has floor(t / 2^shift) = b
-    # < ceil(t / 2^shift). Written directly, the guide is the only array of
-    # buckets' length. A t of 2^53 (zero masses last) has floor = ceil =
-    # buckets, so it needs no guard.
+    # the cell of its least draw, and -1 if some t has floor(t / 2^shift) = b
+    # < ceil(t / 2^shift). A t of 2^53 (zero masses last) has floor = ceil =
+    # 2^_GUIDE_BITS, so it needs no guard.
     ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
     floor_b = (inner >> np.uint64(shift)).astype(np.intp)
-    # int16 takes a quarter of intp's cache room and holds 16 * 729 - 1.
-    guide = np.repeat(np.arange(parts, dtype=np.int16), np.diff(ceil_b, prepend=0, append=buckets))
+    # int16 holds the cells and the split mark -1.
+    buckets = np.diff(ceil_b, prepend=0, append=1 << _GUIDE_BITS)
+    guide = np.repeat(np.arange(N_CELLS, dtype=np.int16), buckets)
     guide[floor_b[floor_b < ceil_b]] = -1
-    return _Sampler(inner, guide, shift, np.array(config.source.state_cells))
+    return _Sampler(inner, guide)
 
 
 def _guided_draw(y, table: _Sampler, out, t, h) -> np.ndarray:
     """The number of inner thresholds <= z >> 11 for the hash
     z = y ^ (y >> 31) of each y, into out (int16); t (uint64) and h (bool)
-    are scratch. z has y's top 31 bits and a guide of at most 2^20
-    buckets, so only draws in a split bucket finish the hash."""
-    np.right_shift(y, np.uint64(table.bucket_shift + 11), out=t)
+    are scratch. z has y's top 31 bits and the guide reads its top
+    _GUIDE_BITS, so only draws in a split bucket finish the hash."""
+    np.right_shift(y, np.uint64(64 - _GUIDE_BITS), out=t)
     # Indices are in range by construction; "wrap" skips the bounds check.
     np.take(table.guide, t.view(np.intp), out=out, mode="wrap")
     split = np.flatnonzero(np.less(out, 0, out=h))
@@ -158,9 +153,9 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     size = min(_CHUNK, hi)
     u64 = np.uint64
     stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    z_buf, tmp, codes = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
+    z_buf, tmp, cells = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
     hit = np.empty(size, dtype=bool)
-    hist = np.zeros(tables.cells.size, dtype=np.int64)
+    counts = np.zeros(N_CELLS, dtype=np.int64)
 
     for start in starts:
         m = min(_CHUNK, hi - start)
@@ -172,12 +167,7 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
             np.right_shift(z, u64(shift), out=t)
             np.bitwise_xor(z, t, out=z)
             np.multiply(z, u64(mult), out=z)
-        # Count joint codes; cells folds the histogram into the cell codec
-        # once, after the last chunk.
-        hist += np.bincount(_guided_draw(z, tables, codes[:m], t, hit[:m]), minlength=hist.size)
-
-    counts = np.zeros(N_CELLS, dtype=np.int64)
-    np.add.at(counts, tables.cells.ravel(), hist)
+        counts += np.bincount(_guided_draw(z, tables, cells[:m], t, hit[:m]), minlength=N_CELLS)
     return counts
 
 
@@ -285,10 +275,10 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     """Simulate plan.n_trials independent trials into a tally: cell
     weights that count trials, over the total plan.n_trials.
 
-    Per trial: one lane draws the pair state by weight jointly with the
-    switch pair, each side failure (probability p) or a uniform setting;
-    the outcome is the instruction lookup with failure forcing NoFlash.
-    plan.n_streams workers, at most one per CPU this process may run on,
+    Per trial: one lane draws the trial's cell from the exact joint law,
+    joint_masses: each side's switch fails (probability p) or lands on a
+    uniform setting, and its outcome is the pair state's instruction
+    there, N where the switch failed. plan.n_streams workers, at most one per CPU this process may run on,
     take runs of chunks of the trial range in turn: the caller and forked
     child processes, whose counts are summed. The caller runs every chunk
     itself where os.fork is missing or another thread is alive. The result

@@ -7,8 +7,8 @@ the exact properties the oracle promises must hold on random sources:
 the failure-class form gives the same statistics, and its detector
 invariance identities hold. The switch law that both read, pair_masses,
 must be bilinear in its values at the four corners of [0, 1]^2.
-The cell masses, grouped by side A's instruction set, must also equal the
-per-state loop over state_cells that they replace.
+The cell masses, grouped by side A's instruction set, must also equal a
+per-state loop over each state's 16 cells, read from its text.
 """
 
 import random
@@ -138,13 +138,25 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
     assert detector_invariance_check(config, stats) == ()
 
 
+def state_cells(state):
+    """The 16 cells of a pair state's text, one per switch digit pair
+    (a, b): the outcomes its instructions give there, digit 0 reading N."""
+    alice, bob = state.split("-")
+    return [
+        CELLS.index((a, b, NO_FLASH if a == FAILURE else alice[a - 1],
+                     NO_FLASH if b == FAILURE else bob[b - 1]))
+        for a in range(4)
+        for b in range(4)
+    ]
+
+
 def per_state_cell_masses(source):
     """The cell masses by the loop the grouped pass replaced: each state's
-    mass added once into each of its 16 state_cells."""
+    mass added once into each of its 16 cells."""
     state_masses, total = source.state_masses
     masses = [0] * N_CELLS
-    for mass, cells in zip(state_masses, source.state_cells):
-        for cell in cells:
+    for mass, (state, _) in zip(state_masses, source.entries):
+        for cell in state_cells(state):
             masses[cell] += mass
     return tuple(masses), total
 

@@ -31,10 +31,11 @@ from merminsim.model import (
 
 def outcome_at(text, setting):
     """The outcome instruction set text gives at a setting, as the model
-    reads it: side A's letter of the cell a source of text-text puts at
-    switch digits (setting, setting)."""
-    cells = builtin_distribution("single", f"{text}-{text}").state_cells[0]
-    return CELLS[cells[setting * 4 + setting]][2]
+    reads it: side A's letter of the one cell at switch digits (setting,
+    setting) that the cell masses of a source of text-text give mass."""
+    masses, _ = builtin_distribution("single", f"{text}-{text}").cell_masses
+    (cell,) = (c for c, mass in zip(CELLS, masses) if mass and c[:2] == (setting, setting))
+    return cell[2]
 
 
 class TestOutcomeFor:

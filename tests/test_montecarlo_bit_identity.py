@@ -3,10 +3,11 @@ the definitions, and the law its tables sample against the exact oracle.
 
 Every draw is a 53-bit integer k = z >> 11 of a 64-bit hash z, standing
 for u = k 2^-53; the engine compares z with integer thresholds on k. The
-reference draws the joint code 16 * state + 4 * digit_a + digit_b as one
-exact rational partition of k, cut at Fraction weights. These tests pin
-that the two give the same tallies, draw for draw, and that the law of
-the tables is within 16 K 2^-53 of enumerate_joint.
+reference folds the Fraction weights of every (pair state, switch pair)
+into the 144 cells by instruction lookup and draws the cell as one exact
+rational partition of k, cut at those cell weights. These tests pin that
+the two give the same tallies, draw for draw, and that the law of the
+tables is within 144 2^-53 of enumerate_joint.
 """
 
 import math
@@ -21,19 +22,19 @@ from hypothesis import given, settings, strategies as st
 from merminsim.exact import enumerate_joint
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
+    CELLS,
     DetectorModel,
     ExperimentConfig,
+    FAILURE,
     N_CELLS,
     NO_FLASH,
-    OUTCOMES,
-    SETTINGS,
     SourceDistribution,
     builtin_distribution,
 )
 from merminsim.montecarlo import (
     MAX_TRIALS,
-    _BUCKETS_PER_PART,
     _CHUNK,
+    _GUIDE_BITS,
     _guided_draw,
     _run_chunks,
     _sampler_tables,
@@ -65,31 +66,30 @@ def joint_weights(config):
     return [w * x * y for _, w in config.source.renormalized() for x in a for y in b]
 
 
+def cell_weights(config):
+    """joint_weights folded into the 144 cells in codec order: the weight
+    of state s at digits (a, b) lands in the cell of (a, b) and the
+    outcomes that s's instructions give there, digit 0 reading N."""
+    index = {cell: i for i, cell in enumerate(CELLS)}
+    states = [state.split("-") for state, _ in config.source.renormalized()]
+    law = [Fraction(0)] * N_CELLS
+    for code, weight in enumerate(joint_weights(config)):
+        state, pair = divmod(code, 16)
+        digits = divmod(pair, 4)
+        outcomes = (NO_FLASH if d == FAILURE else s[d - 1] for d, s in zip(digits, states[state]))
+        law[index[(*digits, *outcomes)]] += weight
+    return law
+
+
 def reference_run_range(lo, hi, seed, config):
     """Reference form of the sampler, the oracle for the integer engine:
-    lane 0 of trial i is k = mix64((8 i + 1) GAMMA + seed) >> 11, the joint
-    code is exact_parts of it over joint_weights, divmod by 16 splits it
-    into the state and the pair code 4 * digit_a + digit_b, and each
-    side's outcome is gathered from its own (state, switch) table."""
-    entries = config.source.renormalized()
-    no_flash = OUTCOMES.index(NO_FLASH)
-    table_a, table_b = (
-        np.array([[no_flash] + [OUTCOMES.index(s.split("-")[side][x - 1]) for x in SETTINGS]
-                  for s, _ in entries])
-        for side in (0, 1)
-    )
-    trial = np.arange(lo, hi, dtype=U64)
-
-    def draws(lane):
-        z = (trial * U64(8) + U64(lane + 1)) * U64(GAMMA) + U64(seed)
-        for shift, mult in ((30, MIX1), (27, MIX2)):
-            z = (z ^ (z >> U64(shift))) * U64(mult)
-        return (z ^ (z >> U64(31))) >> U64(11)
-
-    state, pair = np.divmod(exact_parts(draws(0), joint_weights(config)), 16)
-    sw_a, sw_b = np.divmod(pair, 4)
-    cell = ((sw_a * 4 + sw_b) * 3 + table_a[state, sw_a]) * 3 + table_b[state, sw_b]
-    return np.bincount(cell, minlength=N_CELLS)
+    lane 0 of trial i is k = mix64((8 i + 1) GAMMA + seed) >> 11, and its
+    cell is exact_parts of k over cell_weights."""
+    z = (np.arange(lo, hi, dtype=U64) * U64(8) + U64(1)) * U64(GAMMA) + U64(seed)
+    for shift, mult in ((30, MIX1), (27, MIX2)):
+        z = (z ^ (z >> U64(shift))) * U64(mult)
+    k = (z ^ (z >> U64(31))) >> U64(11)
+    return np.bincount(exact_parts(k, cell_weights(config)), minlength=N_CELLS)
 
 
 ALL_PAIRS = tuple(f"{a}-{b}" for a in ALL_INSTRUCTION_SETS for b in ALL_INSTRUCTION_SETS)
@@ -181,7 +181,7 @@ def probe_edges(table, weights):
     inner = table.thresholds.astype(np.int64)
     assert np.all(np.diff(inner) >= 0)
     assert len(inner) == len(weights) - 1
-    width = 1 << table.bucket_shift
+    width = 1 << (53 - _GUIDE_BITS)
     buckets = np.arange(len(table.guide), dtype=np.int64) * width
     split = buckets[table.guide < 0]
     # ONE - 1 brings in the greatest hash, 2^64 - 1; bucket 0, the least.
@@ -205,26 +205,26 @@ def probe_edges(table, weights):
                                Fraction(99, 100)]],
 )
 def test_joint_draw_at_every_threshold_and_bucket_edge(name, p):
-    # Side B runs at 1 - p, so a table with the sides swapped or the code
+    # Side B runs at 1 - p, so a table with the sides swapped or the cell
     # transposed shows. p = 0 puts a threshold at 0, which every draw
     # passes, and p = 1 one at 2^53, which none does.
     detectors = () if p is None else (DetectorModel(p), DetectorModel(1 - p))
     config = ExperimentConfig(SOURCES[name], *detectors)
-    probe_edges(_sampler_tables(config), joint_weights(config))
+    probe_edges(_sampler_tables(config), cell_weights(config))
 
 
-@pytest.mark.parametrize("name, moved", [("table1", 2), ("dense", 251), ("skewed", 364)])
-def test_state_thresholds_take_no_float64_step(name, moved):
-    # t_s = ceil(2^53 acc_s / total) in integers, the joint threshold after
-    # each state's last pair code. Scheme 2 rounded acc_s / total to
-    # float64 first, which moves some thresholds by one draw.
-    masses, total = SOURCES[name].state_masses
-    cum = list(accumulate(masses))[:-1]
-    exact = [-(-ONE * acc // total) for acc in cum]
-    scheme_2 = [math.ceil(Fraction(acc / total) * ONE) for acc in cum]
-    tables = _sampler_tables(ExperimentConfig(source=SOURCES[name]))
-    assert tables.thresholds[15::16].tolist() == exact
-    assert sum(e != f for e, f in zip(exact, scheme_2)) == moved
+@pytest.mark.parametrize("name, moved", [("table1", 34), ("dense", 38), ("skewed", 38)])
+def test_cell_thresholds_take_no_float64_step(name, moved):
+    # t_c = ceil(2^53 acc_c / total) in integers, the threshold after cell
+    # c of the oracle's law. Scheme 2 rounded each cumulative weight to
+    # float64 first, which would move some thresholds by one draw.
+    config = ExperimentConfig(source=SOURCES[name])
+    law = enumerate_joint(config)
+    cum = list(accumulate(law.weights))[:-1]
+    exact = [-(-ONE * acc // law.total) for acc in cum]
+    float64 = [math.ceil(Fraction(acc / law.total) * ONE) for acc in cum]
+    assert _sampler_tables(config).thresholds.tolist() == exact
+    assert sum(e != f for e, f in zip(exact, float64)) == moved
 
 
 def bucketwide_guide(thresholds, buckets):
@@ -245,36 +245,38 @@ def bucketwide_guide(thresholds, buckets):
     p_a=failure_probabilities,
     p_b=failure_probabilities,
 )
-def test_at_most_16k_minus_1_buckets_are_split(source, p_a, p_b):
-    # A split bucket costs a search after the gather; each of the 16 K - 1
-    # inner thresholds of the 16 K joint parts lies inside at most one
-    # bucket. The guide is the one a bucket-by-bucket build gives.
-    parts = 16 * len(source.state_masses[0])
+def test_at_most_143_buckets_are_split(source, p_a, p_b):
+    # A split bucket costs a search after the gather; each of the 143
+    # inner thresholds of the 144 cells lies inside at most one bucket.
+    # The guide is the one a bucket-by-bucket build gives.
     tables = _sampler_tables(ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b)))
-    assert len(tables.guide) >= _BUCKETS_PER_PART * parts
-    assert np.count_nonzero(tables.guide < 0) <= parts - 1
-    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, len(tables.guide)))
+    assert len(tables.guide) == 1 << 14 >= 64 * N_CELLS
+    assert np.count_nonzero(tables.guide < 0) <= N_CELLS - 1
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 14))
 
 
-def test_dense_guide_is_lean_and_in_range():
-    # 729 states make 11664 parts and 2^20 buckets. _guided_draw reads a
-    # bucket from the top bits of the hash before its last xor-shift,
-    # which keeps 31 of them, and int16 holds the greatest code, 11663. A
-    # build of int64 counts over every bucket peaked near 27 MB on it.
-    config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
-    DENSE.state_cells  # cached on the source; the peak is the build's own
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_guide_is_lean_and_in_range(name):
+    # Every source gets 2^14 buckets over the 144 cells. _guided_draw
+    # reads a bucket from the top bits of the hash before its last
+    # xor-shift, which keeps 31 of them, and int16 holds the greatest
+    # cell, 143. Scheme 4's guide of 16 K parts peaked near 2.5 MB in its
+    # build on the dense source.
+    source = SOURCES[name]
+    config = ExperimentConfig(source, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
+    source.cell_masses  # cached on the source; the peak is the build's own
     tracemalloc.start()
     try:
         tables = _sampler_tables(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 << 20
-    assert len(tables.guide) == 1 << 20
-    assert 64 - (tables.bucket_shift + 11) == 20 <= 31
+    assert peak < 128 << 10
+    assert len(tables.guide) == 1 << 14
+    assert _GUIDE_BITS == 14 <= 31
     assert tables.guide.dtype == np.int16
-    assert tables.guide.max() == 16 * 729 - 1
-    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 20))
+    assert tables.guide.max() <= N_CELLS - 1
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 14))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -283,18 +285,16 @@ def test_dense_guide_is_lean_and_in_range():
     p_a=failure_probabilities,
     p_b=failure_probabilities,
 )
-def test_sampled_law_is_within_16k_steps_of_the_oracle(source, p_a, p_b):
+def test_sampled_law_is_within_144_steps_of_the_oracle(source, p_a, p_b):
     # Each threshold is the ceiling of 2^53 times a rational cumulative
     # weight, so a partition of n parts is off by under n 2^-53 in L1. The
-    # joint partition has 16 K parts, and the fold into cells adds none.
+    # sampled law is the thresholds' widths, one per cell.
     config = ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b))
     tables = _sampler_tables(config)
-    widths = np.diff([0, *(int(t) for t in tables.thresholds), ONE]).tolist()
-    law = [0] * N_CELLS
-    for cell, width in zip(tables.cells.ravel().tolist(), widths):
-        law[cell] += width
+    law = np.diff([0, *(int(t) for t in tables.thresholds), ONE]).tolist()
+    assert len(law) == N_CELLS
     assert sum(law) == ONE
     exact = enumerate_joint(config)
     l1 = sum(abs(Fraction(w, ONE) - Fraction(x, exact.total))
              for w, x in zip(law, exact.weights))
-    assert l1 < Fraction(len(widths), ONE)
+    assert l1 < Fraction(N_CELLS, ONE)

@@ -2,7 +2,8 @@
 
 The sources are the exact oracle's random sources: up to 729 pair states,
 N instructions included, with random exact failure probabilities. Tallies
-must not depend on how the trial range is split between workers, merge
+must not depend on how the trial range is split between workers or on
+the order in which the source lists its pair states, merge
 must be a commutative monoid, a tally must read as the law of its own
 frequencies, and the estimates must agree with the exact statistics.
 """
@@ -21,6 +22,7 @@ from merminsim.model import (
     CellWeights,
     DetectorModel,
     ExperimentConfig,
+    SourceDistribution,
     merge,
     statistic_sums,
 )
@@ -61,6 +63,28 @@ def test_tallies_do_not_depend_on_the_stream_count(config, n, seed):
     assert fork.call_count == 3
     assert tallies[0] == tallies[1] == tallies[2]
     assert tallies[0].total == n
+
+
+@pytest.mark.usefixtures("bounded_time")
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(config=configs(), n=st.integers(200, 2000), seed=seeds, data=st.data())
+def test_a_tally_depends_only_on_the_law_n_and_seed(config, n, seed, data):
+    # The same entries reversed and shuffled make the same law, so they
+    # must make the same tally, at 1 stream and at 3.
+    entries = config.source.entries
+    reordered = [
+        ExperimentConfig(SourceDistribution(order), config.detector_a, config.detector_b)
+        for order in (entries[::-1], tuple(data.draw(st.permutations(entries))))
+    ]
+    with mock.patch.object(montecarlo, "_CHUNK", 64), mock.patch.object(
+        os, "sched_getaffinity", return_value={0, 1, 2}, create=True
+    ):
+        tallies = [
+            run_trials(SimulationPlan(c, n, seed, streams))
+            for c in (config, *reordered)
+            for streams in (1, 3)
+        ]
+    assert all(tally == tallies[0] for tally in tallies)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
