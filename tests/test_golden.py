@@ -20,11 +20,17 @@ from the source's failure-class sums.
 table1_lossy_99 (both failure probabilities 99/100) and single_nnn_nnn
 (builtin single, state NNN-NNN) were captured before the comparison and
 independence results became plain values. table1_lossy_99's verify
-exits 3: six of its comparison rows carry the note "zero variance but
-values differ". single_nnn_nnn has no double flash, so p_same_case_a
+exits 3: eight of its comparison rows carry the note "zero variance but
+values differ" (six under rng_scheme 4). single_nnn_nnn has no double flash, so p_same_case_a
 and p_same_case_b are undefined: enumerate prints "undefined" and writes
 a null fraction, scan leaves those cells empty, and verify exits 3 on
 "no coincidences in tally".
+
+The simulate and verify goldens of the eight sources with more than one
+pair state were regenerated for rng_scheme 5, which draws each trial's
+cell from the oracle's 144-cell law; every verdict and exit code stayed
+as it was. single_gnr_ggr and single_nnn_nnn did not change: with one
+pair state, scheme 4's joint codes were already the cells in codec order.
 
 tests/golden/<config>/<case>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
