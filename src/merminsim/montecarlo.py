@@ -278,12 +278,13 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     Per trial: one lane draws the trial's cell from the exact joint law,
     joint_masses: each side's switch fails (probability p) or lands on a
     uniform setting, and its outcome is the pair state's instruction
-    there, N where the switch failed. plan.n_streams workers, at most one per CPU this process may run on,
-    take runs of chunks of the trial range in turn: the caller and forked
-    child processes, whose counts are summed. The caller runs every chunk
-    itself where os.fork is missing or another thread is alive. The result
-    is bitwise identical for any stream count because every trial owns its
-    counters.
+    there, N where the switch failed. plan.n_streams workers, at most one
+    per CPU this process may run on, take runs of chunks of the trial
+    range in turn: the caller and forked child processes, whose counts are
+    summed. The caller runs every chunk itself where os.fork is missing or
+    another thread is alive. The result is bitwise identical for any
+    stream count because every trial owns its counters, and for any order
+    of the source's entries because the draw reads only the law.
     """
     if plan.n_trials == 0:
         return CellWeights.empty()
