@@ -6,7 +6,7 @@ counter. Trial i therefore owns its randomness regardless of scheduling,
 so any partition of the trial range into streams produces bitwise
 identical tallies, and tallies merge as a commutative monoid. Several
 streams run in forked worker processes, which do not share an
-interpreter lock; each sends its counts back through a pipe.
+interpreter lock; each stores its counts in a shared mapping.
 
 A trial hashes one lane, which draws its cell: both sides' switch
 positions and outcomes. The draw is the top 53 bits k = z >> 11 of the
@@ -185,20 +185,18 @@ def _drain(tokens: int) -> None:
         pass
 
 
-def _child_share(tokens: int, out: int, span: int, hi: int, seed: int, tables: _Sampler, mask):
-    """A forked worker: restore the caller's signal mask, write the counts
-    of the chunks it takes into the pipe fd out and exit 0, or drain the
-    token pipe, print the traceback of an error (not of an interrupt) and
-    exit 1. os._exit flushes no stdio buffer inherited from the caller and
-    runs no atexit handler."""
+def _child_share(tokens: int, row, span: int, hi: int, seed: int, tables: _Sampler, mask):
+    """A forked worker: restore the caller's signal mask, store the counts
+    of the chunks it takes in row, its row of the shared mapping, and exit 0,
+    or drain the token pipe, print the traceback of an error (not of an
+    interrupt) and exit 1. os._exit flushes no stdio buffer inherited from
+    the caller and runs no atexit handler."""
     import signal  # loaded by the caller already
 
     status = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        counts = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
-        # N_CELLS * 8 bytes fit in a pipe, so this write does not block.
-        os.write(out, counts.tobytes())
+        row[:] = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
         status = 0
     except BaseException as exc:
         _drain(tokens)
@@ -212,17 +210,20 @@ def _child_share(tokens: int, out: int, span: int, hi: int, seed: int, tables: _
 
 def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     """Cell counts of trials [0, hi), run by the caller and workers - 1
-    forked children, which take runs of chunks from one token pipe in turn.
+    forked children, which take runs of chunks from one token pipe in turn
+    and store their counts in rows of one shared mapping, the caller's first.
 
-    Every child is reaped and every pipe closed before this returns or
+    Every child is reaped and the token pipe closed before this returns or
     raises, also when the caller's own share raises or SIGINT arrives.
     """
-    import signal  # only the fork path pays for this import
+    import mmap  # only the fork path pays for these imports
+    import signal
 
+    rows = np.frombuffer(mmap.mmap(-1, workers * N_CELLS * 8), np.int64).reshape(workers, N_CELLS)
     chunks = -(-hi // _CHUNK)
     span = -(-chunks // _MAX_TOKENS) * _CHUNK
     tokens, token_w = os.pipe()
-    fds, pids = [tokens], []  # fds[1:] are the children's counts pipes
+    pids = []
     try:
         try:
             starts = range(0, hi, span)
@@ -230,45 +231,34 @@ def _forked_counts(workers: int, hi: int, seed: int, tables: _Sampler) -> np.nda
         finally:
             os.close(token_w)
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the caller's
-        for _ in range(workers - 1):
-            out, out_w = os.pipe()
-            fds.append(out)
+        for row in rows[1:]:
             try:
-                # SIGINT waits from before the fork until pid is kept, and a
-                # warning os.fork gives the caller (Python 3.12 warns where
-                # other OS threads run) is re-issued, and may raise, after that.
+                # SIGINT waits from before the fork until pid is kept. Python
+                # 3.12+ warns where other OS threads run, such as numpy's BLAS
+                # pool; it is ignored: the child runs only numpy and os calls.
                 signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
                     pid = os.fork()
                 if pid == 0:
-                    _child_share(tokens, out_w, span, hi, seed, tables, mask)
+                    _child_share(tokens, row, span, hi, seed, tables, mask)
                 pids.append(pid)
             finally:
-                os.close(out_w)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         # The caller is the first worker.
-        counts = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
-        # A pipe read may return less than it asks for, so each child's pipe
-        # is read to its end, which comes when the child exits: the caller
-        # holds no write end.
-        parts = [b"".join(iter(lambda: os.read(out, counts.nbytes), b"")) for out in fds[1:]]
+        rows[0] = _run_chunks(_token_starts(tokens, span, hi), hi, seed, tables)
     except BaseException:
         _drain(tokens)
         raise
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        for fd in fds:
-            os.close(fd)
-    # A child writes its counts only once it has run its share.
-    for status, part in zip(statuses, parts):
-        if len(part) != counts.nbytes:
+        os.close(tokens)
+    # A child exits 0 only once it has stored its counts.
+    for status in statuses:
+        if status:
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError(f"a Monte Carlo worker process exited with status {code}")
-        counts += np.frombuffer(part, dtype=np.int64)
-    return counts
+    return rows.sum(axis=0)
 
 
 def run_trials(plan: SimulationPlan) -> CellWeights:
@@ -280,11 +270,12 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     uniform setting, and its outcome is the pair state's instruction
     there, N where the switch failed. plan.n_streams workers, at most one
     per CPU this process may run on, take runs of chunks of the trial
-    range in turn: the caller and forked child processes, whose counts are
-    summed. The caller runs every chunk itself where os.fork is missing or
-    another thread is alive. The result is bitwise identical for any
-    stream count because every trial owns its counters, and for any order
-    of the source's entries because the draw reads only the law.
+    range in turn: the caller and forked child processes, which store their
+    counts in shared memory, summed once every child has exited. The
+    caller runs every chunk itself where os.fork is missing or another
+    thread is alive. The result is bitwise identical for any stream count
+    because every trial owns its counters, and for any order of the
+    source's entries because the draw reads only the law.
     """
     if plan.n_trials == 0:
         return CellWeights.empty()

@@ -235,11 +235,11 @@ class TestRunTrials:
         assert capfd.readouterr().err.count("RuntimeError: worker failed") == 2
 
     def test_import_loads_no_executor_or_logging(self):
-        # Nor signal, which only the fork path needs.
+        # Nor mmap or signal, which only the fork path needs.
         code = (
             "import sys, merminsim.montecarlo; "
-            "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'signal',"
-            " 'subprocess'} & set(sys.modules)))"
+            "print(sorted({'concurrent.futures', 'logging', 'mmap', 'multiprocessing',"
+            " 'signal', 'subprocess'} & set(sys.modules)))"
         )
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -314,9 +314,11 @@ class TestWorkerProcesses:
     def test_a_warning_from_fork_leaves_no_child(self, monkeypatch):
         # Python 3.12 and later warn in the caller, once the child exists,
         # when other OS threads run; under an "error" filter the warning
-        # raises from os.fork. The child must still be reaped.
+        # would raise from os.fork. It is ignored, and the run gives the
+        # serial tally.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         allow_cpus(monkeypatch, 8)
+        base = run_trials(plan_for("table1_uniform", 20_000, seed=3))
         fork, pids = os.fork, []
 
         def warning_fork():
@@ -330,8 +332,7 @@ class TestWorkerProcesses:
         fds = open_fds()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=2))
+            assert run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=2)) == base
         assert len(pids) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -364,30 +365,53 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize(
         "name, nth",
-        [("pipe", 0), ("pipe", 1), ("pipe", 2), ("write", 0), ("fork", 0), ("fork", 1),
-         ("read", 0), ("read", 1)],
+        [("pipe", 0), ("write", 0), ("fork", 0), ("fork", 1), ("read", 0), ("read", 3)],
     )
     def test_a_failing_os_call_leaves_no_child_or_fd(self, name, nth, monkeypatch):
-        # The caller's nth call of os.name raises: the token pipe (pipe 0)
-        # or the k-th child's counts pipe, the token write, the k-th fork
-        # before its child exists, or the k-th read of the counts pipes.
+        # The caller's nth call of os.name raises: the token pipe, the token
+        # write, the k-th fork before its child exists, or the caller's k-th
+        # token read. The children take tokens only once the caller has
+        # stopped, so the caller reads every token it can.
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         allow_cpus(monkeypatch, 8)
         real, caller, calls = getattr(os, name), os.getpid(), []
 
         def failing(*args):
-            # A counts read asks for N_CELLS * 8 bytes; a token read fewer.
-            if os.getpid() == caller and (name != "read" or args[1] == N_CELLS * 8):
+            # A token read asks for _TOKEN_BYTES bytes; the drain more.
+            if os.getpid() == caller and (name != "read" or args[1] == montecarlo._TOKEN_BYTES):
                 calls.append(args)
                 if len(calls) > nth:
                     raise OSError(f"injected {name} fault")
             return real(*args)
 
         monkeypatch.setattr(os, name, failing)
+        start_last(monkeypatch, lambda: os.getpid() != caller)
         fds = open_fds()
         with pytest.raises(OSError, match="injected"):
             run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3))
         assert len(calls) == nth + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_a_killed_child_is_reported(self, monkeypatch, forks):
+        # A child that dies before it stores its counts leaves its row of
+        # zeros; its exit status, not the row, marks the run as failed.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+        run_chunks = montecarlo._run_chunks
+        caller = os.getpid()
+
+        def killed(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_chunks(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", killed)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="exited with status -9"):
+            run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3))
+        assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
@@ -424,21 +448,6 @@ class TestWorkerProcesses:
         assert (log.stat().st_size if log.exists() else 0) < 2500
         if children_last:
             assert not log.exists()
-
-    def test_short_counts_reads_give_the_serial_tally(self, monkeypatch, forks):
-        # A pipe read may return less than asked: here at most 512 bytes,
-        # macOS's PIPE_BUF, of each child's 1152 bytes of counts.
-        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-        allow_cpus(monkeypatch, 8)
-        base = run_trials(plan_for("table1_uniform", 20_000, seed=3))
-        read = os.read
-        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 512)))
-        fds = open_fds()
-        assert run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3)) == base
-        assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert open_fds() == fds
 
     def test_a_child_flushes_no_inherited_stdout(self):
         # Unflushed text in the caller's stdout buffer is written once, by
