@@ -365,7 +365,8 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize(
         "name, nth",
-        [("pipe", 0), ("write", 0), ("fork", 0), ("fork", 1), ("read", 0), ("read", 3)],
+        [("pipe", 0), ("write", 0), ("fork", 0), ("fork", 1), ("read", 0), ("read", 1),
+         ("read", 3)],
     )
     def test_a_failing_os_call_leaves_no_child_or_fd(self, name, nth, monkeypatch):
         # The caller's nth call of os.name raises: the token pipe, the token
@@ -392,6 +393,23 @@ class TestWorkerProcesses:
         assert len(calls) == nth + 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_a_failing_shared_mapping_leaves_no_child_or_fd(self, monkeypatch, forks):
+        # mmap raises, as on ENOMEM, before the token pipe or any child exists.
+        import mmap
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        allow_cpus(monkeypatch, 8)
+
+        def failing(*args):
+            raise OSError("injected mmap fault")
+
+        monkeypatch.setattr(mmap, "mmap", failing)
+        fds = open_fds()
+        with pytest.raises(OSError, match="injected"):
+            run_trials(plan_for("table1_uniform", 20_000, seed=3, streams=3))
+        assert forks == []
         assert open_fds() == fds
 
     def test_a_killed_child_is_reported(self, monkeypatch, forks):
