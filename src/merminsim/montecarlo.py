@@ -62,6 +62,10 @@ _ONE = 1 << 53
 # 10.2 against 10.8 and 10.3, and 10.4 against 10.9 and 10.5.
 _CHUNK = 1 << 15
 
+# Bytes in a cache line. numpy takes a large buffer from a fresh mmap,
+# which starts 16 bytes past a page boundary, and so off every line.
+_LINE = 64
+
 # Workers take runs of chunks from one pipe of 8-byte start tokens. The
 # caller writes them all before the first fork; 512 tokens are 4096 bytes,
 # the least capacity of a pipe, so that write never blocks.
@@ -143,18 +147,29 @@ def _guided_draw(y, table: _Sampler, out, t, h) -> np.ndarray:
     return out
 
 
+def _aligned_empty(size: int, dtype) -> np.ndarray:
+    """An uninitialised array of size elements of dtype that starts on a
+    cache line: a slice of one allocation _LINE bytes longer."""
+    nbytes = size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + _LINE, dtype=np.uint8)
+    skip = -raw.ctypes.data % _LINE
+    return raw[skip : skip + nbytes].view(dtype)
+
+
 def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     """Cell counts of the trials [start, min(start + _CHUNK, hi)) for each
     start of the iterable starts.
 
     Forked workers read their starts from one token pipe, so a worker that
-    gets less CPU takes fewer chunks instead of holding up the run.
+    gets less CPU takes fewer chunks instead of holding up the run. Every
+    per-pass buffer starts on a cache line, so no vector load or store of
+    the in-place passes splits across two lines.
     """
     size = min(_CHUNK, hi)
     u64 = np.uint64
-    stride = np.arange(size, dtype=u64) * u64(_LANES * _GAMMA & _MASK64)
-    z_buf, tmp, cells = (np.empty(size, dtype=dt) for dt in (u64, u64, np.int16))
-    hit = np.empty(size, dtype=bool)
+    stride = _aligned_empty(size, u64)
+    np.multiply(np.arange(size, dtype=u64), u64(_LANES * _GAMMA & _MASK64), out=stride)
+    z_buf, tmp, cells, hit = (_aligned_empty(size, dt) for dt in (u64, u64, np.int16, bool))
     counts = np.zeros(N_CELLS, dtype=np.int64)
 
     for start in starts:

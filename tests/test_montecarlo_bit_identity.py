@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merminsim import montecarlo
 from merminsim.exact import enumerate_joint
 from merminsim.model import (
     ALL_INSTRUCTION_SETS,
@@ -35,9 +36,11 @@ from merminsim.montecarlo import (
     MAX_TRIALS,
     _CHUNK,
     _GUIDE_BITS,
+    SimulationPlan,
     _guided_draw,
     _run_chunks,
     _sampler_tables,
+    run_trials,
 )
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -298,3 +301,60 @@ def test_sampled_law_is_within_144_steps_of_the_oracle(source, p_a, p_b):
     l1 = sum(abs(Fraction(w, ONE) - Fraction(x, exact.total))
              for w, x in zip(law, exact.weights))
     assert l1 < Fraction(N_CELLS, ONE)
+
+
+LINE = 64
+
+
+def off_line_empty(empty):
+    """np.empty whose data starts 16 bytes past a cache line, where a
+    fresh mmap puts numpy's large buffers."""
+
+    def wrapped(shape, dtype=float, *args, **kwargs):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        raw = empty(nbytes + 2 * LINE, dtype=np.uint8)
+        skip = (16 - raw.ctypes.data) % LINE
+        return raw[skip : skip + nbytes].view(dtype).reshape(shape)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("hi", [2 * _CHUNK + 4321, 1000])
+def test_every_pass_runs_on_whole_cache_lines(hi, monkeypatch):
+    # A vector load or store that straddles two lines costs twice; fresh
+    # CLI processes paid about a fifth of their kernel time for it. Both a
+    # full chunk and a short first pass, sized by hi, must start on a line,
+    # and the tally must not see where the buffers lie.
+    config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
+    tables = _sampler_tables(config)
+    starts = range(0, hi, _CHUNK)
+    expected = _run_chunks(starts, hi, 11, tables)
+    offsets = []
+
+    def recorded(y, table, out, t, h):
+        offsets.extend(a.ctypes.data % LINE for a in (y, out, t, h))
+        return _guided_draw(y, table, out, t, h)
+
+    monkeypatch.setattr(montecarlo.np, "empty", off_line_empty(np.empty))
+    monkeypatch.setattr(montecarlo, "_guided_draw", recorded)
+    assert np.empty(_CHUNK, dtype=U64).ctypes.data % LINE == 16
+    got = _run_chunks(starts, hi, 11, tables)
+    assert offsets == [0] * 4 * len(starts)
+    assert np.array_equal(got, expected)
+
+
+def test_a_run_keeps_to_the_chunks_cache_budget():
+    # _CHUNK sizes the per-pass buffers to fit one core's L2: 27 bytes a
+    # trial, 0.88 MB, beside the 32 KB guide. Aligning them costs 64
+    # bytes a buffer, not a copy.
+    config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
+    plan = SimulationPlan(config, 1 << 20, 5)
+    run_trials(plan)  # the law's caches on the source are built once
+    tracemalloc.start()
+    try:
+        run_trials(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1 << 20)
