@@ -55,11 +55,13 @@ _ONE = 1 << 53
 
 # Trials per pass. The per-pass buffers (27 bytes a trial, about 0.88 MB)
 # and the 32 KB guide fit one core's 2 MB L2 on a 2-vCPU Xeon VM. There,
-# in 21 interleaved runs of 4 * 10^6 trials in one process, table1_uniform
-# took a median 6.8 ns/trial, against 7.3 at 1 << 14 and 7.5 at 1 << 16
-# (each faster in 1 of 21 runs); the dense 729-state source took 7.0,
-# against 7.6 and 7.5 (faster in 0 of 21). A repeat on a busier box read
-# 10.2 against 10.8 and 10.3, and 10.4 against 10.9 and 10.5.
+# in 21 interleaved fresh processes, each timing its first run of 10^7
+# trials on line-aligned buffers, table1_uniform took a median 54.5 ms,
+# against 57.5 at 1 << 14 and 57.6 at 1 << 16 (1 << 15 faster in 18 of 21
+# runs against each); the dense 729-state source took 54.6, against 59.3
+# and 58.1 (faster in 19 and 18 of 21). Warm loops in one process hide a
+# misaligned buffer: once a first run frees its buffers, the heap serves
+# later ones at other offsets, so time kernels in fresh processes.
 _CHUNK = 1 << 15
 
 # Bytes in a cache line. numpy takes a large buffer from a fresh mmap,
