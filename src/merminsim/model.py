@@ -100,36 +100,26 @@ WeightLike = Union[Fraction, int, float, str]
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
 
 
-def _plain_ratio(weight: object) -> Union[tuple[int, int], None]:
-    """The reduced (numerator, denominator) of a weight given as plain
-    "digits/digits" text (both parts str.isdecimal, as Fraction's \\d reads
-    them); None for any other weight, and for plain text with a zero
-    denominator or a part past the int digit limit."""
-    if not isinstance(weight, str):
-        return None
-    num, _, den = weight.partition("/")
-    if not (num.isdecimal() and den.isdecimal()):
-        return None
-    try:
-        numerator, denominator = int(num), int(den)
-    except ValueError:
-        return None
-    if not denominator:
-        return None
-    divisor = math.gcd(numerator, denominator)
-    return numerator // divisor, denominator // divisor
-
-
 def parse_rational(text: str) -> Fraction:
     """Exact Fraction of a decimal ("0.25", "1e-3") or "num/den" string.
 
     Fraction builds 10^exponent in full, so a decimal exponent beyond the
     digit limit Python puts on int() strings (4300 by default) is refused
     before parsing: "1e999999999" would otherwise run for hours.
+
+    Plain "digits/digits" text (both parts str.isdecimal, as Fraction's \\d
+    reads them), the form of most config weights, is read as two ints:
+    that skips Fraction's regex match, which costs about as much again as
+    the ints and their gcd. A part past the digit limit or a zero
+    denominator falls through to Fraction(text), which gives the same
+    diagnostic as for any other text.
     """
-    pair = _plain_ratio(text)
-    if pair is not None:
-        return Fraction(*pair)
+    num, _, den = text.partition("/")
+    if num.isdecimal() and den.isdecimal():
+        try:
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            pass
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     exponent = _EXPONENT.search(text)
     digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
@@ -149,6 +139,8 @@ def as_fraction(value: WeightLike) -> Fraction:
     Floats go through their shortest decimal representation, so 0.1 means
     exactly 1/10. Strings accept both "0.25" and "num/den" forms.
     """
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -157,8 +149,6 @@ def as_fraction(value: WeightLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return parse_rational(repr(value))
-    if isinstance(value, str):
-        return parse_rational(value)
     raise ConfigurationError(f"cannot interpret {value!r} as a rational")
 
 
@@ -173,33 +163,22 @@ class SourceDistribution:
     or repeated state, entries[i].weight for a bad or negative weight, and
     entries for a list that is empty or does not sum to 1 (within
     WEIGHT_SUM_TOLERANCE). Building it also computes state_masses, the
-    integer masses the sum is checked on. A weight given as plain
-    "digits/digits" text is read as two ints, reduced by their gcd, which
-    go straight into state_masses; its Fraction is built once from the
-    reduced pair. Every other weight is read by as_fraction.
+    integer masses the sum is checked on.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self) -> None:
         entries = []
-        numerators = []
-        denominators = []
         seen: set[str] = set()
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
                 state = _state_text(state)
                 field = "weight"
-                pair = _plain_ratio(weight)
-                if pair is None:
-                    weight = as_fraction(weight)
-                    numerator, denominator = weight.numerator, weight.denominator
-                    if numerator < 0:
-                        raise ConfigurationError(f"has negative weight {weight}")
-                else:
-                    numerator, denominator = pair
-                    weight = Fraction(numerator, denominator)
+                weight = as_fraction(weight)
+                if weight.numerator < 0:
+                    raise ConfigurationError(f"has negative weight {weight}")
                 field = "state"
                 if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")
@@ -207,12 +186,10 @@ class SourceDistribution:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
             seen.add(state)
             entries.append((state, weight))
-            numerators.append(numerator)
-            denominators.append(denominator)
         if not entries:
             raise ConfigurationError("entries: has no entries")
-        denominator = math.lcm(*denominators)
-        masses = tuple(n * (denominator // d) for n, d in zip(numerators, denominators))
+        denominator = math.lcm(*(w.denominator for _, w in entries))
+        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
         total = sum(masses)
         weight_sum = Fraction(total, denominator)
         if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:

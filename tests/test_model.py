@@ -316,9 +316,8 @@ class TestParseRational:
 
 def reference_source(pairs):
     """(entries, state_masses) of a source, or its diagnostic text, with
-    every weight coerced by as_fraction before anything else reads it:
-    how SourceDistribution read weights before plain "num/den" text was
-    read as two ints."""
+    every weight coerced by as_fraction before anything else reads it,
+    written out apart from SourceDistribution as the spec it must meet."""
     entries = []
     seen = set()
     for index, (state, weight) in enumerate(pairs):
