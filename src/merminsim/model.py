@@ -133,6 +133,24 @@ def parse_rational(text: str) -> Fraction:
         raise ConfigurationError(f"cannot parse {text!r} as a rational") from None
 
 
+def exact_bit_bound() -> int:
+    """The most bits a source's common denominator, and each failure
+    probability's denominator, may have: 4758 at the int digit limit of
+    4300 digits, read as parse_rational reads it.
+
+    Every exact field that enumerate and verify render is a ratio of sums
+    of joint masses (model.joint_masses), reduced. So its numerator and
+    denominator stay below 9 times the joint total, 9 * 9 * total *
+    den(p_a) * den(p_b), and the source's total is under twice its common
+    denominator. Three denominators of this many bits keep that product
+    under 2^(3 bound + 8) <= 10^limit, so each part renders in at most
+    limit digits and reads back through int().
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # 3321928 / 10^6 is just under log2(10).
+    return (limit * 3321928 // 10**6 - 8) // 3
+
+
 def as_fraction(value: WeightLike) -> Fraction:
     """Coerce a probability-like value to an exact Fraction.
 
@@ -162,8 +180,11 @@ class SourceDistribution:
     ConfigurationError names the field at fault: entries[i].state for a bad
     or repeated state, entries[i].weight for a bad or negative weight, and
     entries for a list that is empty or does not sum to 1 (within
-    WEIGHT_SUM_TOLERANCE). Building it also computes state_masses, the
-    integer masses the sum is checked on.
+    WEIGHT_SUM_TOLERANCE), or whose weights' common denominator has more
+    than exact_bit_bound() bits; that is checked entry by entry, so a
+    source past the bound is refused at its first entry past it. Building
+    it also computes state_masses, the integer masses the sum is checked
+    on.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
@@ -171,6 +192,8 @@ class SourceDistribution:
     def __post_init__(self) -> None:
         entries = []
         seen: set[str] = set()
+        bound = exact_bit_bound()
+        denominator = 1
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
@@ -184,11 +207,17 @@ class SourceDistribution:
                     raise ConfigurationError(f"duplicates state {state}")
             except ConfigurationError as exc:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
+            if denominator % weight.denominator:
+                denominator = math.lcm(denominator, weight.denominator)
+                if denominator.bit_length() > bound:
+                    raise ConfigurationError(
+                        f"entries: the weights' common denominator has more than {bound} "
+                        f"bits at entries[{index}], the bound on exact input"
+                    )
             seen.add(state)
             entries.append((state, weight))
         if not entries:
             raise ConfigurationError("entries: has no entries")
-        denominator = math.lcm(*(w.denominator for _, w in entries))
         masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
         total = sum(masses)
         weight_sum = Fraction(total, denominator)
@@ -250,13 +279,19 @@ class DetectorModel:
     With probability failure_probability the switch lands on position 0
     and the detector cannot flash; otherwise each of the three settings
     is selected with probability (1 - p) / 3. switch_masses states this
-    law in integers, and the oracle and the sampler both read it.
+    law in integers, and the oracle and the sampler both read it. The
+    denominator of p has at most exact_bit_bound() bits.
     """
 
     failure_probability: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         p = as_fraction(self.failure_probability)
+        bound = exact_bit_bound()
+        if p.denominator.bit_length() > bound:
+            raise ConfigurationError(
+                f"denominator has more than {bound} bits, the bound on exact input"
+            )
         if not 0 <= p <= 1:
             raise ConfigurationError(f"failure probability {p} outside [0, 1]")
         object.__setattr__(self, "failure_probability", p)

@@ -3,8 +3,13 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import random
+import re
+import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +25,7 @@ from merminsim.cli import (
     load_config,
     main,
 )
-from merminsim.model import ConfigurationError
+from merminsim.model import ALL_INSTRUCTION_SETS, ConfigurationError, exact_bit_bound
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -540,6 +545,100 @@ class TestConfigFieldErrors:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: --grid: no values given\n"
         assert not (tmp_path / "out").exists()
+
+
+ALL_STATES = [f"{a}-{b}" for a, b in itertools.product(ALL_INSTRUCTION_SETS, repeat=2)]
+
+
+def tiny_weights_source(count, digits, seed):
+    """One pair state at weight 1 and count more at "1/d", each d a random
+    number of the given digits: every weight reads, and the weights sum to
+    1 within the tolerance, but their common denominator is about the
+    product of the d's."""
+    rng = random.Random(seed)
+    entries = [{"state": ALL_STATES[0], "weight": 1}]
+    entries += [
+        {"state": state, "weight": f"1/{rng.randrange(10 ** (digits - 1), 10 ** digits)}"}
+        for state in ALL_STATES[1 : count + 1]
+    ]
+    return {"entries": entries}
+
+
+def random_denominator(rng, bits):
+    return rng.getrandbits(bits) | 1 << (bits - 1) | 1
+
+
+def source_of_bits(bits, seed):
+    """All 729 pair states at weights k/d, the k's random cuts of d, a
+    random odd number of the given bits: the weights' common denominator
+    is d."""
+    rng = random.Random(seed)
+    d = random_denominator(rng, bits)
+    cuts = sorted(rng.randrange(1, d) for _ in ALL_STATES[1:])
+    ks = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+    return {"entries": [{"state": s, "weight": f"{k}/{d}"} for s, k in zip(ALL_STATES, ks)]}
+
+
+def detector_of_bits(bits, seed):
+    rng = random.Random(seed)
+    return {"failure_probability": f"{rng.getrandbits(bits - 1)}/{random_denominator(rng, bits)}"}
+
+
+class TestExactInputBound:
+    # Each source below passed the loader before the bound. The first two
+    # ended enumerate and verify in a traceback, as an exact field's
+    # numerator passed the digit limit of str(int); enumerate ran past
+    # 120 s on the third.
+    PAST = [(50, 400, 4), (200, 1000, 2), (728, 4000, 1)]
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    @pytest.mark.parametrize("count, digits, index", PAST, ids=[f"{c}x{d}" for c, d, _ in PAST])
+    def test_source_past_the_bound_exits_2_fast(
+        self, tmp_path, capsys, command, count, digits, index
+    ):
+        cfg = write_config(tmp_path, source=tiny_weights_source(count, digits, seed=digits))
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: source.entries: the weights' common denominator has more "
+            f"than {exact_bit_bound()} bits at entries[{index}], the bound on exact input\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["detector_a", "detector_b"])
+    def test_failure_probability_past_the_bound_exits_2(self, tmp_path, capsys, side):
+        cfg = write_config(tmp_path, **{side: detector_of_bits(exact_bit_bound() + 1, seed=5)})
+        assert main(["enumerate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: {side}.failure_probability: denominator has more than "
+            f"{exact_bit_bound()} bits, the bound on exact input\n"
+        )
+
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+    def test_input_at_the_bound_renders_every_exact_field(self, tmp_path, capsys, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            bits = exact_bit_bound()
+            cfg = write_config(
+                tmp_path,
+                source=source_of_bits(bits, seed=4),
+                detector_a=detector_of_bits(bits, seed=6),
+                detector_b=detector_of_bits(bits, seed=7),
+                seed=3,
+            )
+            for command in ("enumerate", "verify"):
+                out = tmp_path / command
+                assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+                text = next(out.glob("*.json")).read_text()
+                parts = re.findall(r'"(\d+)/(\d+)"', text)
+                longest = max(len(part) for pair in parts for part in pair)
+                # The bound leaves under 1% of the limit unused.
+                assert 0.99 * limit < longest <= limit
+        finally:
+            sys.set_int_max_str_digits(saved)
+        capsys.readouterr()
 
 
 class TestUnprintableConfigPath:

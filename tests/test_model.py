@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from merminsim.model import (
     _state_text,
     as_fraction,
     builtin_distribution,
+    exact_bit_bound,
     parse_rational,
     statistic_sums,
 )
@@ -254,6 +256,41 @@ class TestDetectorAndConfig:
             DetectorModel(Fraction(3, 2))
         with pytest.raises(ConfigurationError):
             DetectorModel(-0.1)
+
+
+class TestExactBitBound:
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_is_the_largest_bound_under_the_digit_limit(self, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            bound = exact_bit_bound()
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert 2 ** (3 * bound + 8) <= 10**limit < 2 ** (3 * (bound + 1) + 8)
+
+    def test_source_is_refused_at_the_first_entry_past_the_bound(self):
+        bound = exact_bit_bound()
+        at = 2**bound - 1
+        source = SourceDistribution([("GGR-GGR", Fraction(1, at)), ("RRG-RRG", 1 - Fraction(1, at))])
+        assert source.state_masses == ((1, at - 1), at)
+        past = [("GGR-GGR", "1/2"), ("RRG-RRG", 1 - Fraction(1, 2) - Fraction(1, 2**bound)),
+                ("GRG-GRG", Fraction(1, 2**bound)), ("GGG-GGG", "x")]
+        with pytest.raises(ConfigurationError) as info:
+            SourceDistribution(past)
+        assert str(info.value) == (
+            f"entries: the weights' common denominator has more than {bound} bits at "
+            "entries[1], the bound on exact input"
+        )
+
+    def test_failure_probability_is_refused_past_the_bound(self):
+        bound = exact_bit_bound()
+        DetectorModel(Fraction(1, 2**bound - 1))
+        with pytest.raises(ConfigurationError, match=f"^denominator has more than {bound} bits"):
+            DetectorModel(Fraction(1, 2**bound))
+        # Refused before its range is checked, which would render it.
+        with pytest.raises(ConfigurationError, match="^denominator"):
+            DetectorModel(Fraction(-1, 10**4300))
 
 
 # Digit runs with underscores and leading zeros, some in non-ASCII digits:
