@@ -30,19 +30,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import CellWeights, ExperimentConfig, N_CELLS, joint_masses
+from .model import CellWeights, ConfigurationError, ExperimentConfig, N_CELLS, joint_masses
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Recorded in run manifests. Scheme 4 drew the joint code 16 * state +
-# switch pair from 16 K parts, in the source's entry order, and folded it
-# into cells; scheme 3 drew the state and the switch pair from two lanes
-# through two guides; scheme 2 drew each side's switch digit from its own
-# lane and the state through float64 cumulative weights; scheme 1 hashed
-# a failure and a setting lane per side.
+# Recorded in run manifests: scheme 5 draws each trial's cell from one
+# lane, through one exact partition of the draws into the 144 cells of
+# model.joint_masses.
 RNG_SCHEME = 5
 
 # Counter stride per trial. Lane 0 draws the cell; lanes 1-7 are reserved
@@ -93,11 +90,11 @@ class SimulationPlan:
 
     def __post_init__(self) -> None:
         if self.n_trials < 0:
-            raise ValueError("n_trials must be >= 0")
+            raise ConfigurationError("n_trials must be >= 0")
         if self.n_trials >= MAX_TRIALS:
-            raise ValueError(f"n_trials must be below 2^60, got {self.n_trials}")
+            raise ConfigurationError(f"n_trials must be below 2^60, got {self.n_trials}")
         if self.n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
+            raise ConfigurationError("n_streams must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .model import STATISTICS, CaseStats, CellWeights, statistic_sums
+from .model import STATISTICS, CaseStats, CellWeights, ConfigurationError, statistic_sums
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 Z_95 = 1.959963984540054
@@ -138,8 +138,9 @@ def compare(
     equal (the only way to pass at zero variance). Fields undefined on
     both sides are skipped; one-sided definition is a failure.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    # An infinite threshold passes every row that has a finite z.
+    if not 0 < threshold < math.inf:
+        raise ConfigurationError(f"threshold must be positive and finite, got {threshold}")
     rows = (
         _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
         for stat in STATISTICS

@@ -18,6 +18,7 @@ from merminsim import montecarlo
 from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.model import (
     CellWeights,
+    ConfigurationError,
     DetectorModel,
     ExperimentConfig,
     FAILURE,
@@ -270,11 +271,11 @@ class TestRunTrials:
 
     def test_plan_validation(self):
         cfg = config_for("table1_uniform")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SimulationPlan(cfg, -1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SimulationPlan(cfg, 10, seed=0, n_streams=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SimulationPlan(cfg, 1 << 61, seed=0)
 
 

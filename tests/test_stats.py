@@ -8,15 +8,18 @@ from merminsim.model import (
     ALL_SETTING_PAIRS,
     CaseStats,
     CellWeights,
+    ConfigurationError,
     ExperimentConfig,
     SETTINGS,
     builtin_distribution,
 )
+from merminsim.exact import conditional_stats, enumerate_joint
 from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import (
     Estimate,
     chi_square_tail_dof8,
     compare,
+    estimate_stats,
     settings_independence_test,
 )
 
@@ -132,6 +135,17 @@ class TestCompare:
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
         with pytest.raises(ValueError, match="threshold must be positive"):
             compare(exact, est, threshold=float("nan"))
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf])
+    def test_infinite_threshold_is_refused(self, threshold):
+        # abs(z) <= inf holds for every finite z: at inf a 100-trial tally
+        # that fails at 1e-9 would pass.
+        config = ExperimentConfig(builtin_distribution("table1_uniform"))
+        exact = conditional_stats(enumerate_joint(config))
+        est = estimate_stats(run_trials(SimulationPlan(config, n_trials=100, seed=1)))
+        assert not all(row.passed for row in compare(exact, est, threshold=1e-9))
+        with pytest.raises(ConfigurationError, match=f"must be positive and finite, got {threshold}"):
+            compare(exact, est, threshold=threshold)
 
     def test_covers_all_seventeen_fields(self):
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
