@@ -191,36 +191,39 @@ class SourceDistribution:
 
     def __post_init__(self) -> None:
         entries = []
+        ratios = []
         seen: set[str] = set()
         bound = exact_bit_bound()
-        denominator = 1
+        common = 1
         for index, (state, weight) in enumerate(self.entries):
             field = "state"
             try:
                 state = _state_text(state)
                 field = "weight"
                 weight = as_fraction(weight)
-                if weight.numerator < 0:
+                numerator, denominator = weight.as_integer_ratio()
+                if numerator < 0:
                     raise ConfigurationError(f"has negative weight {weight}")
                 field = "state"
                 if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")
             except ConfigurationError as exc:
                 raise ConfigurationError(f"entries[{index}].{field}: {exc}") from None
-            if denominator % weight.denominator:
-                denominator = math.lcm(denominator, weight.denominator)
-                if denominator.bit_length() > bound:
+            if common % denominator:
+                common = math.lcm(common, denominator)
+                if common.bit_length() > bound:
                     raise ConfigurationError(
                         f"entries: the weights' common denominator has more than {bound} "
                         f"bits at entries[{index}], the bound on exact input"
                     )
             seen.add(state)
             entries.append((state, weight))
+            ratios.append((numerator, denominator))
         if not entries:
             raise ConfigurationError("entries: has no entries")
-        masses = tuple(w.numerator * (denominator // w.denominator) for _, w in entries)
+        masses = tuple(n * (common // d) for n, d in ratios)
         total = sum(masses)
-        weight_sum = Fraction(total, denominator)
+        weight_sum = Fraction(total, common)
         if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:
             raise ConfigurationError(
                 f"entries: weights sum to {weight_sum} (~{float(weight_sum):.12g}), expected 1"
