@@ -100,6 +100,12 @@ WeightLike = Union[Fraction, int, float, str]
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
 
 
+def _digit_limit() -> int:
+    """The digit limit Python puts on int() strings; 0, no limit, reads as
+    the default of 4300."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact Fraction of a decimal ("0.25", "1e-3") or "num/den" string.
 
@@ -120,7 +126,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             pass
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     exponent = _EXPONENT.search(text)
     digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > len(str(limit)) or int(digits or 0) > limit:
@@ -135,8 +141,8 @@ def parse_rational(text: str) -> Fraction:
 
 def exact_bit_bound() -> int:
     """The most bits a source's common denominator, and each failure
-    probability's denominator, may have: 4758 at the int digit limit of
-    4300 digits, read as parse_rational reads it.
+    probability's denominator, may have: 4758 at the default int digit
+    limit of 4300 digits.
 
     Every exact field that enumerate and verify render is a ratio of sums
     of joint masses (model.joint_masses), reduced. So its numerator and
@@ -146,9 +152,8 @@ def exact_bit_bound() -> int:
     under 2^(3 bound + 8) <= 10^limit, so each part renders in at most
     limit digits and reads back through int().
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     # 3321928 / 10^6 is just under log2(10).
-    return (limit * 3321928 // 10**6 - 8) // 3
+    return (_digit_limit() * 3321928 // 10**6 - 8) // 3
 
 
 def as_fraction(value: WeightLike) -> Fraction:
