@@ -597,8 +597,9 @@ class TestExactInputBound:
         self, tmp_path, capsys, command, count, digits, index
     ):
         cfg = write_config(tmp_path, source=tiny_weights_source(count, digits, seed=digits))
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
         start = time.perf_counter()
-        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert main(argv) == EXIT_CONFIG
         assert time.perf_counter() - start < 10
         assert capsys.readouterr().err == (
             f"config error: {cfg}: source.entries: the weights' common denominator has more "
@@ -609,7 +610,8 @@ class TestExactInputBound:
     @pytest.mark.parametrize("side", ["detector_a", "detector_b"])
     def test_failure_probability_past_the_bound_exits_2(self, tmp_path, capsys, side):
         cfg = write_config(tmp_path, **{side: detector_of_bits(exact_bit_bound() + 1, seed=5)})
-        assert main(["enumerate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        argv = ["enumerate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: {cfg}: {side}.failure_probability: denominator has more than "
             f"{exact_bit_bound()} bits, the bound on exact input\n"

@@ -272,7 +272,8 @@ class TestExactBitBound:
     def test_source_is_refused_at_the_first_entry_past_the_bound(self):
         bound = exact_bit_bound()
         at = 2**bound - 1
-        source = SourceDistribution([("GGR-GGR", Fraction(1, at)), ("RRG-RRG", 1 - Fraction(1, at))])
+        weight = Fraction(1, at)
+        source = SourceDistribution([("GGR-GGR", weight), ("RRG-RRG", 1 - weight)])
         assert source.state_masses == ((1, at - 1), at)
         past = [("GGR-GGR", "1/2"), ("RRG-RRG", 1 - Fraction(1, 2) - Fraction(1, 2**bound)),
                 ("GRG-GRG", Fraction(1, 2**bound)), ("GGG-GGG", "x")]

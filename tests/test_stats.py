@@ -144,7 +144,7 @@ class TestCompare:
         exact = conditional_stats(enumerate_joint(config))
         est = estimate_stats(run_trials(SimulationPlan(config, n_trials=100, seed=1)))
         assert not all(row.passed for row in compare(exact, est, threshold=1e-9))
-        with pytest.raises(ConfigurationError, match=f"must be positive and finite, got {threshold}"):
+        with pytest.raises(ConfigurationError, match=f"positive and finite, got {threshold}"):
             compare(exact, est, threshold=threshold)
 
     def test_covers_all_seventeen_fields(self):
