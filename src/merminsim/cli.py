@@ -259,11 +259,11 @@ def _estimate_json(est) -> dict:
 
 
 def _stats_json(stats, field_json: Callable[[Any], dict]) -> dict:
-    """One JSON entry per declared statistic of a CaseStats;
+    """One JSON entry per declared statistic of stats, a dict by label;
     coincidence rates nest under their name, keyed by setting digits."""
     out: dict = {}
     for stat in STATISTICS:
-        value = field_json(stat.read(stats))
+        value = field_json(stats[stat.label])
         if stat.key is None:
             out[stat.name] = value
         else:
@@ -286,7 +286,7 @@ def _estimate_cells(est) -> str:
 def _print_stats(header: str, stats, cells: Callable[[Any], str]) -> None:
     print(f"{'field':<24}{header}")
     for stat in STATISTICS:
-        print(f"{stat.label:<24}{cells(stat.read(stats))}")
+        print(f"{stat.label:<24}{cells(stats[stat.label])}")
 
 
 _CELL_COLUMNS = ["switch_a", "switch_b", "outcome_a", "outcome_b", "cell"]
@@ -496,20 +496,21 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, "passed": passed, "detail": detail})
         report.update(fields)
 
-    matches = exact.p_same_case_a == TARGET_CASE_A and exact.p_same_case_b == TARGET_CASE_B
+    case_a, case_b = exact["p_same_case_a"], exact["p_same_case_b"]
+    matches = case_a == TARGET_CASE_A and case_b == TARGET_CASE_B
     gap_text = (
         "matches the target device statistics"
         if matches
         else "deviates from the target device statistics (the conundrum gap)"
     )
     print(
-        f"NOTE mermin-target: case-a same-colour = {_frac_str(exact.p_same_case_a) or 'undefined'}, "
-        f"case-b same-colour = {_frac_str(exact.p_same_case_b) or 'undefined'} "
+        f"NOTE mermin-target: case-a same-colour = {_frac_str(case_a) or 'undefined'}, "
+        f"case-b same-colour = {_frac_str(case_b) or 'undefined'} "
         f"vs targets {_frac_str(TARGET_CASE_A)} and {_frac_str(TARGET_CASE_B)}; {gap_text}"
     )
     report["mermin_target"] = {
-        "case_a": _frac_str(exact.p_same_case_a),
-        "case_b": _frac_str(exact.p_same_case_b),
+        "case_a": _frac_str(case_a),
+        "case_b": _frac_str(case_b),
         "target_case_a": _frac_str(TARGET_CASE_A),
         "target_case_b": _frac_str(TARGET_CASE_B),
         "matches": matches,
@@ -537,6 +538,7 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args.grid)
 
     header = "p,eta_a,eta_b,eta_u,p_same_case_a,p_same_case_b,mean_coincidence_rate".split(",")
+    columns = ("eta_a", "eta_b", "eta_u_a", "p_same_case_a", "p_same_case_b")
     classes = failure_class_sums(config.source)
     # The side that is not swept keeps its configured probability.
     keep_a, keep_b = args.parameter == "p_b", args.parameter == "p_a"
@@ -551,11 +553,7 @@ def cmd_scan(args) -> int:
         # scaled by 9, so their mean is the sum of their numerators over it.
         rates = [pair for stat, pair in zip(STATISTICS, sums) if stat.key is not None]
         mean_rate = Fraction(sum(num for num, _ in rates), rates[0][1])
-        row = [
-            _csv_num(value)
-            for value in (p, stats.eta_a, stats.eta_b, stats.eta_u_a, stats.p_same_case_a,
-                          stats.p_same_case_b, mean_rate)
-        ]
+        row = [_csv_num(value) for value in (p, *(stats[name] for name in columns), mean_rate)]
         rows.append(row)
         print(",".join(row))
 

@@ -22,7 +22,6 @@ from typing import Sequence, Union
 from .model import (
     ALL_EIGHT_SETS,
     CASE_B_PAIRS,
-    CaseStats,
     CellWeights,
     ExperimentConfig,
     NO_FLASH,
@@ -54,17 +53,16 @@ def enumerate_joint(config: ExperimentConfig) -> CellWeights:
     return CellWeights(*joint_masses(config.source, p_a, p_b))
 
 
-def stats_of(sums: Sequence[tuple[int, int]]) -> CaseStats[Union[Fraction, None]]:
-    """Exact CaseStats of every statistic's (numerator, denominator) weight
-    sums, in declaration order: scale * numerator / denominator, or None
-    where the denominator is 0."""
-    values = [Fraction(s.scale * n, d) if d else None for s, (n, d) in zip(STATISTICS, sums)]
-    return CaseStats.from_values(values)
+def stats_of(sums: Sequence[tuple[int, int]]) -> dict[str, Union[Fraction, None]]:
+    """Exact value of every statistic by label, in declaration order, from
+    its (numerator, denominator) weight sums: scale * numerator /
+    denominator, or None (never 0) where the denominator is 0."""
+    return {s.label: Fraction(s.scale * n, d) if d else None for s, (n, d) in zip(STATISTICS, sums)}
 
 
-def conditional_stats(table: CellWeights) -> CaseStats[Union[Fraction, None]]:
-    """Exact CaseStats of cell weights, a law or a tally: each statistic is
-    scale * numerator / denominator of its declared cell weights."""
+def conditional_stats(table: CellWeights) -> dict[str, Union[Fraction, None]]:
+    """stats_of cell weights, a law or a tally: each statistic is scale *
+    numerator / denominator of its declared cell weights."""
     return stats_of(statistic_sums(table.weights))
 
 
@@ -127,7 +125,7 @@ def _unmoved(per_class: Sequence[tuple[int, int]]) -> bool:
 
 
 def detector_invariance_check(
-    config: ExperimentConfig, stats: CaseStats[Union[Fraction, None]]
+    config: ExperimentConfig, stats: dict[str, Union[Fraction, None]]
 ) -> tuple[str, ...]:
     """The claims of detector invariance that fail on config, given stats,
     conditional_stats(enumerate_joint(config)); empty when all hold.

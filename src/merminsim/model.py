@@ -24,8 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Generic, Mapping, Sequence, TypeVar, Union
+from typing import Sequence, Union
 
 
 class ConfigurationError(ValueError):
@@ -451,11 +450,6 @@ class Statistic:
     def label(self) -> str:
         return self.name if self.key is None else f"{self.name}[{self.key}]"
 
-    def read(self, stats):
-        """This statistic's field of a CaseStats."""
-        value = getattr(stats, self.name)
-        return value if self.key is None else value[self.key]
-
 
 def _mask(test) -> tuple[int, ...]:
     return tuple(i for i, cell in enumerate(CELLS) if test(*cell))
@@ -477,9 +471,12 @@ _SET_B = _mask(lambda swa, swb, oa, ob: swb != FAILURE)
 
 # p_same_case_a / p_same_case_b: same colour among double flashes at equal /
 # different settings. eta = eta_u * eta_f per detector: eta is the flash
-# rate, eta_f the chance the switch selects a setting and eta_u the flash
-# rate given that it does. coincidence_rate: both-flash rate of a setting
-# pair over the 1/9 chance of aiming at it.
+# rate, eta_f = 1 - p the chance the switch selects a setting and eta_u the
+# flash rate given that it does (the instruction there is not N).
+# coincidence_rate: both-flash rate of a setting pair over the 1/9 chance of
+# aiming at it; at any (p_a, p_b) it is (1 - p_a)(1 - p_b) times its value at
+# p = 0, while the case conditionals and eta_u do not move, as
+# exact.detector_invariance_check proves per source. Values go by label.
 STATISTICS: tuple[Statistic, ...] = (
     Statistic("p_same_case_a", _both_flash(CASE_A_PAIRS, True), _both_flash(CASE_A_PAIRS)),
     Statistic("p_same_case_b", _both_flash(CASE_B_PAIRS, True), _both_flash(CASE_B_PAIRS)),
@@ -549,42 +546,3 @@ def statistic_sums(weights: Sequence[int]) -> list[tuple[int, int]]:
     declaration order, from the 144 cell weights in codec order."""
     sums = [sum(read(weights)) for read in _MASK_READS]
     return [(sums[num], sums[den]) for num, den in _SUM_PLACES]
-
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class CaseStats(Generic[T]):
-    """One value per declared statistic, each field as STATISTICS defines
-    it: exact rationals from conditional_stats (CaseStats[Fraction | None])
-    or estimates with errors from estimate_stats (CaseStats[Estimate]).
-
-    eta = eta_u * eta_f per detector, by the masks: eta_f = 1 - p is the
-    apparatus part and eta_u the particle part (the chance the instruction
-    at the selected setting is not N). At every (p_a, p_b) in [0, 1]^2 a
-    coincidence rate is (1 - p_a)(1 - p_b) times its value at p_a = p_b =
-    0, the realized-pair conditional, while the case conditionals and eta_u
-    do not move: exact.detector_invariance_check proves it per source.
-
-    An exact field is None (never zero), and an estimate undefined, when
-    its conditioning event has probability or count zero.
-    """
-
-    p_same_case_a: T
-    p_same_case_b: T
-    eta_a: T
-    eta_b: T
-    eta_u_a: T
-    eta_u_b: T
-    eta_f_a: T
-    eta_f_b: T
-    coincidence_rate: Mapping[str, T]
-
-    @classmethod
-    def from_values(cls, values: Sequence[T]) -> "CaseStats[T]":
-        """The record of one value per statistic in declaration order;
-        coincidence rates map by the key of their setting pair, e.g. "12"."""
-        scalars = {s.name: v for s, v in zip(STATISTICS, values) if s.key is None}
-        rates = {s.key: v for s, v in zip(STATISTICS, values) if s.key is not None}
-        return cls(**scalars, coincidence_rate=MappingProxyType(rates))

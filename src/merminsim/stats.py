@@ -1,6 +1,6 @@
 """Estimates from a tally and the tests that judge them: relative
-frequencies with standard errors and Wilson intervals, the
-exact-vs-simulated comparison (one ComparisonRow per field) and the
+frequencies with standard errors and Wilson intervals, by statistic label,
+the exact-vs-simulated comparison (one ComparisonRow per field) and the
 settings-independence chi-square test on coincidence counts (a dict of
 its five values, or None for a tally with no coincidence). The verdicts
 and their texts are `verify`'s checks, in cli.VERIFY_CHECKS."""
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .model import STATISTICS, CaseStats, CellWeights, ConfigurationError, statistic_sums
+from .model import STATISTICS, CellWeights, ConfigurationError, statistic_sums
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 Z_95 = 1.959963984540054
@@ -77,22 +77,21 @@ def _proportion(successes: int, trials: int, scale: float = 1.0) -> Estimate:
     )
 
 
-def estimate_stats(tally: CellWeights) -> CaseStats[Estimate]:
-    """Relative-frequency estimates of every CaseStats field.
+def estimate_stats(tally: CellWeights) -> dict[str, Estimate]:
+    """Relative-frequency estimate of every statistic by label, in declaration order.
 
     Each statistic is its numerator count over its denominator count, so
-    conditionals are computed over double-flash events only and a field
-    whose conditioning count is zero comes back undefined.
+    conditionals are computed over double-flash events only and a
+    statistic whose conditioning count is zero comes back undefined.
     coincidence_rate estimates use the known 1/9 aiming probability as
     denominator (the scaled estimator 9 k / n), matching the exact
     definition; their standard error and interval are 9 times those of
     k / n, so both the estimate and its interval can exceed 1.
     """
-    values = [
-        _proportion(num, den, stat.scale)
+    return {
+        stat.label: _proportion(num, den, stat.scale)
         for stat, (num, den) in zip(STATISTICS, statistic_sums(tally.weights))
-    ]
-    return CaseStats.from_values(values)
+    }
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,13 @@ def _compare_one(
 
 
 def compare(
-    exact: CaseStats[Union[Fraction, None]],
-    estimated: CaseStats[Estimate],
+    exact: dict[str, Union[Fraction, None]],
+    estimated: dict[str, Estimate],
     threshold: float = 5.0,
 ) -> tuple[ComparisonRow, ...]:
-    """Field-by-field z-score comparison of exact and estimated stats: one
-    row per field, and the comparison passes when every row does.
+    """Field-by-field z-score comparison of exact and estimated stats, by
+    label: one row per field in STATISTICS order, whatever the dicts'
+    order, and the comparison passes when every row does.
 
     A row passes when |z| <= threshold or the two values are exactly
     equal (the only way to pass at zero variance). Fields undefined on
@@ -142,7 +142,7 @@ def compare(
     if not 0 < threshold < math.inf:
         raise ConfigurationError(f"threshold must be positive and finite, got {threshold}")
     rows = (
-        _compare_one(stat.label, stat.read(exact), stat.read(estimated), threshold)
+        _compare_one(stat.label, exact[stat.label], estimated[stat.label], threshold)
         for stat in STATISTICS
     )
     return tuple(row for row in rows if row is not None)

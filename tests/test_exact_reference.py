@@ -124,8 +124,8 @@ def test_joint_table_matches_reference_and_exact_properties(source, p_a, p_b):
 
     stats = conditional_stats(table)
     for eta, eta_u, eta_f in (
-        (stats.eta_a, stats.eta_u_a, stats.eta_f_a),
-        (stats.eta_b, stats.eta_u_b, stats.eta_f_b),
+        (stats["eta_a"], stats["eta_u_a"], stats["eta_f_a"]),
+        (stats["eta_b"], stats["eta_u_b"], stats["eta_f_b"]),
     ):
         if eta_f == 0:
             assert eta == 0 and eta_u is None

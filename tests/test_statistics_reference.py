@@ -121,14 +121,16 @@ def reference_observed(tally):
 
 
 def assert_same_fields(stats, reference):
-    for name in SCALARS:
-        got, want = getattr(stats, name), reference[name]
-        assert type(got) is type(want) and got == want, name
-        assert repr(got) == repr(want), name
-    assert list(stats.coincidence_rate.items()) == list(reference["coincidence_rate"].items())
-    assert repr(list(stats.coincidence_rate.values())) == repr(
-        list(reference["coincidence_rate"].values())
-    )
+    """stats, a dict by label, holds reference's values, whose coincidence
+    rates nest by setting digits: the same labels in the same order, and
+    each value of the same type and repr."""
+    want = {name: reference[name] for name in SCALARS}
+    for key, value in reference["coincidence_rate"].items():
+        want[f"coincidence_rate[{key}]"] = value
+    assert list(stats) == list(want)
+    for label, got in stats.items():
+        assert type(got) is type(want[label]) and got == want[label], label
+        assert repr(got) == repr(want[label]), label
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,19 +1,19 @@
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 
 from merminsim.model import (
-    ALL_SETTING_PAIRS,
-    CaseStats,
     CellWeights,
     ConfigurationError,
+    DetectorModel,
     ExperimentConfig,
     SETTINGS,
+    STATISTICS,
     builtin_distribution,
+    statistic_sums,
 )
-from merminsim.exact import conditional_stats, enumerate_joint
+from merminsim.exact import conditional_stats, enumerate_joint, stats_of
 from merminsim.montecarlo import SimulationPlan, run_trials
 from merminsim.stats import (
     Estimate,
@@ -36,31 +36,11 @@ def undefined_estimate():
 
 
 def make_pair(exact_case_b, est_case_b):
-    """Stats records agreeing exactly everywhere except p_same_case_b."""
-    zero = Fraction(0)
-    exact = CaseStats(
-        p_same_case_a=Fraction(1),
-        p_same_case_b=exact_case_b,
-        eta_a=Fraction(1),
-        eta_b=Fraction(1),
-        eta_u_a=Fraction(1),
-        eta_u_b=Fraction(1),
-        eta_f_a=Fraction(1),
-        eta_f_b=Fraction(1),
-        coincidence_rate=MappingProxyType({f"{a}{b}": zero for a, b in ALL_SETTING_PAIRS}),
-    )
-    one = exact_estimate(1.0)
-    est = CaseStats(
-        p_same_case_a=exact_estimate(1.0),
-        p_same_case_b=est_case_b,
-        eta_a=one,
-        eta_b=one,
-        eta_u_a=one,
-        eta_u_b=one,
-        eta_f_a=one,
-        eta_f_b=one,
-        coincidence_rate={f"{a}{b}": exact_estimate(0.0) for a, b in ALL_SETTING_PAIRS},
-    )
+    """Stats dicts agreeing exactly everywhere except p_same_case_b: each
+    scalar is 1 and each coincidence rate 0."""
+    exact = {stat.label: Fraction(stat.key is None) for stat in STATISTICS}
+    est = {label: exact_estimate(value) for label, value in exact.items()}
+    exact["p_same_case_b"], est["p_same_case_b"] = exact_case_b, est_case_b
     return exact, est
 
 
@@ -150,6 +130,20 @@ class TestCompare:
     def test_covers_all_seventeen_fields(self):
         exact, est = make_pair(Fraction(1), exact_estimate(1.0))
         assert len(compare(exact, est)) == 8 + 9
+
+    def test_rows_follow_the_declaration_not_the_dicts(self):
+        exact, est = make_pair(Fraction(1), exact_estimate(1.0))
+        rows = compare(dict(reversed(exact.items())), dict(reversed(est.items())))
+        assert [row.name for row in rows] == [stat.label for stat in STATISTICS]
+
+
+def test_each_builder_keys_its_values_by_label_in_declaration_order():
+    labels = [stat.label for stat in STATISTICS]
+    config = ExperimentConfig(builtin_distribution("table1_uniform"), DetectorModel(Fraction(1, 5)))
+    table = enumerate_joint(config)
+    assert list(stats_of(statistic_sums(table.weights))) == labels
+    assert list(conditional_stats(table)) == labels
+    assert list(estimate_stats(run_trials(SimulationPlan(config, n_trials=100, seed=1)))) == labels
 
 
 def uniform_coincidence_tally(count_per_cell):
