@@ -31,6 +31,7 @@ from .model import (
     SourceDistribution,
     builtin_distribution,
     parse_rational,
+    shown,
 )
 from .montecarlo import MAX_TRIALS, RNG_SCHEME, SimulationPlan, run_trials
 from .stats import compare, estimate_stats, settings_independence_test
@@ -58,7 +59,8 @@ def _as_int(value: Any, name: str) -> int:
         return value.numerator
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+    text = shown(value, str if isinstance(value, Fraction) else repr)
+    raise ConfigurationError(f"{name}: expected an integer, got {text}")
 
 
 def _quoted(name: str) -> str:
@@ -231,9 +233,11 @@ def _frac_str(value: Union[Fraction, None]) -> Union[str, None]:
 
 
 def _jsonable(obj: Any) -> Any:
-    """Recursively convert Fractions to num/den strings for JSON output."""
+    """Recursively convert Fractions to num/den strings for JSON output;
+    one past the int digit limit, only in a field a flag overrides, is
+    shown by its order of magnitude."""
     if isinstance(obj, Fraction):
-        return _frac_str(obj)
+        return shown(obj, _frac_str)
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -369,9 +373,9 @@ def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
         seed_name = f"{_quoted(args.config)}: seed"
         seed = _as_int(doc.get("seed", DEFAULT_SEED), seed_name)
     if not 0 <= n < MAX_TRIALS:
-        raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {n}")
+        raise ConfigurationError(f"{n_name} must be in [0, 2^60), got {shown(n)}")
     if not 0 <= seed < MAX_SEED:
-        raise ConfigurationError(f"{seed_name} must be in [0, 2^64), got {seed}")
+        raise ConfigurationError(f"{seed_name} must be in [0, 2^64), got {shown(seed)}")
     if args.streams < 1:
         raise ConfigurationError(f"--streams must be >= 1, got {args.streams}")
     return n, seed
@@ -529,7 +533,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise ConfigurationError("--grid: no values given")
     for value in values:
         if not 0 <= value < 1:
-            raise ConfigurationError(f"--grid: value {value} outside [0, 1)")
+            raise ConfigurationError(f"--grid: value {shown(value)} outside [0, 1)")
     return values
 
 

@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 
 class ConfigurationError(ValueError):
@@ -72,12 +72,27 @@ _SIDE_B = {
 _B_SPAN = 9 * 3 + 3
 
 
+def shown(value: object, render: Callable[[object], str] = str) -> str:
+    """render(value) for a diagnostic. A number it cannot render, a part
+    past the int digit limit or a value past the float range, reads as
+    its order of magnitude, like "about 10^4300"; a list or object
+    holding one, as its type."""
+    try:
+        return render(value)
+    except (ValueError, OverflowError):
+        pass
+    if not isinstance(value, (int, Fraction)):
+        return f"a {type(value).__name__} holding a number past the int digit limit"
+    magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+    return f"about {'-' if value < 0 else ''}10^{round(magnitude)}"
+
+
 def _state_text(value: object) -> str:
     """value if it is a pair state's text; otherwise a ConfigurationError
     names the first fault: not text, not two parts joined by "-", a part
     that is not 3 letters, or a letter outside G, R and N."""
     if not isinstance(value, str):
-        raise ConfigurationError(f"expected a pair state, got {value!r}")
+        raise ConfigurationError(f"expected a pair state, got {shown(value, repr)}")
     if value in _PAIR_STATES:
         return value
     parts = value.split("-")
@@ -171,7 +186,7 @@ def as_fraction(value: WeightLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return parse_rational(repr(value))
-    raise ConfigurationError(f"cannot interpret {value!r} as a rational")
+    raise ConfigurationError(f"cannot interpret {shown(value, repr)} as a rational")
 
 
 @dataclass(frozen=True)
@@ -207,7 +222,7 @@ class SourceDistribution:
                 weight = as_fraction(weight)
                 numerator, denominator = weight.as_integer_ratio()
                 if numerator < 0:
-                    raise ConfigurationError(f"has negative weight {weight}")
+                    raise ConfigurationError(f"has negative weight {shown(weight)}")
                 field = "state"
                 if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")
@@ -229,9 +244,8 @@ class SourceDistribution:
         total = sum(masses)
         weight_sum = Fraction(total, common)
         if abs(weight_sum - 1) > WEIGHT_SUM_TOLERANCE:
-            raise ConfigurationError(
-                f"entries: weights sum to {weight_sum} (~{float(weight_sum):.12g}), expected 1"
-            )
+            text = shown(weight_sum, lambda total: f"{total} (~{float(total):.12g})")
+            raise ConfigurationError(f"entries: weights sum to {text}, expected 1")
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "_state_masses", (masses, total))
 
@@ -300,7 +314,7 @@ class DetectorModel:
                 f"denominator has more than {bound} bits, the bound on exact input"
             )
         if not 0 <= p <= 1:
-            raise ConfigurationError(f"failure probability {p} outside [0, 1]")
+            raise ConfigurationError(f"failure probability {shown(p)} outside [0, 1]")
         object.__setattr__(self, "failure_probability", p)
 
 
@@ -395,7 +409,8 @@ def builtin_distribution(name: str, state: object = None) -> SourceDistribution:
             raise ConfigurationError('builtin "single" requires a pair state')
         return SourceDistribution(((_state_text(state), Fraction(1)),))
     raise ConfigurationError(
-        f"unknown builtin distribution {name!r} (expected one of {', '.join(BUILTIN_NAMES)})"
+        f"unknown builtin distribution {shown(name, repr)} "
+        f"(expected one of {', '.join(BUILTIN_NAMES)})"
     )
 
 

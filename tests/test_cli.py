@@ -28,6 +28,11 @@ from merminsim.cli import (
 from merminsim.model import ALL_INSTRUCTION_SETS, ConfigurationError, exact_bit_bound
 
 
+class Raw(str):
+    """A JSON value that write_config writes as it is, such as the literal
+    1e4300, which no float holds."""
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     doc = {
         "source": {"builtin": "table1_uniform"},
@@ -38,7 +43,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     }
     doc.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    members = (
+        f"{json.dumps(k)}: {v if isinstance(v, Raw) else json.dumps(v)}" for k, v in doc.items()
+    )
+    path.write_text("{" + ", ".join(members) + "}")
     return path
 
 
@@ -216,6 +224,16 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
         assert "simulated 1234 trials (seed 99" in capsys.readouterr().out
+
+    def test_a_flag_overrides_a_default_past_the_digit_limit(self, tmp_path):
+        # The manifest records the overridden field by its order of magnitude.
+        cfg = write_config(tmp_path, n_trials=Raw("1e4300"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--n", "10", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["n_trials"] == 10
+        assert manifest["config"]["n_trials"] == "about 10^4300"
 
     def test_integral_decimal_defaults_are_read_as_integers(self, tmp_path, capsys):
         # The loader reads 5.0 and 2e2 exactly, as the Fractions 5 and 200.
@@ -437,6 +455,16 @@ class TestRunFlagErrors:
         ("verify", [], {"n_trials": -1}, "cfg.json: n_trials"),
         ("simulate", [], {"seed": True}, "cfg.json: seed: expected an integer, got True"),
         ("verify", [], {"n_trials": False}, "cfg.json: n_trials: expected an integer, got False"),
+        ("simulate", [], {"seed": 1.5}, "cfg.json: seed: expected an integer, got 3/2"),
+        # Values with a part past the int digit limit read by their order of magnitude.
+        ("simulate", [], {"seed": Raw("1e4300")},
+         "cfg.json: seed must be in [0, 2^64), got about 10^4300"),
+        ("simulate", [], {"n_trials": Raw("1e4300")},
+         "cfg.json: n_trials must be in [0, 2^60), got about 10^4300"),
+        ("simulate", [], {"seed": Raw("1e-4300")},
+         "cfg.json: seed: expected an integer, got about 10^-4300"),
+        ("verify", [], {"seed": Raw("[1e4300]")},
+         "cfg.json: seed: expected an integer, got a list holding a number past the int digit"),
     ]
 
     @pytest.mark.parametrize(
@@ -513,6 +541,21 @@ class TestConfigFieldErrors:
          "detector_a.failure_probability: cannot interpret None as a rational"),
         ('{"source": {"entries": [{"state": "GGR-GGR", "weight": null}]}}',
          "source.entries[0].weight: cannot interpret None as a rational"),
+        # Values with a part past the int digit limit, or past the float
+        # range, read by their order of magnitude.
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": 1e400}]}}',
+         "source.entries: weights sum to about 10^400, expected 1"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": 1e4300}]}}',
+         "source.entries: weights sum to about 10^4300, expected 1"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": -1e4300}]}}',
+         "source.entries[0].weight: has negative weight about -10^4300"),
+        ('{"source": {"builtin": "table1_uniform"}, "detector_a": {"failure_probability": 1e4300}}',
+         "detector_a.failure_probability: failure probability about 10^4300 outside [0, 1]"),
+        ('{"source": {"builtin": 1e4300}}', "source.builtin: unknown builtin distribution about"),
+        ('{"source": {"entries": [{"state": [1e4300], "weight": 1}]}}',
+         "source.entries[0].state: expected a pair state, got a list holding a number past"),
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": {"a": 1e-4300}}]}}',
+         "source.entries[0].weight: cannot interpret a dict holding a number past"),
     ]
     SCAN = ["--parameter", "p_both", "--grid", "0,0.5"]
 
@@ -536,6 +579,15 @@ class TestConfigFieldErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: --grid:") and "1e-999999999" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_value_past_the_digit_limit_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["scan", "--config", str(cfg), "--parameter", "p_both",
+                "--grid", "0,1e4300", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: --grid: value about 10^4300 outside [0, 1)\n"
         assert not (tmp_path / "out").exists()
 
     def test_empty_grid_exits_2_naming_the_flag(self, tmp_path, capsys):
@@ -754,19 +806,24 @@ KEYS = ("source", "detector_a", "detector_b", "seed", "n_trials", "builtin", "st
 TEXTS = ("table1_uniform", "two_one_uniform", "single", "GGR-GGR", "GNR-GGR", "NNN-NNN",
          "GGX-GGR", "GGR", "GGR-GGR-GGR", "0.1", "1/3", "-1/2", "1/0", "3/2", "1e-5",
          "1e999999999", "nan", "")
+# 1e4300 and 1e-4300 read exactly, but a part of each has one digit more
+# than the int digit limit lets str render.
 LITERALS = ("null", "true", "false", "NaN", "Infinity", "-Infinity", "-0", "0.5", "1e400",
-            "1e999999999", "1e-999999999", str(1 << 64), "9" * 5000)
-# Values that pass the loader, so that some documents reach the engine.
+            "1e4300", "1e-4300", "1e999999999", "1e-999999999", str(1 << 64), "9" * 5000)
+# Values that pass the loader, so that some documents reach the engine, and
+# one source whose weight sum is past the float range.
 GOOD = {
     "source": ('{"builtin": "table1_uniform"}', '{"builtin": "single", "state": "GNR-GGR"}',
                '{"entries": [{"state": "GGR-GGR", "weight": "1/3"}, '
-               '{"state": "RRG-NRG", "weight": 0.6666666666666666666}]}'),
+               '{"state": "RRG-NRG", "weight": 0.6666666666666666666}]}',
+               '{"entries": [{"state": "GGR-GGR", "weight": 1e400}]}'),
     "detector_a": ('{"failure_probability": "1/5"}', '{"failure_probability": 0.1}'),
     "detector_b": ('{}', '{"failure_probability": 0}'),
     "seed": ("0", "7", str((1 << 64) - 1)),
     "n_trials": ("0", "100"),
 }
-GRIDS = ("0,1/3,0.99", "0", "1", "0.5,0.5", "", ",", "-0", "1e-999999999", "nan")
+GRIDS = ("0,1/3,0.99", "0", "1", "0.5,0.5", "", ",", "-0", "1e4300", "1e-4300", "1e-999999999",
+         "nan")
 
 
 def json_texts():

@@ -27,6 +27,7 @@ from merminsim.model import (
     builtin_distribution,
     exact_bit_bound,
     parse_rational,
+    shown,
     statistic_sums,
 )
 
@@ -459,3 +460,22 @@ class TestIntegerWeights:
         # thresholds and every CellWeights total read them.
         assert source.state_masses == state_masses
 
+
+class TestShown:
+    @pytest.mark.parametrize(
+        "value, render, text",
+        [
+            (Fraction(3, 2), str, "3/2"),
+            (Fraction(3, 2), repr, "Fraction(3, 2)"),
+            (10**4299, str, "1" + "0" * 4299),
+            (10**4300, str, "about 10^4300"),
+            (Fraction(-(10**4300)), repr, "about -10^4300"),
+            (Fraction(1, 10**4300), str, "about 10^-4300"),
+            (Fraction(10**400), lambda v: f"{float(v)}", "about 10^400"),
+            ([Fraction(10**4300)], repr, "a list holding a number past the int digit limit"),
+        ],
+        ids=["str", "repr", "int-at-limit", "int-past-limit", "negative", "denominator",
+             "past-float-range", "list"],
+    )
+    def test_renders_or_gives_the_order_of_magnitude(self, value, render, text):
+        assert shown(value, render) == text
