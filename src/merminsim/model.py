@@ -491,7 +491,8 @@ _SET_B = _mask(lambda swa, swb, oa, ob: swb != FAILURE)
 # coincidence_rate: both-flash rate of a setting pair over the 1/9 chance of
 # aiming at it; at any (p_a, p_b) it is (1 - p_a)(1 - p_b) times its value at
 # p = 0, while the case conditionals and eta_u do not move, as
-# exact.detector_invariance_check proves per source. Values go by label.
+# exact.detector_invariance_check proves per source. stats_of and
+# estimate_stats key each value by its statistic's label.
 STATISTICS: tuple[Statistic, ...] = (
     Statistic("p_same_case_a", _both_flash(CASE_A_PAIRS, True), _both_flash(CASE_A_PAIRS)),
     Statistic("p_same_case_b", _both_flash(CASE_B_PAIRS, True), _both_flash(CASE_B_PAIRS)),

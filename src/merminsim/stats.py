@@ -81,8 +81,8 @@ def estimate_stats(tally: CellWeights) -> dict[str, Estimate]:
     """Relative-frequency estimate of every statistic by label, in declaration order.
 
     Each statistic is its numerator count over its denominator count, so
-    conditionals are computed over double-flash events only and a
-    statistic whose conditioning count is zero comes back undefined.
+    conditionals are computed over double-flash events only and a field
+    whose conditioning count is zero comes back undefined.
     coincidence_rate estimates use the known 1/9 aiming probability as
     denominator (the scaled estimator 9 k / n), matching the exact
     definition; their standard error and interval are 9 times those of
