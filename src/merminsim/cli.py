@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__
 from .exact import conditional_stats, detector_invariance_check, enumerate_joint
-from .exact import failure_class_sums, stats_of, sums_at
+from .exact import failure_class_sums, sums_at
 from .model import (
     CELLS,
     ConfigurationError,
@@ -30,6 +30,7 @@ from .model import (
     STATISTICS,
     SourceDistribution,
     builtin_distribution,
+    exact_bit_bound,
     parse_rational,
     shown,
 )
@@ -232,17 +233,13 @@ def _frac_str(value: Union[Fraction, None]) -> Union[str, None]:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _jsonable(obj: Any) -> Any:
-    """Recursively convert Fractions to num/den strings for JSON output;
-    one past the int digit limit, only in a field a flag overrides, is
-    shown by its order of magnitude."""
-    if isinstance(obj, Fraction):
-        return shown(obj, _frac_str)
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    return obj
+def _json_default(value: Any) -> str:
+    """A Fraction in a JSON report, the config's own, as num/den text; one
+    past the int digit limit, only in a field a flag overrides, is shown
+    by its order of magnitude."""
+    if isinstance(value, Fraction):
+        return shown(value, _frac_str)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _exact_field_json(value: Union[Fraction, None]) -> dict:
@@ -301,10 +298,11 @@ def _cell_rows(values: Iterable[Any]) -> list[list[Any]]:
     return [[*cell, "".join(map(str, cell)), value] for cell, value in zip(CELLS, values)]
 
 
-def _csv_num(value: Union[float, Fraction, None]) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _csv_ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator as a CSV float, or empty where the
+    denominator is 0. int / int is correctly rounded, as float(Fraction)
+    is, so no Fraction is built."""
+    return repr(numerator / denominator) if denominator else ""
 
 
 def _write_reports(reports: dict[Path, Any]) -> None:
@@ -322,7 +320,7 @@ def _write_reports(reports: dict[Path, Any]) -> None:
                     writer.writerow(content[0])
                     writer.writerows(content[1])
                 else:
-                    fh.write(json.dumps(content, indent=2, sort_keys=True))
+                    fh.write(json.dumps(content, indent=2, sort_keys=True, default=_json_default))
                     fh.write("\n")
         for path, tmp in temps.items():
             os.replace(tmp, path)
@@ -339,7 +337,7 @@ def _run_fields(args, doc: dict, n: int, seed: int) -> dict:
     report record them."""
     return {
         "config_path": str(args.config),
-        "config": _jsonable(doc),
+        "config": doc,
         "seed": seed,
         "n_trials": n,
         "n_streams": args.streams,
@@ -403,7 +401,7 @@ def cmd_enumerate(args) -> int:
     out = _out_dir(args)
     stats_path = out / "case_stats.json"
     joint_path = out / "joint_table.csv"
-    probabilities = (_csv_num(Fraction(w, table.total)) for w in table.weights)
+    probabilities = (_csv_ratio(w, table.total) for w in table.weights)
     _write_reports(
         {
             stats_path: _stats_json(stats, _exact_field_json),
@@ -531,7 +529,13 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise ConfigurationError(f"--grid: {exc}") from None
     if not values:
         raise ConfigurationError("--grid: no values given")
+    bound = exact_bit_bound()
     for value in values:
+        if value.denominator.bit_length() > bound:
+            raise ConfigurationError(
+                f"--grid: value {shown(value)}: denominator has more than {bound} bits, "
+                "the bound on exact input"
+            )
         if not 0 <= value < 1:
             raise ConfigurationError(f"--grid: value {shown(value)} outside [0, 1)")
     return values
@@ -542,7 +546,13 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args.grid)
 
     header = "p,eta_a,eta_b,eta_u,p_same_case_a,p_same_case_b,mean_coincidence_rate".split(",")
-    columns = ("eta_a", "eta_b", "eta_u_a", "p_same_case_a", "p_same_case_b")
+    # Each column's place and scale in STATISTICS, and the places of the
+    # nine coincidence rates.
+    places = {stat.label: (i, stat.scale) for i, stat in enumerate(STATISTICS)}
+    columns = [
+        places[name] for name in ("eta_a", "eta_b", "eta_u_a", "p_same_case_a", "p_same_case_b")
+    ]
+    rates = [i for i, stat in enumerate(STATISTICS) if stat.key is not None]
     classes = failure_class_sums(config.source)
     # The side that is not swept keeps its configured probability.
     keep_a, keep_b = args.parameter == "p_b", args.parameter == "p_a"
@@ -552,12 +562,11 @@ def cmd_scan(args) -> int:
     print(",".join(header))
     for p in grid:
         sums = sums_at(classes, p_a if keep_a else p, p_b if keep_b else p)
-        stats = stats_of(sums)
+        row = [_csv_ratio(p.numerator, p.denominator)]
+        row += [_csv_ratio(scale * sums[i][0], sums[i][1]) for i, scale in columns]
         # The nine rates share the denominator of all cells, and each is
         # scaled by 9, so their mean is the sum of their numerators over it.
-        rates = [pair for stat, pair in zip(STATISTICS, sums) if stat.key is not None]
-        mean_rate = Fraction(sum(num for num, _ in rates), rates[0][1])
-        row = [_csv_num(value) for value in (p, *(stats[name] for name in columns), mean_rate)]
+        row.append(_csv_ratio(sum(sums[i][0] for i in rates), sums[rates[0]][1]))
         rows.append(row)
         print(",".join(row))
 

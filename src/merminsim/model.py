@@ -189,6 +189,16 @@ def as_fraction(value: WeightLike) -> Fraction:
     raise ConfigurationError(f"cannot interpret {shown(value, repr)} as a rational")
 
 
+def _read_weight(value: WeightLike) -> tuple[Fraction, int, int]:
+    """A source weight as its Fraction and that Fraction's numerator and
+    denominator; a negative weight raises a ConfigurationError."""
+    weight = as_fraction(value)
+    numerator, denominator = weight.as_integer_ratio()
+    if numerator < 0:
+        raise ConfigurationError(f"has negative weight {shown(weight)}")
+    return weight, numerator, denominator
+
+
 @dataclass(frozen=True)
 class SourceDistribution:
     """Weighted list of pair states emitted by the source: each entry is a
@@ -203,7 +213,7 @@ class SourceDistribution:
     than exact_bit_bound() bits; that is checked entry by entry, so a
     source past the bound is refused at its first entry past it. Building
     it also computes state_masses, the integer masses the sum is checked
-    on.
+    on. A weight text that repeats is read once.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
@@ -212,6 +222,9 @@ class SourceDistribution:
         entries = []
         ratios = []
         seen: set[str] = set()
+        # Each weight text read so far, with its Fraction and integer ratio.
+        # Keyed by text only: a key that is a number would take True for 1.
+        texts: dict[str, tuple[Fraction, int, int]] = {}
         bound = exact_bit_bound()
         common = 1
         for index, (state, weight) in enumerate(self.entries):
@@ -219,10 +232,13 @@ class SourceDistribution:
             try:
                 state = _state_text(state)
                 field = "weight"
-                weight = as_fraction(weight)
-                numerator, denominator = weight.as_integer_ratio()
-                if numerator < 0:
-                    raise ConfigurationError(f"has negative weight {shown(weight)}")
+                if not isinstance(weight, str):
+                    read = _read_weight(weight)
+                elif weight in texts:
+                    read = texts[weight]
+                else:
+                    read = texts[weight] = _read_weight(weight)
+                weight, numerator, denominator = read
                 field = "state"
                 if state in seen:
                     raise ConfigurationError(f"duplicates state {state}")

@@ -25,7 +25,15 @@ from merminsim.cli import (
     load_config,
     main,
 )
-from merminsim.model import ALL_INSTRUCTION_SETS, ConfigurationError, exact_bit_bound
+from merminsim.exact import failure_class_sums, stats_of, sums_at
+from merminsim.model import (
+    ALL_INSTRUCTION_SETS,
+    STATISTICS,
+    ConfigurationError,
+    builtin_distribution,
+    exact_bit_bound,
+)
+from test_exact_reference import failure_probabilities, random_sources
 
 
 class Raw(str):
@@ -436,6 +444,63 @@ class TestScan:
         assert header == "p,eta_a,eta_b,eta_u,p_same_case_a,p_same_case_b,mean_coincidence_rate"
 
 
+def oracle_cell(value):
+    """A scan.csv cell as scan rendered an exact value through a Fraction:
+    its float's repr, or empty where it is undefined."""
+    return "" if value is None else repr(float(value))
+
+
+def assert_scan_is_the_oracle(source, p_a, p_b, parameter, grid):
+    """scan's stdout and scan.csv on source, at failure probabilities p_a
+    and p_b, hold on every row each column's exact value from stats_of,
+    rendered by oracle_cell. Returns the rows' cells."""
+    doc = {
+        "source": {"entries": [{"state": s, "weight": str(w)} for s, w in source.entries]},
+        "detector_a": {"failure_probability": str(p_a)},
+        "detector_b": {"failure_probability": str(p_b)},
+    }
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["scan", "--config", str(cfg), "--parameter", parameter,
+                f"--grid={','.join(map(str, grid))}", "--out-dir", tmp]
+        assert main(argv) == EXIT_OK
+        lines = (Path(tmp) / "scan.csv").read_text().splitlines()
+    assert stdout.getvalue().splitlines()[:-1] == lines
+    classes = failure_class_sums(source)
+    for p, line in zip(grid, lines[1:], strict=True):
+        stats = stats_of(sums_at(classes, p if parameter != "p_b" else p_a,
+                                 p if parameter != "p_a" else p_b))
+        rates = [stats[stat.label] for stat in STATISTICS if stat.key is not None]
+        values = [p, *(stats[name] for name in
+                       ("eta_a", "eta_b", "eta_u_a", "p_same_case_a", "p_same_case_b")),
+                  sum(rates) / 9]
+        assert line.split(",") == [oracle_cell(value) for value in values]
+    return [line.split(",") for line in lines[1:]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    source=random_sources(),
+    p_a=failure_probabilities,
+    p_b=failure_probabilities,
+    parameter=st.sampled_from(("p_a", "p_b", "p_both")),
+    grid=st.lists(failure_probabilities.filter(lambda p: p < 1), min_size=1, max_size=4),
+)
+def test_scan_cells_are_the_exact_values_as_floats(source, p_a, p_b, parameter, grid):
+    assert_scan_is_the_oracle(source, p_a, p_b, parameter, grid)
+
+
+def test_scan_leaves_eta_u_and_the_case_cells_empty_where_detector_a_always_fails():
+    # At p_a = 1 detector A never selects a setting, so eta_u and both
+    # case rates are undefined on every row.
+    source = builtin_distribution("table1_uniform")
+    grid = (Fraction(0), Fraction(1, 3))
+    rows = assert_scan_is_the_oracle(source, Fraction(1), Fraction(0), "p_b", grid)
+    assert [row[3:6] for row in rows] == [["", "", ""]] * len(grid)
+
+
 class TestRunFlagErrors:
     # (command, extra argv, config fields, text the diagnostic must name)
     CASES = [
@@ -541,6 +606,10 @@ class TestConfigFieldErrors:
          "detector_a.failure_probability: cannot interpret None as a rational"),
         ('{"source": {"entries": [{"state": "GGR-GGR", "weight": null}]}}',
          "source.entries[0].weight: cannot interpret None as a rational"),
+        # True == 1 and they hash alike; a bool is no weight beside a 1 either.
+        ('{"source": {"entries": [{"state": "GGR-GGR", "weight": 1}, '
+         '{"state": "RRG-RRG", "weight": true}]}}',
+         "source.entries[1].weight: cannot interpret True as a probability"),
         # Values with a part past the int digit limit, or past the float
         # range, read by their order of magnitude.
         ('{"source": {"entries": [{"state": "GGR-GGR", "weight": 1e400}]}}',
@@ -589,6 +658,34 @@ class TestConfigFieldErrors:
         err = capsys.readouterr().err
         assert err == "config error: --grid: value about 10^4300 outside [0, 1)\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "grid, shown_as",
+        [("1e-4300", "about 10^-4300"), (f"1/{1 << exact_bit_bound()}", None)],
+        ids=["1e-4300", "one-bit-past"],
+    )
+    def test_grid_value_past_the_exact_input_bound_exits_2_naming_the_flag(
+        self, tmp_path, capsys, grid, shown_as
+    ):
+        cfg = write_config(tmp_path)
+        argv = ["scan", "--config", str(cfg), "--parameter", "p_a",
+                f"--grid={grid}", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --grid: value {shown_as or grid}: denominator has more than "
+            f"{exact_bit_bound()} bits, the bound on exact input\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_value_at_the_exact_input_bound_is_swept(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        # An odd numerator over 2^(bound - 1): a denominator of bound bits.
+        den = 1 << (exact_bit_bound() - 1)
+        grid = f"{den // 3 | 1}/{den}"
+        assert main(["scan", "--config", str(cfg), "--parameter", "p_a",
+                     f"--grid={grid}", "--out-dir", str(out)]) == EXIT_OK
+        assert [row["p"] for row in read_rows(out / "scan.csv")] == [repr(1 / 3)]
 
     def test_empty_grid_exits_2_naming_the_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merminsim import model
 from merminsim.model import (
     ALL_EIGHT_SETS,
     ALL_INSTRUCTION_SETS,
@@ -443,22 +445,95 @@ def _weighted_sources(draw):
     return [(state, draw(_weight(Fraction(k, sum(ks)), bent))) for state, k in zip(states, ks)]
 
 
+@st.composite
+def _repeating_sources(draw):
+    """Up to 20 entries whose weights come from a pool of 1-4 weights,
+    each drawn once in one of _weight's forms and repeated as drawn, so
+    that a text recurs; they sum to 1 when each is read as meant."""
+    ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    ks[0] = ks[0] or 1
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(ks), max_size=len(ks)))
+    total = sum(k * count for k, count in zip(ks, counts))
+    bent = draw(st.booleans())
+    pool = [draw(_weight(Fraction(k, total), bent)) for k in ks]
+    weights = draw(st.permutations([w for w, count in zip(pool, counts) for _ in range(count)]))
+    states = draw(st.lists(st.sampled_from(_STATES), min_size=len(weights),
+                           max_size=len(weights), unique=True))
+    return list(zip(states, weights))
+
+
+def assert_matches_reference(pairs):
+    expected = reference_source(pairs)
+    try:
+        source = SourceDistribution(pairs)
+    except ConfigurationError as exc:
+        assert str(exc) == expected
+        return
+    entries, state_masses = expected
+    assert source.entries == entries
+    assert all(type(weight) is Fraction for _, weight in source.entries)
+    # Equal as integers, not only in proportion: the sampler's
+    # thresholds and every CellWeights total read them.
+    assert source.state_masses == state_masses
+
+
 class TestIntegerWeights:
     @settings(max_examples=300, deadline=None)
     @given(pairs=_weighted_sources())
     def test_matches_reading_every_weight_with_as_fraction(self, pairs):
-        expected = reference_source(pairs)
-        try:
-            source = SourceDistribution(pairs)
-        except ConfigurationError as exc:
-            assert str(exc) == expected
-            return
-        entries, state_masses = expected
-        assert source.entries == entries
-        assert all(type(weight) is Fraction for _, weight in source.entries)
-        # Equal as integers, not only in proportion: the sampler's
-        # thresholds and every CellWeights total read them.
-        assert source.state_masses == state_masses
+        assert_matches_reference(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=_repeating_sources())
+    def test_repeated_weights_match_reading_each_with_as_fraction(self, pairs):
+        assert_matches_reference(pairs)
+
+
+ALL_PAIRS = [f"{a}-{b}" for a, b in itertools.product(ALL_INSTRUCTION_SETS, repeat=2)]
+
+
+class TestWeightTexts:
+    """A source reads each distinct weight text once, and a repeat gives
+    what reading it again would."""
+
+    def test_each_distinct_text_is_read_once(self, monkeypatch):
+        # All 729 pair states at weights k/D, k in [1, 100]: at most 100 texts.
+        rng = random.Random(11)
+        ks = [rng.randint(1, 100) for _ in ALL_PAIRS]
+        pairs = [(state, f"{k}/{sum(ks)}") for state, k in zip(ALL_PAIRS, ks)]
+        read = []
+        monkeypatch.setattr(
+            model, "as_fraction", lambda value: read.append(value) or as_fraction(value)
+        )
+        source = SourceDistribution(pairs)
+        monkeypatch.undo()
+        assert sorted(read) == sorted({weight for _, weight in pairs})
+        assert len(read) <= 100
+        # The same as a source of the weights read one by one, which the
+        # memo never sees: it holds texts only.
+        unread = SourceDistribution([(state, as_fraction(weight)) for state, weight in pairs])
+        assert source.entries == unread.entries
+        assert source.state_masses == unread.state_masses
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("1/x", "cannot parse '1/x' as a rational"), ("-1/4", "has negative weight -1/4")],
+    )
+    def test_a_bad_text_that_repeats_is_reported_at_its_first_entry(self, bad, message):
+        pairs = [("GGR-GGR", "1/2"), ("RRG-RRG", bad), ("GGG-GGG", bad), ("RRR-RRR", bad)]
+        with pytest.raises(ConfigurationError) as exc:
+            SourceDistribution(pairs)
+        assert str(exc.value) == f"entries[1].weight: {message}"
+
+    @pytest.mark.parametrize(
+        "weights, index", [((1, True), 1), ((True, 1), 0), (("1", True), 1)]
+    )
+    def test_a_bool_beside_an_equal_weight_is_refused(self, weights, index):
+        # True == 1 and they hash alike, so a memo keyed by value would take it.
+        pairs = list(zip(("GGR-GGR", "RRG-RRG"), weights))
+        with pytest.raises(ConfigurationError) as exc:
+            SourceDistribution(pairs)
+        assert str(exc.value) == f"entries[{index}].weight: cannot interpret True as a probability"
 
 
 class TestShown:
