@@ -677,7 +677,7 @@ class TestConfigFieldErrors:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_grid_value_at_the_exact_input_bound_is_swept(self, tmp_path, capsys):
+    def test_grid_value_at_the_exact_input_bound_is_swept(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         # An odd numerator over 2^(bound - 1): a denominator of bound bits.
