@@ -8,7 +8,6 @@ the run timestamp lives only in the manifest.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -306,19 +305,22 @@ def _csv_ratio(numerator: int, denominator: int) -> str:
 
 
 def _write_reports(reports: dict[Path, Any]) -> None:
-    """Write each report to a temp file beside its target: a .csv path
-    takes (header, rows), any other path a JSON document. The targets are
-    replaced only once every temp file is written in full, so a failed
-    write leaves no partial report and keeps the earlier set whole. Then
-    names the targets on stdout, in order."""
+    """Write each report to a temp file beside its target, in the targets'
+    one directory, made if missing: a .csv path takes (header, rows), each
+    row its fields joined by commas as scan prints it (no field holds a
+    comma, quote or line break), and any other path a JSON document. The
+    targets are replaced only once every temp file is written in full, so
+    a failed write leaves no partial report and keeps the earlier set
+    whole. Then names the targets on stdout, in order."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in reports}
+    next(iter(reports)).parent.mkdir(parents=True, exist_ok=True)
     try:
         for path, content in reports.items():
             with open(temps[path], "w", encoding="utf-8", newline="") as fh:
                 if path.suffix == ".csv":
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(content[0])
-                    writer.writerows(content[1])
+                    header, rows = content
+                    for row in (header, *rows):
+                        fh.write(",".join(map(str, row)) + "\n")
                 else:
                     fh.write(json.dumps(content, indent=2, sort_keys=True, default=_json_default))
                     fh.write("\n")
@@ -379,12 +381,6 @@ def _resolve_run_params(args, doc: dict) -> tuple[int, int]:
     return n, seed
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -398,7 +394,7 @@ def cmd_enumerate(args) -> int:
     print(f"exact analysis of {args.config}")
     _print_stats(f"{'value':>12}  exact", stats, _exact_cells)
 
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     stats_path = out / "case_stats.json"
     joint_path = out / "joint_table.csv"
     probabilities = (_csv_ratio(w, table.total) for w in table.weights)
@@ -421,7 +417,7 @@ def cmd_simulate(args) -> int:
     print(f"simulated {n} trials (seed {seed}, {args.streams} stream(s))")
     _print_stats(f"{'estimate':>12}{'se':>12}  95% CI", stats, _estimate_cells)
 
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     tally_path = out / "tally.csv"
     stats_path = out / "mc_stats.json"
     manifest_path = out / "run_manifest.json"
@@ -517,7 +513,7 @@ def cmd_verify(args) -> int:
         "target_case_b": _frac_str(TARGET_CASE_B),
         "matches": matches,
     }
-    _write_reports({_out_dir(args) / "verify_report.json": report})
+    _write_reports({Path(args.out_dir) / "verify_report.json": report})
 
     return EXIT_OK if all(check["passed"] for check in checks) else EXIT_VERIFY
 
@@ -570,9 +566,7 @@ def cmd_scan(args) -> int:
         rows.append(row)
         print(",".join(row))
 
-    out = _out_dir(args)
-    scan_path = out / "scan.csv"
-    _write_reports({scan_path: (header, rows)})
+    _write_reports({Path(args.out_dir) / "scan.csv": (header, rows)})
     return EXIT_OK
 
 

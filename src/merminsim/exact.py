@@ -23,6 +23,7 @@ from .model import (
     ALL_EIGHT_SETS,
     CASE_B_PAIRS,
     CellWeights,
+    ConfigurationError,
     ExperimentConfig,
     NO_FLASH,
     STATISTICS,
@@ -94,7 +95,7 @@ def case_b_same_fraction(s: str) -> Fraction:
     enumerate_joint.
     """
     if NO_FLASH in s:
-        raise ValueError(
+        raise ConfigurationError(
             f"{s} contains a no-flash instruction; case-b fraction is defined "
             "for flash-only sets"
         )

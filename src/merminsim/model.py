@@ -28,8 +28,8 @@ from typing import Callable, Sequence, Union
 
 
 class ConfigurationError(ValueError):
-    """An input is invalid: a source, a detector, a config field or a flag.
-    The one error type of every bad input."""
+    """An input is invalid: a source, a detector, a cell table, a config
+    field or a flag. The one error type of every bad input."""
 
 
 # Absolute slack allowed on the weight sum of a source distribution. The
@@ -211,9 +211,11 @@ class SourceDistribution:
     entries for a list that is empty or does not sum to 1 (within
     WEIGHT_SUM_TOLERANCE), or whose weights' common denominator has more
     than exact_bit_bound() bits; that is checked entry by entry, so a
-    source past the bound is refused at its first entry past it. Building
-    it also computes state_masses, the integer masses the sum is checked
-    on. A weight text that repeats is read once.
+    source past the bound is refused at its first entry past it. A weight
+    text that repeats is read once. Building it also sets state_masses,
+    the masses the sum is checked on: each entry's weight as an integer
+    mass over the common denominator of the weights, and the total mass;
+    entry i has probability masses[i] / total.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
@@ -263,14 +265,7 @@ class SourceDistribution:
             text = shown(weight_sum, lambda total: f"{total} (~{float(total):.12g})")
             raise ConfigurationError(f"entries: weights sum to {text}, expected 1")
         object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_state_masses", (masses, total))
-
-    @property
-    def state_masses(self) -> tuple[tuple[int, ...], int]:
-        """Each entry's weight as an integer mass over the common
-        denominator of the weights, and the total mass: entry i has
-        probability masses[i] / total. Computed when the source is built."""
-        return self._state_masses
+        object.__setattr__(self, "state_masses", (masses, total))
 
     @functools.cached_property
     def cell_masses(self) -> tuple[tuple[int, ...], int]:
@@ -548,13 +543,14 @@ class CellWeights:
     def __post_init__(self) -> None:
         weights = tuple(self.weights)
         if len(weights) != N_CELLS:
-            raise ValueError(f"expected {N_CELLS} cell weights, got {len(weights)}")
+            raise ConfigurationError(f"expected {N_CELLS} cell weights, got {len(weights)}")
         if min(weights) < 0:
-            raise ValueError("cell weights must be non-negative")
-        if sum(weights) != self.total:
-            raise ValueError(f"cell weights sum to {sum(weights)}, not to the total {self.total}")
+            raise ConfigurationError("cell weights must be non-negative")
+        total = sum(weights)
+        if total != self.total:
+            raise ConfigurationError(f"cell weights sum to {total}, not to the total {self.total}")
         if any(_read_impossible(weights)):
-            raise ValueError("a failed switch cannot coincide with a flash")
+            raise ConfigurationError("a failed switch cannot coincide with a flash")
         object.__setattr__(self, "weights", weights)
 
     @classmethod

@@ -291,8 +291,6 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     because every trial owns its counters, and for any order of the
     source's entries because the draw reads only the law.
     """
-    if plan.n_trials == 0:
-        return CellWeights.empty()
     tables = _sampler_tables(plan.config)
     seed = plan.seed & _MASK64
     hi = plan.n_trials

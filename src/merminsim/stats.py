@@ -26,7 +26,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     gives a lower bound of exactly 0 and k = n an upper bound of exactly 1.
     """
     if trials <= 0:
-        raise ValueError("wilson_interval needs at least one trial")
+        raise ConfigurationError("wilson_interval needs at least one trial")
     p_hat = successes / trials
     z2 = Z_95 * Z_95
     denom = 1.0 + z2 / trials

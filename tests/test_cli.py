@@ -5,8 +5,10 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -853,13 +855,43 @@ class TestAtomicReports:
         assert main(["enumerate", "--config", str(first), "--out-dir", str(out)]) == EXIT_OK
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
-        def failing_writer(*args, **kwargs):
-            raise OSError("disk full")
+        real_open = open
 
-        monkeypatch.setattr("merminsim.cli.csv.writer", failing_writer)
+        def failing_csv_open(file, *args, **kwargs):
+            if Path(file).name.startswith(".joint_table.csv."):
+                raise OSError("disk full")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_csv_open, raising=False)
         second = write_config(tmp_path, "second.json", source={"builtin": "two_one_uniform"})
         assert main(["enumerate", "--config", str(second), "--out-dir", str(out)]) == EXIT_IO
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+class TestModule:
+    @staticmethod
+    def _python(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_import_loads_no_csv_module(self):
+        # The reports' CSV lines are joined by _write_reports itself.
+        code = "import sys, merminsim.cli; print(sorted({'csv', '_csv'} & set(sys.modules)))"
+        done = self._python("-c", code)
+        assert (done.returncode, done.stdout) == (0, "[]\n")
+
+    def test_run_as_a_module_prints_the_version(self):
+        done = self._python("-m", "merminsim.cli", "--version")
+        assert (done.returncode, done.stdout) == (0, f"merminsim {__version__}\n")
+
+    def test_json_default_refuses_a_non_fraction(self):
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            json.dumps({"x": object()}, default=cli._json_default)
 
 
 class TestExitCodes:

@@ -189,7 +189,7 @@ class TestConditionalStats:
 
     def test_rejects_unnormalized_table(self):
         t = enumerate_joint(config_for("table1_uniform"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CellWeights(t.weights, 2 * t.total)
 
     @pytest.mark.parametrize("name", ["table1_uniform", "two_one_uniform", "all_eight_uniform"])
@@ -219,7 +219,7 @@ class TestCaseBSameFraction:
         with_no_flash = [s for s in ALL_INSTRUCTION_SETS if s not in ALL_EIGHT_SETS]
         assert len(with_no_flash) == 19
         for s in with_no_flash:
-            with pytest.raises(ValueError, match="no-flash"):
+            with pytest.raises(ConfigurationError, match="no-flash"):
                 case_b_same_fraction(s)
 
     def test_agrees_with_enumeration_path(self):

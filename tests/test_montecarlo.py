@@ -539,19 +539,19 @@ sys.stderr.write(str(len(forks)))
 
 class TestCellWeights:
     def test_rejects_failure_flash_cells(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             cell_weights({"01GG": 1})
 
     def test_rejects_negative_and_bad_sum(self):
         weights = [0] * N_CELLS
         weights[0] = -1
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CellWeights(weights, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CellWeights([0] * N_CELLS, 5)
 
     def test_rejects_a_wrong_cell_count(self):
-        with pytest.raises(ValueError, match=f"expected {N_CELLS} cell weights, got 143"):
+        with pytest.raises(ConfigurationError, match=f"expected {N_CELLS} cell weights, got 143"):
             CellWeights((0,) * 143, 0)
 
     def test_weights_are_read_only(self):
@@ -634,7 +634,7 @@ class TestEstimateStats:
 
 class TestWilsonInterval:
     def test_needs_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             wilson_interval(0, 0)
 
     def test_extremes_are_tight(self):
