@@ -19,5 +19,21 @@ from .exact import (
     enumerate_joint,
     min_case_b_no_noflash,
 )
-from .montecarlo import SimulationPlan, run_trials
 from .stats import compare, estimate_stats
+
+# The engine's names load numpy, so they load on first use (PEP 562): the
+# exact path imports no numpy.
+_ENGINE = ("SimulationPlan", "run_trials")
+
+
+def __getattr__(name):
+    if name in _ENGINE:
+        from . import montecarlo
+
+        value = globals()[name] = getattr(montecarlo, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ENGINE})

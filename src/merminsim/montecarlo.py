@@ -1,23 +1,26 @@
 """Seeded Monte Carlo trial engine with deterministic parallel reduction.
 
-Randomness is counter based: draw j of trial i is a 64-bit avalanche hash
-of (seed, 8 * i + j), the splitmix64 output function applied to a strided
-counter. Trial i therefore owns its randomness regardless of scheduling,
-so any partition of the trial range into streams produces bitwise
-identical tallies, and tallies merge as a commutative monoid. Several
-streams run in forked worker processes, which do not share an
-interpreter lock; each stores its counts in a shared mapping.
+Randomness is counter based: every hash is the splitmix64 output function
+of (seed, counter), and the counters of trial i's draw follow from i
+alone, so any partition of the trial range into streams, even one that
+splits a group of four trials, produces bitwise identical tallies, and
+tallies merge as a commutative monoid. Several streams run in forked
+worker processes, which do not share an interpreter lock; each stores its
+counts in a shared mapping.
 
-A trial hashes one lane, which draws its cell: both sides' switch
-positions and outcomes. The draw is the top 53 bits k = z >> 11 of the
-lane's hash z and stands for u = k * 2^-53. It is one exact rational
-partition of k into the 144 cells of the exact oracle's joint law,
-model.joint_masses, cut at the ceilings of 2^53 times the cumulative
-masses: one gather from a guide over the top bits of z (Chen and Asau's
-guide table), and a search for the under 1% of draws whose bucket a
-threshold splits. The tally counts the drawn cells, so it depends on the
-law, the trial count and the seed alone, not on how the source lists its
-pair states.
+A trial draws its cell: both sides' switch positions and outcomes. Four
+trials share one hash: trial i reads the 16-bit slice i mod 4 of the hash
+of counter 32 (i // 4) + 1 through a uint16 view of the hash buffer, and
+the slice is a bucket of a guide over the 144 cells (Chen and Asau's
+guide table). The draw stands for u = k * 2^-53 with k = slice * 2^37 +
+bits, and one exact rational partition of k gives the cell: the exact
+oracle's joint law, model.joint_masses, cut at the ceilings of 2^53 times
+the cumulative masses. A bucket that no threshold splits holds one cell
+for all its k, so bits are drawn only for the under 0.22% of draws whose
+bucket a threshold splits: the top 37 bits of the trial's own lane-1 hash,
+counter 8 i + 2, with k searched in the thresholds. The tally counts the
+drawn cells, so it depends on the law, the trial count and the seed
+alone, not on how the source lists its pair states.
 """
 
 from __future__ import annotations
@@ -37,26 +40,35 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Recorded in run manifests: scheme 5 draws each trial's cell from one
-# lane, through one exact partition of the draws into the 144 cells of
-# model.joint_masses.
-RNG_SCHEME = 5
+# Recorded in run manifests: scheme 6 draws each trial's cell through one
+# exact partition of the draws into the 144 cells of model.joint_masses,
+# reading its guide bucket from a 16-bit slice of a hash shared by four
+# trials.
+RNG_SCHEME = 6
 
-# Counter stride per trial. Lane 0 draws the cell; lanes 1-7 are reserved
-# headroom.
+# Counter stride per trial. Lane 0 of trial 4 g hashes the guide slices of
+# trials 4 g to 4 g + 3, lane 1 of trial i draws the bits of its draw in a
+# split bucket, and the other lanes are reserved headroom.
 _LANES = 8
 MAX_TRIALS = 1 << 60
 
 # Draws k live in [0, _ONE); k stands for u = k / _ONE.
 _ONE = 1 << 53
 
-# Trials per pass. The per-pass buffers (27 bytes a trial, about 0.88 MB)
-# and the 32 KB guide fit one core's 2 MB L2 on a 2-vCPU Xeon VM. There,
-# in 21 interleaved fresh processes, each timing its first run of 10^7
-# trials on line-aligned buffers, table1_uniform took a median 54.5 ms,
-# against 57.5 at 1 << 14 and 57.6 at 1 << 16 (1 << 15 faster in 18 of 21
-# runs against each); the dense 729-state source took 54.6, against 59.3
-# and 58.1 (faster in 19 and 18 of 21). Warm loops in one process hide a
+# Trials that share one hash, one 16-bit slice each.
+_GROUP = 4
+
+# Trials per pass. The per-pass buffers hold 9 bytes a trial (about
+# 0.29 MB), and np.take and np.bincount each cast 8 bytes a trial to intp
+# on the side; with the 128 KB guide they fit one core's 2 MB L2 on a
+# 2-vCPU Xeon VM. There, fresh processes each timed a first run of 10^7
+# trials, chunk sizes alternating. Over 21 rounds, 1 << 15 took a median
+# 55.0 ms on table1_uniform and 43.3 ms on the dense 729-state source,
+# against 58.8 and 50.1 at 1 << 14 (1 << 15 faster in 15 of 21 on each),
+# 46.0 and 43.3 at 1 << 16 (in 5 and 11) and 49.6 and 44.4 at 1 << 17
+# (in 9 and 8). Over 31 more rounds against 1 << 16 alone, 42.1 and 42.5
+# against 40.9 and 40.5 (in 14 and 16 of 31): no gain beyond the VM's
+# noise, for twice the memory. Warm loops in one process hide a
 # misaligned buffer: once a first run frees its buffers, the heap serves
 # later ones at other offsets, so time kernels in fresh processes.
 _CHUNK = 1 << 15
@@ -71,11 +83,19 @@ _LINE = 64
 _TOKEN_BYTES = 8
 _MAX_TOKENS = 4096 // _TOKEN_BYTES
 
-# The guide has 2^14 buckets, 64 per cell rounded up to a power of two.
-# Each of the 143 inner thresholds splits at most one bucket, so at most
-# 143 of the 16384 equal-width buckets are split and under 1% of draws,
-# for any law, need the search after the gather.
-_GUIDE_BITS = (64 * N_CELLS - 1).bit_length()
+# The guide has one bucket per value of a slice, 2^16, and marks a split
+# bucket with _SPLIT, one past the last cell. Each of the 143 inner
+# thresholds splits at most one bucket, so at most 143 of the 65536
+# equal-width buckets are split and under 0.22% of draws, for any law,
+# need the bits and the search after the gather. A draw in a split bucket
+# extends its slice by _EXTEND bits to k.
+_GUIDE_BITS = 64 // _GROUP
+_EXTEND = 53 - _GUIDE_BITS
+_SPLIT = N_CELLS
+
+# Split draws wait for their bits and search in batches of at least this
+# many, so a chunk's few dozen cost no numpy calls of their own.
+_SPLIT_BATCH = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,11 +119,11 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """One config's draw of a cell, a partition of the draws k = z >> 11
+    """One config's draw of a cell, a partition of the draws k in [0, 2^53)
     into the 144 cells: the cell of k is the number of inner thresholds
-    <= k. guide holds, for each of the 2^_GUIDE_BITS buckets
-    z >> (64 - _GUIDE_BITS), the cell if no inner threshold splits it,
-    else -1; draws in a split bucket are searched in thresholds."""
+    <= k. guide holds, for each of the 2^_GUIDE_BITS buckets k >> _EXTEND,
+    the cell if no inner threshold splits it, else _SPLIT; draws in a split
+    bucket are searched in thresholds."""
 
     thresholds: np.ndarray
     guide: np.ndarray
@@ -117,33 +137,61 @@ def _sampler_tables(config: ExperimentConfig) -> _Sampler:
     masses, total = joint_masses(config.source, p_a, p_b)
     cum = accumulate(masses[:-1])
     inner = np.fromiter((-(-acc * _ONE // total) for acc in cum), np.uint64, N_CELLS - 1)
-    shift = 53 - _GUIDE_BITS
-    # Bucket b holds the number of thresholds t with ceil(t / 2^shift) <= b,
-    # the cell of its least draw, and -1 if some t has floor(t / 2^shift) = b
-    # < ceil(t / 2^shift). A t of 2^53 (zero masses last) has floor = ceil =
-    # 2^_GUIDE_BITS, so it needs no guard.
-    ceil_b = ((inner + np.uint64((1 << shift) - 1)) >> np.uint64(shift)).astype(np.intp)
-    floor_b = (inner >> np.uint64(shift)).astype(np.intp)
-    # int16 holds the cells and the split mark -1.
-    buckets = np.diff(ceil_b, prepend=0, append=1 << _GUIDE_BITS)
+    # Bucket b holds the number of thresholds t with ceil(t / 2^_EXTEND) <= b,
+    # the cell of its least draw, and _SPLIT if some t has
+    # floor(t / 2^_EXTEND) = b < ceil(t / 2^_EXTEND). A t of 2^53 (zero
+    # masses last) has floor = ceil = 2^_GUIDE_BITS, so it needs no guard.
+    ceil_b = (inner + np.uint64((1 << _EXTEND) - 1)) >> np.uint64(_EXTEND)
+    floor_b = inner >> np.uint64(_EXTEND)
+    # int16 holds the cells and the split mark.
+    buckets = np.diff(ceil_b.astype(np.intp), prepend=0, append=1 << _GUIDE_BITS)
     guide = np.repeat(np.arange(N_CELLS, dtype=np.int16), buckets)
-    guide[floor_b[floor_b < ceil_b]] = -1
+    guide[floor_b[floor_b < ceil_b]] = _SPLIT
     return _Sampler(inner, guide)
 
 
-def _guided_draw(y, table: _Sampler, out, t, h) -> np.ndarray:
-    """The number of inner thresholds <= z >> 11 for the hash
-    z = y ^ (y >> 31) of each y, into out (int16); t (uint64) and h (bool)
-    are scratch. z has y's top 31 bits and the guide reads its top
-    _GUIDE_BITS, so only draws in a split bucket finish the hash."""
-    np.right_shift(y, np.uint64(64 - _GUIDE_BITS), out=t)
+def _mix64(z, t) -> np.ndarray:
+    """Finish the splitmix64 hash of each counter state in z, in place; t
+    (uint64, z's size) is scratch."""
+    u64 = np.uint64
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, u64(shift), out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, u64(mult), out=z)
+    np.right_shift(z, u64(31), out=t)
+    return np.bitwise_xor(z, t, out=z)
+
+
+def _slices(z) -> np.ndarray:
+    """The 16-bit slices of the hashes z (uint64): slice s of z[w], bits
+    [16 s, 16 s + 16), at 4 w + s. "<u8" makes no copy on a little-endian
+    host, so the slices are a view of z there."""
+    return z.astype("<u8", copy=False).view("<u2")
+
+
+def _guided_draw(slices, table: _Sampler, out) -> np.ndarray:
+    """The guide bucket of each 16-bit slice, into out (int16): its cell,
+    or _SPLIT where a threshold splits it."""
     # Indices are in range by construction; "wrap" skips the bounds check.
-    np.take(table.guide, t.view(np.intp), out=out, mode="wrap")
-    split = np.flatnonzero(np.less(out, 0, out=h))
-    z = y[split]
-    z ^= z >> np.uint64(31)
-    out[split] = np.searchsorted(table.thresholds, z >> np.uint64(11), side="right")
-    return out
+    return np.take(table.guide, slices, out=out, mode="wrap")
+
+
+def _split_draws(trials, slices, seed: int) -> np.ndarray:
+    """The draws k = slice * 2^_EXTEND + bits of trials (int64) whose
+    slices (uint16) fell in split buckets: bits are the top _EXTEND bits of
+    trial i's lane-1 hash, of counter 8 i + 2."""
+    u64 = np.uint64
+    z = trials.astype(u64) * u64(_LANES * _GAMMA & _MASK64)
+    z += u64((2 * _GAMMA + seed) & _MASK64)
+    bits = _mix64(z, np.empty_like(z)) >> u64(64 - _EXTEND)
+    return slices.astype(u64) << u64(_EXTEND) | bits
+
+
+def _split_counts(trials, slices, seed: int, table: _Sampler) -> np.ndarray:
+    """Cell counts of the split draws of trials and slices, lists of
+    arrays in step."""
+    k = _split_draws(np.concatenate(trials), np.concatenate(slices), seed)
+    return np.bincount(np.searchsorted(table.thresholds, k, side="right"), minlength=N_CELLS)
 
 
 def _aligned_empty(size: int, dtype) -> np.ndarray:
@@ -160,29 +208,46 @@ def _run_chunks(starts, hi: int, seed: int, tables: _Sampler) -> np.ndarray:
     start of the iterable starts.
 
     Forked workers read their starts from one token pipe, so a worker that
-    gets less CPU takes fewer chunks instead of holding up the run. Every
-    per-pass buffer starts on a cache line, so no vector load or store of
-    the in-place passes splits across two lines.
+    gets less CPU takes fewer chunks instead of holding up the run. A chunk
+    may start inside a group of four trials; it hashes every group it
+    touches. Every per-pass buffer starts on a cache line, so no vector
+    load or store of the in-place passes splits across two lines.
     """
     size = min(_CHUNK, hi)
+    # A chunk of size trials starting mid-group touches at most this many.
+    words = size // _GROUP + 2
     u64 = np.uint64
-    stride = _aligned_empty(size, u64)
-    np.multiply(np.arange(size, dtype=u64), u64(_LANES * _GAMMA & _MASK64), out=stride)
-    z_buf, tmp, cells, hit = (_aligned_empty(size, dt) for dt in (u64, u64, np.int16, bool))
-    counts = np.zeros(N_CELLS, dtype=np.int64)
+    stride = _aligned_empty(words, u64)
+    np.multiply(np.arange(words, dtype=u64), u64(_GROUP * _LANES * _GAMMA & _MASK64), out=stride)
+    z_buf, tmp = _aligned_empty(words, u64), _aligned_empty(words, u64)
+    cells, hit = _aligned_empty(size, np.int16), _aligned_empty(size, bool)
+    # The last count is of split draws, which _split_counts recounts.
+    counts = np.zeros(N_CELLS + 1, dtype=np.int64)
+    trials, slices = [], []
+    waiting = 0
 
     for start in starts:
         m = min(_CHUNK, hi - start)
-        z, t = z_buf[:m], tmp[:m]
-        # Lane 0 of trial start + i: mix64((8 (start + i) + 1) GAMMA + seed),
-        # up to its last step z ^= z >> 31, which _guided_draw finishes.
-        np.add(stride[:m], u64(((start * _LANES + 1) * _GAMMA + seed) & _MASK64), out=z)
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(z, u64(shift), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.multiply(z, u64(mult), out=z)
-        counts += np.bincount(_guided_draw(z, tables, cells[:m], t, hit[:m]), minlength=N_CELLS)
-    return counts
+        group, lead = divmod(start, _GROUP)
+        n_words = (lead + m + _GROUP - 1) // _GROUP
+        z, t = z_buf[:n_words], tmp[:n_words]
+        # Lane 0 of trial 4 (group + w): mix64((32 (group + w) + 1) GAMMA + seed).
+        np.add(stride[:n_words], u64(((group * _GROUP * _LANES + 1) * _GAMMA + seed) & _MASK64), out=z)
+        s = _slices(_mix64(z, t))[lead : lead + m]
+        out = _guided_draw(s, tables, cells[:m])
+        part = np.bincount(out, minlength=N_CELLS + 1)
+        counts += part
+        if part[_SPLIT]:
+            split = np.flatnonzero(np.equal(out, _SPLIT, out=hit[:m]))
+            trials.append(np.add(split, start, dtype=np.int64))
+            slices.append(s[split])
+            waiting += len(split)
+        if waiting >= _SPLIT_BATCH:
+            counts[:N_CELLS] += _split_counts(trials, slices, seed, tables)
+            trials, slices, waiting = [], [], 0
+    if trials:
+        counts[:N_CELLS] += _split_counts(trials, slices, seed, tables)
+    return counts[:N_CELLS]
 
 
 def _token_starts(tokens: int, span: int, hi: int):
@@ -279,17 +344,19 @@ def run_trials(plan: SimulationPlan) -> CellWeights:
     """Simulate plan.n_trials independent trials into a tally: cell
     weights that count trials, over the total plan.n_trials.
 
-    Per trial: one lane draws the trial's cell from the exact joint law,
-    joint_masses: each side's switch fails (probability p) or lands on a
-    uniform setting, and its outcome is the pair state's instruction
-    there, N where the switch failed. plan.n_streams workers, at most one
-    per CPU this process may run on, take runs of chunks of the trial
-    range in turn: the caller and forked child processes, which store their
-    counts in shared memory, summed once every child has exited. The
-    caller runs every chunk itself where os.fork is missing or another
-    thread is alive. The result is bitwise identical for any stream count
-    because every trial owns its counters, and for any order of the
-    source's entries because the draw reads only the law.
+    Per trial: a 16-bit slice of a hash that four trials share, extended
+    by the trial's own lane 1 in a split bucket, draws the trial's cell
+    from the exact joint law, joint_masses: each side's switch fails
+    (probability p) or lands on a uniform setting, and its outcome is the
+    pair state's instruction there, N where the switch failed.
+    plan.n_streams workers, at most one per CPU this process may run on,
+    take runs of chunks of the trial range in turn: the caller and forked
+    child processes, which store their counts in shared memory, summed
+    once every child has exited. The caller runs every chunk itself where
+    os.fork is missing or another thread is alive. The result is bitwise
+    identical for any stream count because each trial's draw reads
+    counters fixed by its index, and for any order of the source's entries
+    because the draw reads only the law.
     """
     tables = _sampler_tables(plan.config)
     seed = plan.seed & _MASK64

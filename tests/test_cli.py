@@ -186,7 +186,7 @@ class TestSimulate:
         assert manifest["timestamp"]
         assert manifest["config"]["source"]["builtin"] == "table1_uniform"
         assert set(manifest["outputs"]) == {"tally_csv", "stats_json"}
-        assert manifest["rng_scheme"] == 5
+        assert manifest["rng_scheme"] == 6
 
     def test_n_zero_is_fine(self, tmp_path):
         cfg = write_config(tmp_path)

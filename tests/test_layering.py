@@ -3,11 +3,16 @@
 The engine (montecarlo) only counts, stats estimates and tests, and exact
 computes the exact law; the three sit side by side on the statistic
 algebra in model and import none of each other. Every import statement
-counts, wherever it sits, `if TYPE_CHECKING:` blocks included.
+counts, wherever it sits, `if TYPE_CHECKING:` blocks included. The
+package loads the engine, and numpy with it, only when its engine names
+are first used, which fresh interpreters check.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +79,37 @@ def test_only_the_engine_imports_numpy():
     assert {module for module in MODULES if "numpy" in runtime_imports(module)} == {
         "montecarlo"
     }
+
+
+def loaded(code: str) -> str:
+    """stdout of code run in a fresh interpreter on this source tree."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_the_exact_path_loads_no_numpy():
+    code = "import sys, merminsim.exact, merminsim.stats; print('numpy' in sys.modules)"
+    assert loaded(code) == "False\n"
+
+
+def test_the_engine_names_load_the_engine_on_first_use():
+    code = (
+        "import sys, merminsim; print(hasattr(merminsim, 'run_trial'), 'numpy' in sys.modules);"
+        " from merminsim import SimulationPlan, run_trials; from merminsim import montecarlo;"
+        " print(SimulationPlan is montecarlo.SimulationPlan, run_trials is montecarlo.run_trials)"
+    )
+    assert loaded(code) == "False False\nTrue True\n"
+
+
+def test_the_cli_loads_the_engine_at_import():
+    # The benchmark's setup_s covers `import merminsim.cli`, numpy included.
+    assert loaded("import sys, merminsim.cli; print('numpy' in sys.modules)") == "True\n"
 
 
 def test_the_cli_sees_every_layer():

@@ -1,16 +1,21 @@
 """The integer-threshold engine against a reference sampler written from
 the definitions, and the law its tables sample against the exact oracle.
 
-Every draw is a 53-bit integer k = z >> 11 of a 64-bit hash z, standing
-for u = k 2^-53; the engine compares z with integer thresholds on k. The
-reference folds the Fraction weights of every (pair state, switch pair)
-into the 144 cells by instruction lookup and draws the cell as one exact
-rational partition of k, cut at those cell weights. These tests pin that
-the two give the same tallies, draw for draw, and that the law of the
-tables is within 144 2^-53 of enumerate_joint.
+Every draw is a 53-bit integer k, standing for u = k 2^-53: its top 16
+bits are trial i's slice i mod 4 of the splitmix64 hash of counter
+32 (i // 4) + 1, and its low 37 bits the top 37 bits of the hash of
+counter 8 i + 2. The engine reads the low bits only where a threshold
+splits the slice's guide bucket. The reference draws every k in full,
+folds the Fraction weights of every (pair state, switch pair) into the
+144 cells by instruction lookup, and draws the cell as one exact rational
+partition of k, cut at those cell weights. These tests pin that the two
+give the same tallies, draw for draw, that the four trials of one hash
+are independent, and that the law of the tables is within 144 2^-53 of
+enumerate_joint.
 """
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -36,10 +41,13 @@ from merminsim.montecarlo import (
     MAX_TRIALS,
     _CHUNK,
     _GUIDE_BITS,
+    _SPLIT,
     SimulationPlan,
     _guided_draw,
     _run_chunks,
     _sampler_tables,
+    _slices,
+    _split_draws,
     run_trials,
 )
 
@@ -84,14 +92,28 @@ def cell_weights(config):
     return law
 
 
-def reference_run_range(lo, hi, seed, config):
-    """Reference form of the sampler, the oracle for the integer engine:
-    lane 0 of trial i is k = mix64((8 i + 1) GAMMA + seed) >> 11, and its
-    cell is exact_parts of k over cell_weights."""
-    z = (np.arange(lo, hi, dtype=U64) * U64(8) + U64(1)) * U64(GAMMA) + U64(seed)
+def mix64(counter, seed):
+    """The splitmix64 hash of each counter (uint64) at seed."""
+    z = counter * U64(GAMMA) + U64(seed)
     for shift, mult in ((30, MIX1), (27, MIX2)):
         z = (z ^ (z >> U64(shift))) * U64(mult)
-    k = (z ^ (z >> U64(31))) >> U64(11)
+    return z ^ (z >> U64(31))
+
+
+def reference_draws(lo, hi, seed):
+    """The draw k of each trial i in [lo, hi): slice i mod 4, bits
+    [16 (i mod 4), 16 (i mod 4) + 16), of the hash of counter
+    32 (i // 4) + 1, then the top 37 bits of the hash of counter 8 i + 2."""
+    i = np.arange(lo, hi, dtype=U64)
+    group = mix64((i >> U64(2)) * U64(32) + U64(1), seed)
+    top = (group >> (U64(16) * (i & U64(3)))) & U64(0xFFFF)
+    return top << U64(37) | mix64(i * U64(8) + U64(2), seed) >> U64(27)
+
+
+def reference_run_range(lo, hi, seed, config):
+    """Reference form of the sampler, the oracle for the integer engine:
+    the cell of each trial's draw k is exact_parts of k over cell_weights."""
+    k = reference_draws(lo, hi, seed)
     return np.bincount(exact_parts(k, cell_weights(config)), minlength=N_CELLS)
 
 
@@ -141,16 +163,6 @@ def edges(points):
     return ks[(ks >= 0) & (ks < ONE)].astype(U64)
 
 
-def hashes(k):
-    """The least and the greatest hash z whose draw z >> 11 is k, for each
-    draw in k, as the y with z = y ^ (y >> 31) that the guided draw takes:
-    (k, y) with every draw listed twice."""
-    z = np.concatenate([k << U64(11), (k << U64(11)) | U64(0x7FF)])
-    y = z ^ (z >> U64(31)) ^ (z >> U64(62))
-    assert np.array_equal(y ^ (y >> U64(31)), z)
-    return np.concatenate([k, k]), y
-
-
 SOURCES = {
     "table1": builtin_distribution("table1_uniform"),
     "dense": DENSE,
@@ -178,25 +190,22 @@ def test_bit_identical_to_reference_sampler(source, p_a, p_b, seed, first_chunk,
 
 def probe_edges(table, weights):
     """Check the guided draw of table against exact_parts of weights at
-    every threshold edge and every guide-bucket edge. The thresholds are
-    sorted, so the draw is a non-decreasing step in k and the edges pin it
-    for all 2^53 draws."""
+    every threshold edge and every guide-bucket edge: the gather of each
+    draw's slice k >> 37, and the search of k where the bucket is split.
+    The thresholds are sorted, so the draw is a non-decreasing step in k
+    and the edges pin it for all 2^53 draws."""
     inner = table.thresholds.astype(np.int64)
     assert np.all(np.diff(inner) >= 0)
     assert len(inner) == len(weights) - 1
     width = 1 << (53 - _GUIDE_BITS)
     buckets = np.arange(len(table.guide), dtype=np.int64) * width
-    split = buckets[table.guide < 0]
-    # ONE - 1 brings in the greatest hash, 2^64 - 1; bucket 0, the least.
-    k, y = hashes(edges(np.concatenate([inner, buckets, split + width - 1, [ONE - 1]])))
-    size = len(y)
-    got = _guided_draw(
-        y,
-        table,
-        np.empty(size, dtype=np.int16),
-        np.empty(size, dtype=U64),
-        np.empty(size, dtype=bool),
-    )
+    split = buckets[table.guide == _SPLIT]
+    # ONE - 1 is the greatest draw; bucket 0 brings in the least.
+    k = edges(np.concatenate([inner, buckets, split + width - 1, [ONE - 1]]))
+    got = _guided_draw((k >> U64(53 - _GUIDE_BITS)).astype(np.uint16), table,
+                       np.empty(len(k), dtype=np.int16))
+    searched = got == _SPLIT
+    got[searched] = np.searchsorted(table.thresholds, k[searched], side="right")
     assert np.array_equal(got, exact_parts(k, weights))
 
 
@@ -233,13 +242,13 @@ def test_cell_thresholds_take_no_float64_step(name, moved):
 def bucketwide_guide(thresholds, buckets):
     """The guide of the sorted inner thresholds over buckets equal-width
     buckets, bucket by bucket in int64: the number of thresholds <= the
-    least draw of each bucket, or -1 where its greatest draw passes more."""
+    least draw of each bucket, or 144 where its greatest draw passes more."""
     width = ONE // buckets
     starts = np.arange(buckets, dtype=np.int64) * width
     inner = thresholds.astype(np.int64)
     lo = np.searchsorted(inner, starts, side="right")
     hi = np.searchsorted(inner, starts + width - 1, side="right")
-    return np.where(lo == hi, lo, -1)
+    return np.where(lo == hi, lo, N_CELLS)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -253,18 +262,17 @@ def test_at_most_143_buckets_are_split(source, p_a, p_b):
     # inner thresholds of the 144 cells lies inside at most one bucket.
     # The guide is the one a bucket-by-bucket build gives.
     tables = _sampler_tables(ExperimentConfig(source, DetectorModel(p_a), DetectorModel(p_b)))
-    assert len(tables.guide) == 1 << 14 >= 64 * N_CELLS
-    assert np.count_nonzero(tables.guide < 0) <= N_CELLS - 1
-    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 14))
+    assert len(tables.guide) == 1 << 16
+    assert np.count_nonzero(tables.guide == _SPLIT) <= N_CELLS - 1
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 16))
 
 
 @pytest.mark.parametrize("name", list(SOURCES))
 def test_guide_is_lean_and_in_range(name):
-    # Every source gets 2^14 buckets over the 144 cells. _guided_draw
-    # reads a bucket from the top bits of the hash before its last
-    # xor-shift, which keeps 31 of them, and int16 holds the greatest
-    # cell, 143. Scheme 4's guide of 16 K parts peaked near 2.5 MB in its
-    # build on the dense source.
+    # Every source gets 2^16 buckets over the 144 cells, one per value of
+    # a 16-bit slice, so int16 holds the greatest cell, 143, and the split
+    # mark, 144, in 128 KB. Scheme 4's guide of 16 K parts peaked near
+    # 2.5 MB in its build on the dense source.
     source = SOURCES[name]
     config = ExperimentConfig(source, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
     source.cell_masses  # cached on the source; the peak is the build's own
@@ -274,12 +282,13 @@ def test_guide_is_lean_and_in_range(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 << 10
-    assert len(tables.guide) == 1 << 14
-    assert _GUIDE_BITS == 14 <= 31
+    assert peak < (128 + 32) << 10
+    assert len(tables.guide) == 1 << 16
+    assert _GUIDE_BITS == 16
     assert tables.guide.dtype == np.int16
-    assert tables.guide.max() <= N_CELLS - 1
-    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 14))
+    assert tables.guide.nbytes == 128 << 10
+    assert tables.guide.max() <= _SPLIT == N_CELLS
+    assert np.array_equal(tables.guide, bucketwide_guide(tables.thresholds, 1 << 16))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -325,29 +334,37 @@ def test_every_pass_runs_on_whole_cache_lines(hi, monkeypatch):
     # A vector load or store that straddles two lines costs twice; fresh
     # CLI processes paid about a fifth of their kernel time for it. Both a
     # full chunk and a short first pass, sized by hi, must start on a line,
-    # and the tally must not see where the buffers lie.
+    # and the tally must not see where the buffers lie. Every chunk hashes
+    # and gathers before the split draws are finished.
     config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
     tables = _sampler_tables(config)
     starts = range(0, hi, _CHUNK)
     expected = _run_chunks(starts, hi, 11, tables)
     offsets = []
+    mix64_pass = montecarlo._mix64
 
-    def recorded(y, table, out, t, h):
-        offsets.extend(a.ctypes.data % LINE for a in (y, out, t, h))
-        return _guided_draw(y, table, out, t, h)
+    def hashed(z, t):
+        offsets.extend(a.ctypes.data % LINE for a in (z, t))
+        return mix64_pass(z, t)
+
+    def gathered(slices, table, out):
+        offsets.extend(a.ctypes.data % LINE for a in (slices, out))
+        return _guided_draw(slices, table, out)
 
     monkeypatch.setattr(montecarlo.np, "empty", off_line_empty(np.empty))
-    monkeypatch.setattr(montecarlo, "_guided_draw", recorded)
+    monkeypatch.setattr(montecarlo, "_mix64", hashed)
+    monkeypatch.setattr(montecarlo, "_guided_draw", gathered)
     assert np.empty(_CHUNK, dtype=U64).ctypes.data % LINE == 16
     got = _run_chunks(starts, hi, 11, tables)
-    assert offsets == [0] * 4 * len(starts)
+    assert offsets[: 4 * len(starts)] == [0] * 4 * len(starts)
     assert np.array_equal(got, expected)
 
 
 def test_a_run_keeps_to_the_chunks_cache_budget():
-    # _CHUNK sizes the per-pass buffers to fit one core's L2: 27 bytes a
-    # trial, 0.88 MB, beside the 32 KB guide. Aligning them costs 64
-    # bytes a buffer, not a copy.
+    # _CHUNK sizes the per-pass buffers to fit one core's L2: 9 bytes a
+    # trial and the two 8-byte index casts of np.take and np.bincount,
+    # about 0.8 MB, beside the 128 KB guide. Aligning them costs 64 bytes
+    # a buffer, not a copy.
     config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
     plan = SimulationPlan(config, 1 << 20, 5)
     run_trials(plan)  # the law's caches on the source are built once
@@ -358,3 +375,86 @@ def test_a_run_keeps_to_the_chunks_cache_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * (1 << 20)
+
+
+def test_slices_read_each_hash_16_bits_at_a_time():
+    # Trial 4 w + s reads bits [16 s, 16 s + 16) of hash w, through a view
+    # of the hash buffer on a little-endian host: no shift pass, no copy.
+    z = np.random.default_rng(16).integers(0, 1 << 64, 1001, dtype=U64, endpoint=False)
+    view = _slices(z)
+    assert view.dtype == np.dtype("<u2") and len(view) == 4 * len(z)
+    for s in range(4):
+        assert np.array_equal(view[s::4], (z >> U64(16 * s)) & U64(0xFFFF))
+    if sys.byteorder == "little":
+        assert np.shares_memory(view, z)
+
+
+def splitmix64(counter, seed):
+    """The splitmix64 hash of counter at seed, in Python integers."""
+    z = (counter * GAMMA + seed) & (1 << 64) - 1
+    z = (z ^ z >> 30) * MIX1 & (1 << 64) - 1
+    z = (z ^ z >> 27) * MIX2 & (1 << 64) - 1
+    return z ^ z >> 31
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    draws=st.lists(st.tuples(st.integers(0, MAX_TRIALS - 1), st.integers(0, 0xFFFF)),
+                   min_size=1, max_size=40),
+)
+def test_a_split_draw_extends_its_slice_by_its_lane_1_hash(seed, draws):
+    trials = np.array([i for i, _ in draws], dtype=np.int64)
+    slices = np.array([s for _, s in draws], dtype=np.uint16)
+    expected = [s << 37 | splitmix64(8 * i + 2, seed) >> 27 for i, s in draws]
+    assert _split_draws(trials, slices, seed).tolist() == expected
+
+
+def test_the_four_trials_of_one_hash_are_independent(monkeypatch):
+    # At p_a = 1/2, switch A fails in cells 0-35, the draws k < 2^52: the
+    # trial's slice is below 2^15. Over 2^20 groups, the 2 x 2 table of
+    # that event at trials 4 g and 4 g + s must pass a 1-dof chi-square.
+    config = ExperimentConfig(builtin_distribution("table1_uniform"), DetectorModel(Fraction(1, 2)))
+    tables = _sampler_tables(config)
+    assert tables.thresholds[35] == ONE // 2
+    failed = []
+
+    def gathered(slices, table, out):
+        failed.append(slices < 1 << 15)
+        return _guided_draw(slices, table, out)
+
+    monkeypatch.setattr(montecarlo, "_guided_draw", gathered)
+    n = 4 << 20
+    tally = _run_chunks(range(0, n, _CHUNK), n, 3, tables)
+    groups = np.concatenate(failed).reshape(-1, 4)
+    assert np.count_nonzero(groups) == tally[:36].sum()
+    for s in (1, 2, 3):
+        a, b = groups[:, 0], groups[:, s]
+        both, a_only, b_only = (int(np.count_nonzero(x)) for x in (a & b, a & ~b, ~a & b))
+        neither = len(a) - both - a_only - b_only
+        rows, cols = (both + a_only, b_only + neither), (both + b_only, a_only + neither)
+        chi2 = len(a) * (both * neither - a_only * b_only) ** 2 / math.prod(rows + cols)
+        assert math.erfc(math.sqrt(chi2 / 2)) > 1e-6, s
+
+
+@pytest.mark.parametrize("batch, searches", [(1, 3), (montecarlo._SPLIT_BATCH, 1)])
+def test_split_draws_wait_in_batches(batch, searches, monkeypatch):
+    # A chunk's few dozen split draws wait for their bits and their search
+    # until _SPLIT_BATCH have gathered, or the run's last chunk is done;
+    # where they are finished does not change the tally.
+    config = ExperimentConfig(DENSE, DetectorModel(Fraction(1, 5)), DetectorModel(Fraction(1, 10)))
+    tables = _sampler_tables(config)
+    lo, hi = 12345, 12345 + 3 * _CHUNK
+    expected = reference_run_range(lo, hi, 7, config)
+    split_counts = montecarlo._split_counts
+    calls = []
+
+    def counted(trials, slices, seed, table):
+        calls.append(sum(map(len, trials)))
+        return split_counts(trials, slices, seed, table)
+
+    monkeypatch.setattr(montecarlo, "_SPLIT_BATCH", batch)
+    monkeypatch.setattr(montecarlo, "_split_counts", counted)
+    got = _run_chunks(range(lo, hi, _CHUNK), hi, 7, tables)
+    assert np.array_equal(got, expected)
+    assert len(calls) == searches
