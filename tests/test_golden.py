@@ -31,6 +31,10 @@ pair state were regenerated for rng_scheme 5, which draws each trial's
 cell from the oracle's 144-cell law; every verdict and exit code stayed
 as it was. single_gnr_ggr and single_nnn_nnn did not change: with one
 pair state, scheme 4's joint codes were already the cells in codec order.
+All twenty were regenerated for rng_scheme 6, which reads four trials'
+guide buckets from one hash; only single_nnn_nnn's verify, which has no
+coincidence to count, came out unchanged. Again no verdict or exit code
+changed; table1_lossy_99 fails on seven "zero variance" rows, not eight.
 
 tests/golden/<config>/<case>/ holds stdout, the exit code and each
 report file except run_manifest.json (its timestamp changes per run).
